@@ -8,6 +8,7 @@
 //! property `robonet stats` relies on to reproduce in-process summaries
 //! exactly.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -51,7 +52,7 @@ impl JsonValue {
     /// The value as a `u64`, if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -276,45 +277,124 @@ impl SpannedNode {
 /// Parses one complete JSON value from `input` (trailing whitespace
 /// allowed, trailing garbage rejected).
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        relaxed: false,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
+    Parser::new(input, false).complete(Parser::value)
 }
 
 /// Parses one complete value in the relaxed dialect scenario files use:
 /// strict JSON plus `//` line comments and trailing commas in objects
 /// and arrays. Every node carries its byte offset for error reporting.
 pub fn parse_relaxed(input: &str) -> Result<SpannedValue, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        relaxed: true,
-    };
-    p.skip_ws();
-    let v = p.spanned_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
+    Parser::new(input, true).complete(Parser::spanned_value)
+}
+
+/// The value of one field returned by [`parse_fields`]. Strings borrow
+/// from the input unless they hold an escape; numbers keep their
+/// checked source text and convert on use, so an integer keeps all 64
+/// bits.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum FieldValue<'a> {
+    /// A string.
+    Str(Cow<'a, str>),
+    /// A number, as written.
+    Number(&'a str),
+    /// Any other value.
+    Other(JsonValue),
+}
+
+impl FieldValue<'_> {
+    /// The value as a string slice, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            FieldValue::Str(s) => Some(s),
+            _ => None,
+        }
     }
-    Ok(v)
+
+    /// The value as an `f64`, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            FieldValue::Number(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a `u64`, if it is a non-negative integral number.
+    /// Plain digits convert exactly; any other form converts as
+    /// [`JsonValue::as_u64`] does.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            FieldValue::Number(text) => text
+                .parse()
+                .ok()
+                .or_else(|| JsonValue::Number(self.as_f64()?).as_u64()),
+            _ => None,
+        }
+    }
+}
+
+/// Parses one complete JSON value, as strictly as [`parse`], and
+/// returns the fields of a top-level object in source order, duplicates
+/// included. Keys and string values borrow from `input` unless they
+/// hold an escape. Any value other than an object has no fields.
+///
+/// This is the trace-line entry point: one pass, no map, and no
+/// allocation for an unescaped key.
+pub(crate) fn parse_fields(input: &str) -> Result<Vec<(Cow<'_, str>, FieldValue<'_>)>, ParseError> {
+    let mut fields = Vec::new();
+    Parser::new(input, false).complete(|p| {
+        if p.peek() != Some(b'{') {
+            return p.value().map(drop);
+        }
+        // Trace lines carry at most 15 fields: one allocation a line.
+        fields.reserve(16);
+        p.object_with(|p, _, key| {
+            let value = match p.peek() {
+                Some(b'"') => FieldValue::Str(p.string()?),
+                Some(c) if c == b'-' || c.is_ascii_digit() => FieldValue::Number(p.number()?),
+                _ => FieldValue::Other(p.value()?),
+            };
+            fields.push((key, value));
+            Ok(())
+        })
+    })?;
+    Ok(fields)
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     relaxed: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &'a str, relaxed: bool) -> Self {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            relaxed,
+        }
+    }
+
+    /// Parses one value with `value`, allowing only whitespace around it.
+    fn complete<T>(
+        mut self,
+        value: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.skip_ws();
+        let v = value(&mut self)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err(if self.relaxed {
+                "trailing characters after value"
+            } else {
+                "trailing characters after JSON value"
+            }));
+        }
+        Ok(v)
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -354,10 +434,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, ParseError> {
+    fn literal(&mut self, word: &str) -> Result<(), ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
@@ -366,228 +446,225 @@ impl<'a> Parser<'a> {
     fn spanned_value(&mut self) -> Result<SpannedValue, ParseError> {
         let at = self.pos;
         let node = match self.peek() {
-            Some(b'{') => SpannedNode::Object(self.spanned_object()?),
-            Some(b'[') => SpannedNode::Array(self.spanned_array()?),
-            Some(b'"') => SpannedNode::String(self.string()?),
-            Some(b't') => {
-                self.literal("true", JsonValue::Null)?;
-                SpannedNode::Bool(true)
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object_with(|p, key_at, key| {
+                    fields.push((key_at, key.into_owned(), p.spanned_value()?));
+                    Ok(())
+                })?;
+                SpannedNode::Object(fields)
             }
-            Some(b'f') => {
-                self.literal("false", JsonValue::Null)?;
-                SpannedNode::Bool(false)
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array_with(|p| {
+                    items.push(p.spanned_value()?);
+                    Ok(())
+                })?;
+                SpannedNode::Array(items)
             }
-            Some(b'n') => {
-                self.literal("null", JsonValue::Null)?;
-                SpannedNode::Null
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => match self.number()? {
-                JsonValue::Number(n) => SpannedNode::Number(n),
-                _ => unreachable!("number() only returns Number"),
-            },
+            Some(b'"') => SpannedNode::String(self.string()?.into_owned()),
+            Some(b't') => self.literal("true").map(|()| SpannedNode::Bool(true))?,
+            Some(b'f') => self.literal("false").map(|()| SpannedNode::Bool(false))?,
+            Some(b'n') => self.literal("null").map(|()| SpannedNode::Null)?,
+            Some(c) if c == b'-' || c.is_ascii_digit() => SpannedNode::Number(self.float()?),
             _ => return Err(self.err("expected a value")),
         };
         Ok(SpannedValue { at, node })
     }
 
-    fn spanned_object(&mut self) -> Result<Vec<(usize, String, SpannedValue)>, ParseError> {
+    fn value(&mut self) -> Result<JsonValue, ParseError> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                // A later duplicate key replaces the earlier value.
+                self.object_with(|p, _, key| {
+                    map.insert(key.into_owned(), p.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array_with(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.float().map(JsonValue::Number),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// The one object loop. For each field it reads the key, then hands
+    /// `(key offset, key)` to `field`, which must consume the value.
+    /// The strict dialect rejects a trailing comma; the relaxed one
+    /// allows it.
+    fn object_with(
+        &mut self,
+        mut field: impl FnMut(&mut Self, usize, Cow<'a, str>) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let mut first = true;
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(fields);
-                }
-                Some(b'"') => {}
-                _ => return Err(self.err("expected a key string or '}' in object")),
+            if self.peek() == Some(b'}') && (first || self.relaxed) {
+                self.pos += 1;
+                return Ok(());
             }
+            if self.relaxed && self.peek() != Some(b'"') {
+                return Err(self.err("expected a key string or '}' in object"));
+            }
+            first = false;
             let key_at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.spanned_value()?;
-            fields.push((key_at, key, value));
+            field(self, key_at, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(fields);
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn spanned_array(&mut self) -> Result<Vec<SpannedValue>, ParseError> {
+    /// The one array loop, the counterpart of [`Parser::object_with`].
+    fn array_with(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let mut first = true;
         loop {
             self.skip_ws();
-            if self.peek() == Some(b']') {
+            if self.peek() == Some(b']') && (first || self.relaxed) {
                 self.pos += 1;
-                return Ok(items);
+                return Ok(());
             }
-            items.push(self.spanned_value()?);
+            first = false;
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(items);
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Reads a string literal in one pass: each run of plain characters
+    /// up to the next `"` or `\` is sliced out whole. Both delimiters
+    /// are ASCII, so every run ends on a character boundary. The result
+    /// borrows from the input unless the literal holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our
-                            // writer; reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape sequence")),
+            let start = self.pos;
+            let run_len = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            let Some(run_len) = run_len else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += run_len;
+            let run = &self.src[start..self.pos];
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked byte exists");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                });
             }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not produced by our
+                    // writer; reject rather than mis-decode.
+                    let c = char::from_u32(hex)
+                        .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                    out.push(c);
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape sequence")),
+            }
+            self.pos += 1;
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, ParseError> {
+    /// Scans a number and returns its text. The shape is what
+    /// `str::parse::<f64>` accepts of such text: a digit in the
+    /// mantissa, and one in the exponent if there is one.
+    fn number(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        let mut mantissa_digits = self.digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            mantissa_digits += self.digits();
         }
+        let mut exponent_ok = true;
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            exponent_ok = self.digits() > 0;
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
+        if mantissa_digits == 0 || !exponent_ok {
+            return Err(self.err("invalid number"));
+        }
+        Ok(&self.src[start..self.pos])
+    }
+
+    fn float(&mut self) -> Result<f64, ParseError> {
+        self.number()?
+            .parse()
             .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -740,5 +817,103 @@ mod tests {
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        // `u64::MAX as f64` rounds up to 2^64, which no u64 holds.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568),
+            "the largest f64 below 2^64 still converts"
+        );
+    }
+
+    #[test]
+    fn number_shape_check_matches_the_float_parser() {
+        // Every string of up to five characters over the number
+        // alphabet: `parse` accepts exactly what `str::parse::<f64>`
+        // accepts, given that a JSON number starts with '-' or a digit.
+        let alphabet = ['-', '+', '.', 'e', '1'];
+        let mut texts = vec![String::new()];
+        for _ in 0..5 {
+            let longer: Vec<String> = texts
+                .iter()
+                .flat_map(|t| alphabet.iter().map(move |c| format!("{t}{c}")))
+                .collect();
+            for text in &longer {
+                let starts_ok = text.starts_with(['-', '1']);
+                let want = starts_ok && text.parse::<f64>().is_ok();
+                assert_eq!(parse(text).is_ok(), want, "{text:?}");
+                let line = format!("{{\"n\":{text}}}");
+                assert_eq!(parse_fields(&line).is_ok(), want, "{line:?}");
+            }
+            texts = longer;
+        }
+    }
+
+    #[test]
+    fn field_numbers_convert_on_use() {
+        let fields = parse_fields(r#"{"a":18446744073709551615,"b":5e2,"c":-0,"d":2.5}"#).unwrap();
+        let value = |i: usize| &fields[i].1;
+        assert_eq!(value(0).as_u64(), Some(u64::MAX), "plain digits are exact");
+        assert_eq!(value(1).as_u64(), Some(500));
+        assert_eq!(value(2).as_u64(), Some(0));
+        assert_eq!(value(3).as_u64(), None);
+        assert_eq!(value(3).as_f64(), Some(2.5));
+        assert_eq!(value(3).as_str(), None);
+        let beyond = parse_fields(r#"{"a":18446744073709551616}"#).unwrap();
+        assert_eq!(beyond[0].1.as_u64(), None, "2^64 is out of range");
+    }
+
+    #[test]
+    fn fields_keep_source_order_and_borrow_unescaped_text() {
+        let line = r#"{"ev":"failure","t":1.5,"s\u0065nsor":3,"sensor":4,"n":{"a":[1]}}"#;
+        let fields = parse_fields(line).unwrap();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_ref()).collect();
+        assert_eq!(keys, ["ev", "t", "sensor", "sensor", "n"]);
+        assert!(matches!(fields[0].0, Cow::Borrowed(_)), "plain key borrows");
+        assert!(matches!(fields[2].0, Cow::Owned(_)), "escaped key is owned");
+        assert_eq!(fields[0].1, FieldValue::Str(Cow::Borrowed("failure")));
+        assert_eq!(fields[1].1, FieldValue::Number("1.5"));
+        assert_eq!(fields[3].1.as_u64(), Some(4));
+        assert_eq!(
+            fields[4].1,
+            FieldValue::Other(parse(r#"{"a":[1]}"#).unwrap())
+        );
+        // Any other top-level value parses but has no fields.
+        assert!(parse_fields(" [1, 2] ").unwrap().is_empty());
+        assert!(parse_fields("{}").unwrap().is_empty());
+    }
+
+    #[test]
+    fn fields_reject_what_parse_rejects_with_the_same_error() {
+        for bad in [
+            "",
+            "{",
+            "{\"a\"}",
+            "{\"a\":1,}",
+            "{,}",
+            "{\"a\":[1,]}",
+            "{\"a\":1}tail",
+            "{\"a\":\"\\q\"}",
+            "{\"a\":\"open",
+            "{\"a\":tru}",
+        ] {
+            assert_eq!(
+                parse_fields(bad).unwrap_err(),
+                parse(bad).unwrap_err(),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn strings_mixing_runs_and_escapes_decode() {
+        let v = parse(r#""π=\u03c0, \"q\" — ok\\""#).unwrap();
+        assert_eq!(v.as_str(), Some("π=π, \"q\" — ok\\"));
+        let open = "\"π unterminated";
+        let err = parse(open).unwrap_err();
+        assert_eq!(
+            (err.at, err.message.as_str()),
+            (open.len(), "unterminated string")
+        );
     }
 }

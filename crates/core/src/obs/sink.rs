@@ -6,12 +6,13 @@
 //! [`Trace`]), a streamed JSONL artifact ([`JsonlSink`]), or several of
 //! those at once ([`TeeSink`]).
 
+use std::borrow::Cow;
 use std::io::Write;
 
 use robonet_des::NodeId;
 use robonet_geom::Point;
 
-use super::json::{JsonValue, ObjectWriter};
+use super::json::{self, FieldValue, JsonValue, ObjectWriter};
 use crate::trace::{DropReason, Trace, TraceEvent};
 
 /// Current version of the JSONL trace artifact schema. Bump when the
@@ -26,15 +27,23 @@ pub fn trace_header() -> String {
     w.finish()
 }
 
-/// `Some` when `line` is a trace header (carrying the verdict on its
-/// version), `None` when it is an ordinary event line.
-fn parse_header(line: &str) -> Option<Result<(), String>> {
-    let v = super::json::parse(line).ok()?;
-    let schema = v.get("schema").and_then(JsonValue::as_str)?.to_string();
+/// The fields of one decoded trace line, in source order.
+type Fields<'a> = [(Cow<'a, str>, FieldValue<'a>)];
+
+/// The value of `key` in `fields`; a later duplicate key wins, as in
+/// [`json::parse`].
+fn get<'f>(fields: &'f Fields<'_>, key: &str) -> Option<&'f FieldValue<'f>> {
+    fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// `Some` when `fields` are a trace header (carrying the verdict on its
+/// version), `None` when they are an ordinary event line.
+fn header_verdict(fields: &Fields<'_>) -> Option<Result<(), String>> {
+    let schema = get(fields, "schema").and_then(FieldValue::as_str)?;
     Some(if schema != "robonet-trace" {
         Err(format!("unknown trace schema '{schema}'"))
     } else {
-        match v.get("schema_version").and_then(JsonValue::as_u64) {
+        match get(fields, "schema_version").and_then(FieldValue::as_u64) {
             Some(TRACE_SCHEMA_VERSION) => Ok(()),
             Some(other) => Err(format!(
                 "unsupported trace schema_version {other} \
@@ -73,8 +82,8 @@ impl std::fmt::Display for TruncatedTail {
 /// (in any split, mid-line is fine) and it hands complete parsed
 /// events to the callback, holding the unterminated tail until more
 /// bytes arrive. This is the one reader behind
-/// [`for_each_event_line`] — and therefore `robonet stats`, `spans`
-/// and `replay` — and behind `replay --follow`'s live tailing, so
+/// [`for_each_event_line`] — and therefore `robonet stats`, `spans`,
+/// `timeline` and `replay` — and behind `replay --follow`'s live tailing, so
 /// offline and follow-mode parsing can never drift.
 #[derive(Debug, Default)]
 pub struct LineCursor {
@@ -97,8 +106,9 @@ impl LineCursor {
     }
 
     /// Consumes `chunk`, invoking `f` for every *complete* event line
-    /// it closes. Bytes after the last `'\n'` are buffered for the
-    /// next feed.
+    /// it closes. Complete lines are decoded straight from `chunk`;
+    /// only the bytes after the last `'\n'` are copied, to wait for
+    /// the next feed.
     ///
     /// # Errors
     ///
@@ -107,17 +117,23 @@ impl LineCursor {
     pub fn feed(&mut self, chunk: &str, mut f: impl FnMut(&TraceEvent)) -> Result<(), String> {
         let mut rest = chunk;
         while let Some(nl) = rest.find('\n') {
-            self.partial.push_str(&rest[..nl]);
+            let line = &rest[..nl];
             rest = &rest[nl + 1..];
-            let line = std::mem::take(&mut self.partial);
-            self.consume_line(&line, &mut f)?;
+            if self.partial.is_empty() {
+                self.consume_line(line, &mut f)?;
+            } else {
+                // The line straddles two feeds.
+                let mut whole = std::mem::take(&mut self.partial);
+                whole.push_str(line);
+                self.consume_line(&whole, &mut f)?;
+            }
             self.line_no += 1;
         }
         self.partial.push_str(rest);
         Ok(())
     }
 
-    /// Closes the artifact. A leftover unterminated line is parsed if
+    /// Closes the artifact. A leftover unterminated line is decoded if
     /// it is complete JSON (producers are not required to end the file
     /// with a newline); if it does not parse it is reported as a
     /// [`TruncatedTail`] rather than an error.
@@ -129,14 +145,13 @@ impl LineCursor {
         if line.trim().is_empty() {
             return Ok(None);
         }
-        if super::json::parse(&line).is_err() {
-            return Ok(Some(TruncatedTail {
+        match json::parse_fields(&line) {
+            Ok(fields) => self.consume_fields(&fields, &mut f).map(|()| None),
+            Err(_) => Ok(Some(TruncatedTail {
                 line: self.line_no,
                 bytes: line.len(),
-            }));
+            })),
         }
-        self.consume_line(&line, &mut f)?;
-        Ok(None)
     }
 
     /// Bytes currently buffered as an unterminated line.
@@ -153,14 +168,25 @@ impl LineCursor {
         if line.trim().is_empty() {
             return Ok(());
         }
-        if !self.seen_any {
-            self.seen_any = true;
-            if let Some(verdict) = parse_header(line) {
-                return verdict.map_err(|e| format!("line {}: {e}", self.line_no));
+        let fields = json::parse_fields(line).map_err(|e| format!("line {}: {e}", self.line_no))?;
+        self.consume_fields(&fields, f)
+    }
+
+    /// Handles one parsed non-blank line: the first may be the header,
+    /// every other one is an event.
+    fn consume_fields(
+        &mut self,
+        fields: &Fields<'_>,
+        f: &mut impl FnMut(&TraceEvent),
+    ) -> Result<(), String> {
+        let line_no = self.line_no;
+        let at = |e: String| format!("line {line_no}: {e}");
+        if !std::mem::replace(&mut self.seen_any, true) {
+            if let Some(verdict) = header_verdict(fields) {
+                return verdict.map_err(at);
             }
         }
-        let event = event_from_jsonl(line).map_err(|e| format!("line {}: {e}", self.line_no))?;
-        f(&event);
+        f(&event_from_fields(fields).map_err(at)?);
         Ok(())
     }
 }
@@ -175,8 +201,9 @@ impl LineCursor {
 /// The one exception is an *unterminated* final line that is not valid
 /// JSON: that is the normal residue of a crashed or still-writing
 /// producer, returned as `Ok(Some(TruncatedTail))` so every reader
-/// degrades gracefully. `robonet stats`, `spans` and `replay` all read
-/// through this walker, so their error surfaces stay identical.
+/// degrades gracefully. `robonet stats`, `spans`, `timeline` and
+/// `replay` all read through this walker, so their error surfaces stay
+/// identical.
 pub fn for_each_event_line(
     text: &str,
     mut f: impl FnMut(&TraceEvent),
@@ -537,174 +564,174 @@ pub fn event_to_jsonl(event: &TraceEvent) -> String {
     w.finish()
 }
 
-fn node(v: &JsonValue, key: &str) -> Result<NodeId, String> {
-    let raw = v
-        .get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))?;
-    u32::try_from(raw)
+fn node(v: &Fields<'_>, key: &str) -> Result<NodeId, String> {
+    u32::try_from(uint(v, key)?)
         .map(NodeId::new)
         .map_err(|_| format!("field '{key}' out of NodeId range"))
 }
 
-fn num(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
+fn num(v: &Fields<'_>, key: &str) -> Result<f64, String> {
+    get(v, key)
+        .and_then(FieldValue::as_f64)
         .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
 }
 
-fn uint(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
+fn uint(v: &Fields<'_>, key: &str) -> Result<u64, String> {
+    get(v, key)
+        .and_then(FieldValue::as_u64)
         .ok_or_else(|| format!("missing or non-integer field '{key}'"))
 }
 
-fn uint32(v: &JsonValue, key: &str) -> Result<u32, String> {
+fn uint32(v: &Fields<'_>, key: &str) -> Result<u32, String> {
     u32::try_from(uint(v, key)?).map_err(|_| format!("field '{key}' out of u32 range"))
 }
 
-fn text<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
+fn text<'f>(v: &'f Fields<'_>, key: &str) -> Result<&'f str, String> {
+    get(v, key)
+        .and_then(FieldValue::as_str)
         .ok_or_else(|| format!("missing or non-string field '{key}'"))
 }
 
 /// Parses one JSONL line back into a [`TraceEvent`].
 ///
 /// The inverse of [`event_to_jsonl`]; `robonet stats` uses it to rebuild
-/// a run's story from the artifact.
+/// a run's story from the artifact. A later duplicate key wins.
 pub fn event_from_jsonl(line: &str) -> Result<TraceEvent, String> {
-    let v = super::json::parse(line).map_err(|e| e.to_string())?;
-    let kind = v
-        .get("ev")
-        .and_then(JsonValue::as_str)
+    let fields = json::parse_fields(line).map_err(|e| e.to_string())?;
+    event_from_fields(&fields)
+}
+
+fn event_from_fields(v: &Fields<'_>) -> Result<TraceEvent, String> {
+    let kind = get(v, "ev")
+        .and_then(FieldValue::as_str)
         .ok_or("missing 'ev' field")?;
-    let t = num(&v, "t")?;
+    let t = num(v, "t")?;
     match kind {
         "failure" => Ok(TraceEvent::Failure {
             t,
-            sensor: node(&v, "sensor")?,
+            sensor: node(v, "sensor")?,
         }),
         "detected" => Ok(TraceEvent::Detected {
             t,
-            guardian: node(&v, "guardian")?,
-            failed: node(&v, "failed")?,
+            guardian: node(v, "guardian")?,
+            failed: node(v, "failed")?,
         }),
         "report_delivered" => Ok(TraceEvent::ReportDelivered {
             t,
-            manager: node(&v, "manager")?,
-            failed: node(&v, "failed")?,
-            hops: u32::try_from(uint(&v, "hops")?).map_err(|_| "hops out of range")?,
+            manager: node(v, "manager")?,
+            failed: node(v, "failed")?,
+            hops: u32::try_from(uint(v, "hops")?).map_err(|_| "hops out of range")?,
         }),
         "dispatched" => Ok(TraceEvent::Dispatched {
             t,
-            robot: node(&v, "robot")?,
-            failed: node(&v, "failed")?,
-            departed: matches!(v.get("departed"), Some(JsonValue::Bool(true))),
+            robot: node(v, "robot")?,
+            failed: node(v, "failed")?,
+            departed: matches!(
+                get(v, "departed"),
+                Some(FieldValue::Other(JsonValue::Bool(true)))
+            ),
         }),
         "replaced" => Ok(TraceEvent::Replaced {
             t,
-            robot: node(&v, "robot")?,
-            sensor: node(&v, "sensor")?,
-            travel: num(&v, "travel")?,
-            loc: Point::new(num(&v, "x")?, num(&v, "y")?),
+            robot: node(v, "robot")?,
+            sensor: node(v, "sensor")?,
+            travel: num(v, "travel")?,
+            loc: Point::new(num(v, "x")?, num(v, "y")?),
         }),
         "packet_dropped" => {
-            let label = v
-                .get("reason")
-                .and_then(JsonValue::as_str)
+            let label = get(v, "reason")
+                .and_then(FieldValue::as_str)
                 .ok_or("missing 'reason' field")?;
             Ok(TraceEvent::PacketDropped {
                 t,
-                at: node(&v, "at")?,
+                at: node(v, "at")?,
                 reason: DropReason::from_label(label)
                     .ok_or_else(|| format!("unknown drop reason '{label}'"))?,
             })
         }
         "loc_update_flooded" => Ok(TraceEvent::LocUpdateFlooded {
             t,
-            robot: node(&v, "robot")?,
-            seq: uint(&v, "seq")?,
+            robot: node(v, "robot")?,
+            seq: uint(v, "seq")?,
         }),
         "robot_leg_started" => Ok(TraceEvent::RobotLegStarted {
             t,
-            robot: node(&v, "robot")?,
-            failed: node(&v, "failed")?,
-            from: Point::new(num(&v, "from_x")?, num(&v, "from_y")?),
-            to: Point::new(num(&v, "to_x")?, num(&v, "to_y")?),
+            robot: node(v, "robot")?,
+            failed: node(v, "failed")?,
+            from: Point::new(num(v, "from_x")?, num(v, "from_y")?),
+            to: Point::new(num(v, "to_x")?, num(v, "to_y")?),
         }),
         "robot_leg_ended" => Ok(TraceEvent::RobotLegEnded {
             t,
-            robot: node(&v, "robot")?,
-            travel: num(&v, "travel")?,
+            robot: node(v, "robot")?,
+            travel: num(v, "travel")?,
         }),
         "fault_injected" => {
-            let label = v
-                .get("kind")
-                .and_then(JsonValue::as_str)
+            let label = get(v, "kind")
+                .and_then(FieldValue::as_str)
                 .ok_or("missing 'kind' field")?;
             Ok(TraceEvent::FaultInjected {
                 t,
                 kind: crate::fault::FaultKind::from_label(label)
                     .ok_or_else(|| format!("unknown fault kind '{label}'"))?,
-                node: node(&v, "node")?,
+                node: node(v, "node")?,
             })
         }
         "report_retried" => Ok(TraceEvent::ReportRetried {
             t,
-            guardian: node(&v, "guardian")?,
-            failed: node(&v, "failed")?,
-            attempt: u32::try_from(uint(&v, "attempt")?).map_err(|_| "attempt out of range")?,
+            guardian: node(v, "guardian")?,
+            failed: node(v, "failed")?,
+            attempt: u32::try_from(uint(v, "attempt")?).map_err(|_| "attempt out of range")?,
         }),
         "dispatch_timed_out" => Ok(TraceEvent::DispatchTimedOut {
             t,
-            failed: node(&v, "failed")?,
-            attempt: u32::try_from(uint(&v, "attempt")?).map_err(|_| "attempt out of range")?,
+            failed: node(v, "failed")?,
+            attempt: u32::try_from(uint(v, "attempt")?).map_err(|_| "attempt out of range")?,
         }),
         "robot_died" => Ok(TraceEvent::RobotDied {
             t,
-            robot: node(&v, "robot")?,
+            robot: node(v, "robot")?,
         }),
         "robot_repaired" => Ok(TraceEvent::RobotRepaired {
             t,
-            robot: node(&v, "robot")?,
+            robot: node(v, "robot")?,
         }),
         "takeover_assumed" => Ok(TraceEvent::TakeoverAssumed {
             t,
-            robot: node(&v, "robot")?,
-            dead: node(&v, "dead")?,
-            subarea: u32::try_from(uint(&v, "subarea")?).map_err(|_| "subarea out of range")?,
+            robot: node(v, "robot")?,
+            dead: node(v, "dead")?,
+            subarea: u32::try_from(uint(v, "subarea")?).map_err(|_| "subarea out of range")?,
         }),
         "telemetry_sample" => Ok(TraceEvent::TelemetrySample {
             t,
             sample: crate::obs::timeline::TelemetrySnapshot {
-                alive: uint32(&v, "alive")?,
-                down: uint32(&v, "down")?,
-                failures: uint(&v, "failures")?,
-                replaced: uint(&v, "replaced")?,
-                coverage: num(&v, "coverage")?,
-                open_failure: uint32(&v, "open_failure")?,
-                open_detected: uint32(&v, "open_detected")?,
-                open_reported: uint32(&v, "open_reported")?,
-                open_dispatched: uint32(&v, "open_dispatched")?,
+                alive: uint32(v, "alive")?,
+                down: uint32(v, "down")?,
+                failures: uint(v, "failures")?,
+                replaced: uint(v, "replaced")?,
+                coverage: num(v, "coverage")?,
+                open_failure: uint32(v, "open_failure")?,
+                open_detected: uint32(v, "open_detected")?,
+                open_reported: uint32(v, "open_reported")?,
+                open_dispatched: uint32(v, "open_dispatched")?,
                 robot_queues: crate::obs::timeline::TelemetrySnapshot::queues_from_string(text(
-                    &v, "queues",
+                    v, "queues",
                 )?)?,
                 robot_busy: crate::obs::timeline::TelemetrySnapshot::busy_from_string(text(
-                    &v, "busy",
+                    v, "busy",
                 )?)?,
-                in_flight: uint32(&v, "in_flight")?,
-                sched_queue: uint32(&v, "sched_queue")?,
+                in_flight: uint32(v, "in_flight")?,
+                sched_queue: uint32(v, "sched_queue")?,
             },
         }),
         "invariant_violated" => {
-            let label = text(&v, "invariant")?;
+            let label = text(v, "invariant")?;
             Ok(TraceEvent::InvariantViolated {
                 t,
                 invariant: crate::obs::timeline::Invariant::from_label(label)
                     .ok_or_else(|| format!("unknown invariant '{label}'"))?,
-                expected: uint(&v, "expected")?,
-                actual: uint(&v, "actual")?,
+                expected: uint(v, "expected")?,
+                actual: uint(v, "actual")?,
             })
         }
         other => Err(format!("unknown event kind '{other}'")),
@@ -1015,5 +1042,51 @@ mod tests {
                 .is_err()
         );
         assert!(event_from_jsonl("not json at all").is_err());
+        assert_eq!(
+            event_from_jsonl("[1]").unwrap_err(),
+            "missing 'ev' field",
+            "a non-object line has no fields"
+        );
+        // 2^64 is one past u64::MAX.
+        assert_eq!(
+            event_from_jsonl(
+                r#"{"ev":"loc_update_flooded","t":1.0,"robot":200,"seq":18446744073709551616}"#
+            )
+            .unwrap_err(),
+            "missing or non-integer field 'seq'"
+        );
+    }
+
+    #[test]
+    fn later_duplicate_key_wins() {
+        let ev = event_from_jsonl(r#"{"ev":"failure","t":1.0,"sensor":3,"sensor":4}"#).unwrap();
+        assert_eq!(
+            ev,
+            TraceEvent::Failure {
+                t: 1.0,
+                sensor: NodeId::new(4)
+            }
+        );
+        let escaped = r#"{"ev":"failure","t":1.0,"sensor":3,"s\u0065nsor":5}"#;
+        assert!(matches!(
+            event_from_jsonl(escaped),
+            Ok(TraceEvent::Failure { sensor, .. }) if sensor == NodeId::new(5)
+        ));
+    }
+
+    #[test]
+    fn line_with_a_mebibyte_string_decodes() {
+        // Quadratic string scanning made this line cost ~5e11 byte checks.
+        let note = "π".repeat(1 << 19);
+        let line = format!(r#"{{"ev":"failure","t":2.0,"note":"{note}","sensor":9}}"#);
+        assert!(line.len() > 1 << 20);
+        let ev = event_from_jsonl(&line).unwrap();
+        assert_eq!(
+            ev,
+            TraceEvent::Failure {
+                t: 2.0,
+                sensor: NodeId::new(9)
+            }
+        );
     }
 }

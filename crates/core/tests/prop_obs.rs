@@ -1,10 +1,14 @@
 //! Property tests for the observability layer: the streaming quantile
 //! sketch against exact order statistics, the quickselect percentile
-//! against a sort-based reference, and the span assembler's accounting
-//! invariants over randomized well-formed repair workloads.
+//! against a sort-based reference, the span assembler's accounting
+//! invariants over randomized well-formed repair workloads, and the
+//! trace-line decoder against the event writer and `json::parse`.
 
 use robonet_core::metrics::percentile;
-use robonet_core::obs::{QuantileSketch, SpanAssembler, RELATIVE_ERROR, ZERO_THRESHOLD};
+use robonet_core::obs::json::{self, JsonValue};
+use robonet_core::obs::{
+    event_from_jsonl, event_to_jsonl, QuantileSketch, SpanAssembler, RELATIVE_ERROR, ZERO_THRESHOLD,
+};
 use robonet_core::trace::TraceEvent;
 use robonet_des::check::{self, Outcome};
 use robonet_des::NodeId;
@@ -297,6 +301,363 @@ fn registry_merge_is_order_independent_bitwise() {
                 }
             }
             assert_eq!(folded.gauges().count(), 0, "merge drops every gauge");
+            Outcome::Pass
+        },
+    );
+}
+
+/// A kind index and the raw words [`event_of`] builds an event from.
+type EventSeed = (usize, Vec<u64>);
+
+/// Number of [`TraceEvent`] kinds [`event_of`] covers.
+const EVENT_KINDS: usize = 17;
+
+fn event_seeds() -> check::Gen<EventSeed> {
+    check::pair(
+        check::usizes(0..EVENT_KINDS),
+        check::vec_of(check::u64_any(), 16..17),
+    )
+}
+
+/// An `f64` from raw bits: every finite bit pattern (subnormals and
+/// `-0.0` included) as well as ordinary fractions and whole numbers.
+fn real(bits: u64) -> f64 {
+    match bits % 3 {
+        0 => Some(f64::from_bits(bits))
+            .filter(|v| v.is_finite())
+            .unwrap_or(0.5),
+        1 => (bits >> 20) as f64 / 1024.0,
+        _ => (bits >> 40) as f64,
+    }
+}
+
+/// The event of kind `kind % EVENT_KINDS` whose fields are drawn from
+/// `words` (missing words read as zero, so shrunk seeds stay valid).
+fn event_of(kind: usize, words: &[u64]) -> TraceEvent {
+    use robonet_core::fault::FaultKind;
+    use robonet_core::obs::timeline::{Invariant, TelemetrySnapshot};
+    use robonet_core::trace::DropReason;
+
+    let w = |i: usize| words.get(i).copied().unwrap_or(0);
+    let node = |i: usize| NodeId::new(w(i) as u32);
+    let point = |i: usize| Point::new(real(w(i)), real(w(i + 1)));
+    let t = real(w(0));
+    match kind % EVENT_KINDS {
+        0 => TraceEvent::Failure { t, sensor: node(1) },
+        1 => TraceEvent::Detected {
+            t,
+            guardian: node(1),
+            failed: node(2),
+        },
+        2 => TraceEvent::ReportDelivered {
+            t,
+            manager: node(1),
+            failed: node(2),
+            hops: w(3) as u32,
+        },
+        3 => TraceEvent::Dispatched {
+            t,
+            robot: node(1),
+            failed: node(2),
+            departed: w(3) % 2 == 1,
+        },
+        4 => TraceEvent::Replaced {
+            t,
+            robot: node(1),
+            sensor: node(2),
+            travel: real(w(3)),
+            loc: point(4),
+        },
+        5 => TraceEvent::PacketDropped {
+            t,
+            at: node(1),
+            reason: [
+                DropReason::TtlExpired,
+                DropReason::NoNeighbors,
+                DropReason::MacGiveUp,
+            ][(w(2) % 3) as usize],
+        },
+        6 => TraceEvent::LocUpdateFlooded {
+            t,
+            robot: node(1),
+            seq: w(2),
+        },
+        7 => TraceEvent::RobotLegStarted {
+            t,
+            robot: node(1),
+            failed: node(2),
+            from: point(3),
+            to: point(5),
+        },
+        8 => TraceEvent::RobotLegEnded {
+            t,
+            robot: node(1),
+            travel: real(w(2)),
+        },
+        9 => TraceEvent::FaultInjected {
+            t,
+            kind: [
+                FaultKind::ReportLoss,
+                FaultKind::DispatchLoss,
+                FaultKind::UpdateLoss,
+                FaultKind::Breakdown,
+                FaultKind::Slowdown,
+            ][(w(1) % 5) as usize],
+            node: node(2),
+        },
+        10 => TraceEvent::ReportRetried {
+            t,
+            guardian: node(1),
+            failed: node(2),
+            attempt: w(3) as u32,
+        },
+        11 => TraceEvent::DispatchTimedOut {
+            t,
+            failed: node(1),
+            attempt: w(2) as u32,
+        },
+        12 => TraceEvent::RobotDied { t, robot: node(1) },
+        13 => TraceEvent::RobotRepaired { t, robot: node(1) },
+        14 => TraceEvent::TakeoverAssumed {
+            t,
+            robot: node(1),
+            dead: node(2),
+            subarea: w(3) as u32,
+        },
+        15 => {
+            let robots = (w(15) % 6) as usize;
+            TraceEvent::TelemetrySample {
+                t,
+                sample: TelemetrySnapshot {
+                    alive: w(1) as u32,
+                    down: w(2) as u32,
+                    failures: w(3),
+                    replaced: w(4),
+                    coverage: real(w(5)),
+                    open_failure: w(6) as u32,
+                    open_detected: w(7) as u32,
+                    open_reported: w(8) as u32,
+                    open_dispatched: w(9) as u32,
+                    robot_queues: (0..robots).map(|i| (w(10 + i) >> 32) as u32).collect(),
+                    robot_busy: (0..robots).map(|i| w(10 + i) % 2 == 1).collect(),
+                    in_flight: w(13) as u32,
+                    sched_queue: w(14) as u32,
+                },
+            }
+        }
+        _ => TraceEvent::InvariantViolated {
+            t,
+            invariant: [
+                Invariant::RepairConservation,
+                Invariant::SpanBalance,
+                Invariant::FleetLiveness,
+            ][(w(1) % 3) as usize],
+            expected: w(2),
+            actual: w(3),
+        },
+    }
+}
+
+/// Every `f64` an event carries, in field order.
+fn event_reals(ev: &TraceEvent) -> Vec<f64> {
+    let mut out = vec![ev.time()];
+    match ev {
+        TraceEvent::Replaced { travel, loc, .. } => out.extend([*travel, loc.x, loc.y]),
+        TraceEvent::RobotLegStarted { from, to, .. } => out.extend([from.x, from.y, to.x, to.y]),
+        TraceEvent::RobotLegEnded { travel, .. } => out.push(*travel),
+        TraceEvent::TelemetrySample { sample, .. } => out.push(sample.coverage),
+        _ => {}
+    }
+    out
+}
+
+/// Serializes a parsed value with sorted, unique keys: the line as
+/// `json::parse` understood it, duplicates resolved.
+fn canonical(v: &JsonValue, out: &mut String) {
+    match v {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        // An overflowing literal parses to infinity, which `write_f64`
+        // would turn into `null`.
+        JsonValue::Number(n) if n.is_infinite() => {
+            out.push_str(if *n > 0.0 { "1e999" } else { "-1e999" })
+        }
+        JsonValue::Number(n) => json::write_f64(out, *n),
+        JsonValue::String(s) => json::write_str(out, s),
+        JsonValue::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                canonical(item, out);
+            }
+            out.push(']');
+        }
+        JsonValue::Object(map) => {
+            out.push('{');
+            for (i, (key, value)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_str(out, key);
+                out.push(':');
+                canonical(value, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// A decode result as `json::parse` sees it: an event compares by its
+/// canonical line, which holds every integer as an `f64` like the
+/// parsed value the other side of each comparison comes from.
+fn as_parsed(decoded: Result<TraceEvent, String>) -> Result<String, String> {
+    decoded.map(|ev| {
+        let mut out = String::new();
+        canonical(
+            &json::parse(&event_to_jsonl(&ev)).expect("lines parse"),
+            &mut out,
+        );
+        out
+    })
+}
+
+/// The keys of a trace line.
+fn keys_of(line: &str) -> Vec<String> {
+    let value = json::parse(line).expect("generated lines parse");
+    value
+        .as_object()
+        .expect("lines are objects")
+        .keys()
+        .cloned()
+        .collect()
+}
+
+/// `key` with its first character written as a `\u` escape.
+fn escaped_key(key: &str) -> String {
+    let mut chars = key.chars();
+    let first = chars.next().expect("keys are not empty");
+    format!("\\u{:04x}{}", first as u32, chars.as_str())
+}
+
+/// Every event kind survives `event_to_jsonl` → `event_from_jsonl`
+/// unchanged, each `f64` bit for bit.
+#[test]
+fn trace_lines_round_trip_every_event_kind() {
+    check::forall(
+        "trace_lines_round_trip_every_event_kind",
+        &event_seeds(),
+        |(kind, words)| {
+            let ev = event_of(*kind, words);
+            let line = event_to_jsonl(&ev);
+            let back = event_from_jsonl(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(back, ev, "line was: {line}");
+            let (want, got) = (event_reals(&ev), event_reals(&back));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "f64 bits of {line}");
+            Outcome::Pass
+        },
+    );
+}
+
+/// On mutated lines the trace decoder is exactly as strict as
+/// `json::parse`: it never accepts a line `json::parse` rejects, and on
+/// every line `json::parse` accepts it decodes what the parsed value
+/// says (a later duplicate key wins, an escaped key is the same key).
+#[test]
+fn trace_decoder_is_no_laxer_than_json_parse() {
+    const INSERTS: &[u8] = b"{}[]\":,\\ 0-.eEtfnu/x\n";
+    const GARBAGE: [&str; 6] = ["x", ",", "}", " 1", "{}", "\"\""];
+    check::forall(
+        "trace_decoder_is_no_laxer_than_json_parse",
+        &check::triple(event_seeds(), check::usizes(0..6), check::u64_any()),
+        |((kind, words), mutation, pick)| {
+            let ev = event_of(*kind, words);
+            let mut line = event_to_jsonl(&ev);
+            let keys = keys_of(&line);
+            let at = *pick as usize % (line.len() + 1);
+            let key = &keys[*pick as usize % keys.len()];
+            match mutation {
+                0 if at < line.len() => {
+                    line.remove(at);
+                }
+                1 => line.insert(at, INSERTS[(*pick >> 32) as usize % INSERTS.len()] as char),
+                2 => line.truncate(at),
+                3 => line.push_str(GARBAGE[(*pick >> 32) as usize % GARBAGE.len()]),
+                4 => {
+                    // Repeat a field with another event's value for it.
+                    let other = event_to_jsonl(&event_of(*kind, &words[words.len().min(1)..]));
+                    let value = json::parse(&other).expect("generated lines parse");
+                    let mut repeat = format!(",\"{key}\":");
+                    canonical(value.get(key).expect("same kind, same keys"), &mut repeat);
+                    line.insert_str(line.len() - 1, &repeat);
+                }
+                _ => {
+                    let quoted = format!("\"{key}\":");
+                    let escaped = format!("\"{}\":", escaped_key(key));
+                    line = line.replacen(&quoted, &escaped, 1);
+                }
+            }
+            match json::parse(&line) {
+                Err(_) => assert!(
+                    event_from_jsonl(&line).is_err(),
+                    "decoder accepted a line json::parse rejects: {line}"
+                ),
+                Ok(value) => {
+                    let mut resolved = String::new();
+                    canonical(&value, &mut resolved);
+                    assert_eq!(
+                        as_parsed(event_from_jsonl(&line)),
+                        as_parsed(event_from_jsonl(&resolved)),
+                        "line {line} vs its parsed form {resolved}"
+                    );
+                }
+            }
+            Outcome::Pass
+        },
+    );
+}
+
+/// A repeated key, plain or escaped, resolves to its later value.
+#[test]
+fn trace_decoder_takes_the_later_duplicate() {
+    check::forall(
+        "trace_decoder_takes_the_later_duplicate",
+        &check::triple(event_seeds(), check::u64_any(), check::bools()),
+        |((kind, words), pick, escape)| {
+            let ev = event_of(*kind, words);
+            let later = event_of(
+                *kind,
+                &words.iter().map(|w| w.rotate_left(17)).collect::<Vec<_>>(),
+            );
+            let (line, later_line) = (event_to_jsonl(&ev), event_to_jsonl(&later));
+            let keys = keys_of(&line);
+            let key = &keys[*pick as usize % keys.len()];
+            let later_value = json::parse(&later_line).expect("generated lines parse");
+            let later_value = later_value.get(key).expect("same kind, same keys");
+            let mut repeat = String::from(",\"");
+            repeat.push_str(&if *escape {
+                escaped_key(key)
+            } else {
+                key.clone()
+            });
+            repeat.push_str("\":");
+            canonical(later_value, &mut repeat);
+            let mut doubled = line.clone();
+            doubled.insert_str(line.len() - 1, &repeat);
+
+            let mut expected = json::parse(&line).expect("generated lines parse");
+            if let JsonValue::Object(map) = &mut expected {
+                map.insert(key.clone(), later_value.clone());
+            }
+            let mut expected_line = String::new();
+            canonical(&expected, &mut expected_line);
+            assert_eq!(
+                as_parsed(event_from_jsonl(&doubled)),
+                as_parsed(event_from_jsonl(&expected_line)),
+                "{doubled}"
+            );
             Outcome::Pass
         },
     );

@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # is `stage_<name>`, and the label is what the log prints.
 all_stages=(fmt clippy build test golden_trace golden_spans timeline
             replay_figs determinism sweep_determinism golden_figs
-            scenarios scale_smoke bench_smoke)
+            scenarios scale_smoke bench_smoke perfbench)
 
 stage_label() {
     case "$1" in
@@ -38,6 +38,7 @@ stage_label() {
         scenarios) echo "scenario library gate (golden summaries)" ;;
         scale_smoke) echo "scale smoke (2000 sensors under wall budget)" ;;
         bench_smoke) echo "bench smoke (one iteration per target)" ;;
+        perfbench) echo "benchmark self-test (folds vs live runs, exact ledgers)" ;;
         *) echo "$1" ;;
     esac
 }
@@ -99,8 +100,8 @@ stage_clippy() {
 }
 
 stage_build() {
-    # NB --workspace: the root manifest is both the workspace and a
-    # lib-only package, so a bare `cargo build` would skip the binary.
+    # The root manifest's `default-members` already covers every
+    # package, binary included; --workspace just says so explicitly.
     cargo build --release --offline --workspace
 }
 
@@ -419,6 +420,12 @@ stage_bench_smoke() {
         echo "bench smoke: packet_scale regressed vs tests/golden/BENCH_scale_baseline.json" >&2
         exit 1
     }
+}
+
+stage_perfbench() {
+    # The benchmark is a package of its own; its quick self-test checks
+    # every fold against its live run and that exact ledgers repeat.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 if [ -n "$only_stage" ]; then
