@@ -11,15 +11,18 @@
 //! the lossy rows can out-repair the one-shot fault-free baseline.
 //! The degradation signal is the trend *within* the lossy rows.
 //!
-//! All (algorithm × loss) cells run through the deterministic sweep
-//! engine, so the curve is identical whatever the worker count.
+//! All (algorithm × loss) cells run on the deterministic work-stealing
+//! pool, so the curve is identical whatever the worker count. Each cell
+//! runs observed (a small ring attached) so its repair spans are
+//! assembled, and the benchmark times that same observed run.
 
 use robonet_bench::selftime::{BenchmarkId, Criterion};
 use robonet_bench::{bench_group, bench_main};
 
-use robonet_core::sweep::SweepGrid;
-use robonet_core::{Algorithm, FaultPlan, PartitionKind, ScenarioConfig, Simulation};
-use robonet_des::pool::resolve_jobs;
+use robonet_core::{
+    Algorithm, FaultPlan, Outcome, PartitionKind, RingSink, ScenarioConfig, Simulation,
+};
+use robonet_des::pool::{resolve_jobs, scatter_map};
 
 const SCALE: f64 = 64.0;
 const LOSS: [f64; 4] = [0.0, 0.01, 0.05, 0.10];
@@ -32,11 +35,16 @@ const ALGORITHMS: [Algorithm; 3] = [
 
 fn cell_config(alg: Algorithm, loss: f64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::paper(2, alg).with_seed(1).scaled(SCALE);
-    cfg.trace_capacity = 16; // assemble spans for the p95 delay
     if loss > 0.0 {
         cfg.faults = Some(FaultPlan::message_loss(loss).scaled(SCALE));
     }
     cfg
+}
+
+/// Runs `cfg` with a small ring attached, which switches on the span
+/// assembly the p95 delay is read from.
+fn observed_run(cfg: &ScenarioConfig) -> Outcome {
+    Simulation::with_sink(cfg.clone(), Box::new(RingSink::with_capacity(16))).run_to_completion()
 }
 
 fn degradation(c: &mut Criterion) {
@@ -47,25 +55,23 @@ fn degradation(c: &mut Criterion) {
         "  {:<12} {:>6} {:>10} {:>12} {:>14}",
         "algorithm", "loss", "repaired", "ratio", "p95 delay (s)"
     );
-    let grid = SweepGrid::from_configs(
-        ALGORITHMS
-            .iter()
-            .flat_map(|&alg| LOSS.iter().map(move |&loss| cell_config(alg, loss)))
-            .collect(),
-    );
-    let result = grid.run(resolve_jobs(None));
-    assert!(result.failed.is_empty(), "degradation cells must not panic");
-    for (cell, (alg, loss)) in result.cells.iter().zip(
-        ALGORITHMS
-            .iter()
-            .flat_map(|&alg| LOSS.iter().map(move |&loss| (alg, loss))),
-    ) {
-        let s = cell.metrics.summary();
-        let p95 = cell
+    let cells: Vec<(Algorithm, f64)> = ALGORITHMS
+        .iter()
+        .flat_map(|&alg| LOSS.iter().map(move |&loss| (alg, loss)))
+        .collect();
+    let outcomes = scatter_map(&cells, resolve_jobs(None), |_, &(alg, loss)| {
+        observed_run(&cell_config(alg, loss))
+    });
+    for (&(alg, loss), outcome) in cells.iter().zip(outcomes) {
+        let outcome = outcome.unwrap_or_else(|p| panic!("degradation {p}"));
+        let s = outcome.metrics.summary();
+        let p95 = outcome
             .spans
             .as_ref()
-            .and_then(|r| r.total_sketch().quantile(0.95))
-            .unwrap_or(0.0);
+            .expect("an observed run assembles spans")
+            .total_sketch()
+            .quantile(0.95)
+            .expect("every cell repairs some failures");
         println!(
             "  {:<12} {:>5.0}% {:>4}/{:<5} {:>11.3} {:>14.1}",
             format!("{alg:?}").to_lowercase(),
@@ -80,8 +86,8 @@ fn degradation(c: &mut Criterion) {
                 format!("{alg:?}").to_lowercase(),
                 (loss * 100.0).round() as u64,
             ),
-            &cell.config,
-            |b, cfg| b.iter(|| Simulation::run(cfg.clone()).metrics.replacements),
+            &outcome.config,
+            |b, cfg| b.iter(|| observed_run(cfg).metrics.replacements),
         );
     }
     group.finish();

@@ -19,8 +19,8 @@ use robonet_core::obs::json::{self, ObjectWriter};
 use robonet_core::obs::TRACE_SCHEMA_VERSION;
 use robonet_core::report::{self, Row};
 use robonet_core::{
-    compile_scenario, Algorithm, CoverageSampling, DispatchPolicy, FaultPlan, JsonlSink, Outcome,
-    Overrides, ScenarioConfig, Simulation, SpanAssembler, TraceAggregate,
+    compile_scenario, Algorithm, DispatchPolicy, FaultPlan, JsonlSink, Outcome, Overrides,
+    RingSink, ScenarioConfig, Simulation, SpanAssembler, TeeSink, TraceAggregate,
 };
 use robonet_des::SimDuration;
 
@@ -36,7 +36,6 @@ pub const RUN_FLAGS: &[(&str, bool)] = &[
     ("--seed", true),
     ("--prune", true),
     ("--dispatch", true),
-    ("--coverage", true),
     ("--trace", true),
     ("--trace-out", true),
     ("--progress", false),
@@ -60,7 +59,7 @@ pub fn usage_text() -> String {
      \x20 robonet run     --alg <fixed|fixed-hex|dynamic|centralized> [--k N]\n\
      \x20                 [--scenario FILE.rjson]\n\
      \x20                 [--sensors N] [--scale F] [--seed N] [--prune F]\n\
-     \x20                 [--dispatch <nearest|nearest-idle>] [--coverage SECS]\n\
+     \x20                 [--dispatch <nearest|nearest-idle>]\n\
      \x20                 [--trace N] [--trace-out FILE] [--progress]\n\
      \x20                 [--loss P] [--report-loss P] [--dispatch-loss P]\n\
      \x20                 [--update-loss P] [--breakdown MEAN_SECS]\n\
@@ -206,7 +205,6 @@ struct RunArgs {
     explicit_seed: bool,
     prune: Option<f64>,
     dispatch: DispatchPolicy,
-    coverage: Option<f64>,
     trace: usize,
     trace_out: Option<String>,
     progress: bool,
@@ -229,7 +227,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         explicit_seed: false,
         prune: None,
         dispatch: DispatchPolicy::Nearest,
-        coverage: None,
         trace: 0,
         trace_out: None,
         progress: false,
@@ -282,13 +279,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                     "nearest-idle" => DispatchPolicy::NearestIdle,
                     other => return Err(format!("unknown dispatch policy `{other}`")),
                 };
-            }
-            "--coverage" => {
-                out.coverage = Some(
-                    value()?
-                        .parse()
-                        .map_err(|e| format!("bad --coverage: {e}"))?,
-                );
             }
             "--trace" => {
                 out.trace = value()?.parse().map_err(|e| format!("bad --trace: {e}"))?;
@@ -393,36 +383,32 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
     };
     cfg.broadcast_prune = parsed.prune;
     cfg.dispatch = parsed.dispatch;
-    cfg.trace_capacity = parsed.trace;
-    if let Some(period) = parsed.coverage {
-        cfg.coverage_sample = Some(CoverageSampling {
-            period: SimDuration::from_secs(period),
-            ..CoverageSampling::default()
-        });
-    }
     // The sampling cadence is in sim seconds as given — deliberately
     // not compressed by --scale, so a 100 s cadence means the same
     // thing at every scale.
     cfg.sample_every = parsed.sample_every.map(SimDuration::from_secs);
     cfg.validate()?;
 
-    let mut sim = match parsed.trace_out.as_deref() {
+    // `--trace N` keeps the last N events in a ring, which comes back
+    // as `Outcome::trace`; `--trace-out` streams every event as JSONL.
+    let mut sinks = TeeSink::new();
+    if parsed.trace > 0 {
+        sinks.push(Box::new(RingSink::with_capacity(parsed.trace)));
+    }
+    match parsed.trace_out.as_deref() {
         // `-` streams the events themselves to stdout (line-buffered,
         // so a `--follow -` consumer sees them as they happen); the
         // human-readable summary then moves to stderr and no manifest
         // is written.
-        Some("-") => {
-            let sink = JsonlSink::new(std::io::stdout());
-            Simulation::with_sink(cfg, Box::new(sink))
-        }
+        Some("-") => sinks.push(Box::new(JsonlSink::new(std::io::stdout()))),
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create trace file `{path}`: {e}"))?;
-            let sink = JsonlSink::new(std::io::BufWriter::new(file));
-            Simulation::with_sink(cfg, Box::new(sink))
+            sinks.push(Box::new(JsonlSink::new(std::io::BufWriter::new(file))));
         }
-        None => Simulation::new(cfg),
-    };
+        None => {}
+    }
+    let mut sim = Simulation::with_sink(cfg, Box::new(sinks));
     if parsed.progress {
         sim.enable_progress(std::time::Duration::from_secs(1));
     }
@@ -540,12 +526,6 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
         let _ = writeln!(out, "last {} protocol events:", outcome.trace.len());
         for ev in outcome.trace.events() {
             let _ = writeln!(out, "  {ev}");
-        }
-    }
-    if !m.coverage_timeline.is_empty() {
-        let _ = writeln!(out, "time_s,coverage,dead");
-        for &(t, cov, dead) in &m.coverage_timeline {
-            let _ = writeln!(out, "{t:.0},{cov:.4},{dead}");
         }
     }
     // When the trace owns stdout, the summary moves wholesale to
@@ -998,6 +978,10 @@ mod tests {
             };
             parse_run_args(&argv).unwrap_or_else(|e| panic!("declared flag {flag} rejected: {e}"));
         }
+        // Coverage over time is a telemetry series (`--sample-every`);
+        // its old flag stays gone.
+        let err = parse_run_args(&args(&["--coverage", "100"])).err();
+        assert_eq!(err.as_deref(), Some("unknown argument `--coverage`"));
     }
 
     #[test]

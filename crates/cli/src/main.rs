@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! robonet run     --alg dynamic --k 2 [--scale 16] [--seed 1] [--prune 0.4]
-//!                 [--dispatch nearest-idle] [--coverage 100]
+//!                 [--dispatch nearest-idle] [--sample-every 100]
 //! robonet figures [--scale 16] [--seeds 1,2] [--ks 2,3,4]
 //! robonet sweep   [--scale 16] [--seeds 1,2] [--ks 2,3,4]     # CSV only
 //! ```

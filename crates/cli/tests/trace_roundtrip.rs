@@ -86,6 +86,56 @@ fn trace_out_and_stats_round_trip() {
 }
 
 #[test]
+fn trace_ring_and_trace_out_record_the_same_run() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let run_to = |name: &str, ring: bool| {
+        let trace = dir.join(name);
+        let mut argv = args(&["run", "--alg", "dynamic", "--k", "1", "--scale", "64"]);
+        argv.extend(args(&[
+            "--seed",
+            "7",
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ]));
+        if ring {
+            argv.extend(args(&["--trace", "5"]));
+        }
+        let out = run_cli(&argv).expect("traced run succeeds");
+        (
+            out,
+            std::fs::read_to_string(&trace).expect("trace file exists"),
+        )
+    };
+    let (out, both) = run_to("tee_both.jsonl", true);
+    let (_, alone) = run_to("tee_alone.jsonl", false);
+
+    // The ring rides alongside the stream without changing a byte of it.
+    assert_eq!(
+        both, alone,
+        "--trace must not perturb the --trace-out stream"
+    );
+    let mut events = Vec::new();
+    robonet_core::obs::for_each_event_line(&both, |ev| events.push(ev.to_string()))
+        .expect("complete trace");
+    assert_eq!(
+        events.len(),
+        both.lines().count() - 1,
+        "every line after the header"
+    );
+    assert!(events.len() > 5);
+
+    // The ring printed exactly the stream's last 5 events.
+    let printed: Vec<&str> = out
+        .lines()
+        .skip_while(|l| *l != "last 5 protocol events:")
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .map(str::trim_start)
+        .collect();
+    assert_eq!(printed, events[events.len() - 5..], "{out}");
+}
+
+#[test]
 fn stats_rejects_missing_and_malformed_input() {
     assert!(run_cli(&args(&["stats"])).is_err(), "usage error");
     assert!(

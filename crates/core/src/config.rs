@@ -116,18 +116,13 @@ pub struct ScenarioConfig {
     /// Edge-of-range reception model ([`Fading::None`] reproduces the
     /// paper's fixed-range radio).
     pub fading: Fading,
-    /// Sample the sensing-coverage fraction this often (`None` = off).
-    /// Each sample costs an `O(field)` scan, so this is for analysis
-    /// runs, not the figure sweeps.
-    pub coverage_sample: Option<CoverageSampling>,
     /// Emit a [`TelemetrySample`](crate::trace::TraceEvent::TelemetrySample)
     /// of live gauges this often and run the online health monitor at
     /// each sample (`None` = off, the default — runs without sampling
-    /// stay byte-identical to earlier versions).
+    /// stay byte-identical to earlier versions). Each sample costs an
+    /// `O(field)` coverage scan, so this is for analysis runs, not the
+    /// figure sweeps.
     pub sample_every: Option<SimDuration>,
-    /// Keep at most this many protocol-level [`trace`](crate::trace)
-    /// events (0 = tracing off, the default).
-    pub trace_capacity: usize,
     /// MAC/PHY parameters.
     pub mac: MacParams,
     /// Faults to inject into the maintenance system itself (`None` =
@@ -175,28 +170,6 @@ impl DeployRegion {
     }
 }
 
-/// Parameters for periodic coverage sampling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoverageSampling {
-    /// Time between samples.
-    pub period: SimDuration,
-    /// Sensing radius of one sensor, in metres (distinct from the radio
-    /// range; the paper does not fix it — 63 m is a natural default).
-    pub sensing_range: f64,
-    /// Lattice resolution per axis for the coverage estimate.
-    pub resolution: usize,
-}
-
-impl Default for CoverageSampling {
-    fn default() -> Self {
-        CoverageSampling {
-            period: SimDuration::from_secs(100.0),
-            sensing_range: 63.0,
-            resolution: 80,
-        }
-    }
-}
-
 impl ScenarioConfig {
     /// The paper's experimental setup (§4.1) for `k²` robots.
     pub fn paper(k: usize, algorithm: Algorithm) -> Self {
@@ -216,9 +189,7 @@ impl ScenarioConfig {
             broadcast_prune: None,
             dispatch: DispatchPolicy::Nearest,
             fading: Fading::None,
-            coverage_sample: None,
             sample_every: None,
-            trace_capacity: 0,
             mac: MacParams::default(),
             faults: None,
             regions: Vec::new(),

@@ -21,15 +21,16 @@
 //! only where the cross-validation holds.
 
 use robonet_des::{rng, sampler, NodeId, Scheduler, SimTime};
-use robonet_geom::partition::Partition;
-use robonet_geom::{deploy, Point};
+use robonet_geom::Point;
 use robonet_robot::{ReplacementTask, RobotState};
 use robonet_wsn::failure::FailureProcess;
 
 use crate::config::ScenarioConfig;
 use crate::coord::{self, FlowCtx};
 use crate::fault::{FaultInjector, FaultKind, TimedFault};
-use crate::harness::{region_lifetime_factors, scale_failure_time, weighted_deployment};
+use crate::harness::{
+    field_deployment, region_lifetime_factors, scale_failure_time, FieldDeployment,
+};
 use crate::obs::timeline::{Checkpoint, HealthMonitor, TelemetrySnapshot};
 use crate::obs::{EventSink, NullSink};
 use crate::trace::TraceEvent;
@@ -99,6 +100,27 @@ enum Event {
     },
 }
 
+/// Checks that the flow model can execute `cfg`: it must pass
+/// [`ScenarioConfig::validate`], and its fault timeline must hold no
+/// [`TimedFault::Partition`] (the model has no per-hop frames to block)
+/// and no [`TimedFault::Attrition`] (it models no robot health). Run
+/// those on the packet simulator.
+fn validate(cfg: &ScenarioConfig) -> Result<(), String> {
+    cfg.validate()?;
+    let timeline = cfg.faults.iter().flat_map(|plan| &plan.timeline);
+    for event in timeline {
+        if let TimedFault::Partition { .. } | TimedFault::Attrition { .. } = event {
+            return Err(format!(
+                "the flow engine cannot execute the {} timeline event at {} s; \
+                 use the packet simulator",
+                event.label(),
+                event.at().as_secs_f64()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Runs the flow-level model for `cfg`.
 ///
 /// ```
@@ -111,7 +133,8 @@ enum Event {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid.
+/// Panics if the configuration is invalid or its fault timeline holds
+/// an event the flow model cannot execute (see [`run_with_sink`]).
 pub fn run(cfg: &ScenarioConfig) -> FastSummary {
     run_with_sink(cfg, &mut NullSink)
 }
@@ -124,7 +147,8 @@ pub fn run(cfg: &ScenarioConfig) -> FastSummary {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid.
+/// Panics if the configuration is invalid or its fault timeline holds
+/// an event the flow model cannot execute (see [`run_with_sink`]).
 pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, crate::obs::SpanReport) {
     let mut sink = crate::obs::SpanSink::new();
     let summary = run_with_sink(cfg, &mut sink);
@@ -152,35 +176,35 @@ pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, crate::obs::SpanRep
 /// [`TimedFault::Blackout`] (every live sensor inside the region fails
 /// at the scheduled time) and [`TimedFault::LossRate`] (the injector's
 /// loss probabilities switch). [`TimedFault::Partition`] and
-/// [`TimedFault::Attrition`] are *ignored* — there are no per-hop
-/// frames to block and no modelled robot health; use the packet
-/// simulator for those. Deployment regions apply in full (density
-/// weighting and per-region lifetimes), matching the packet simulator's
-/// placement and failure processes draw for draw.
+/// [`TimedFault::Attrition`] are rejected with an error naming the
+/// event kind — there are no per-hop frames to block and no modelled
+/// robot health; use the packet simulator for those. The field comes from
+/// [`field_deployment`], as in the packet simulator, so deployment
+/// regions apply in full (density weighting and per-region lifetimes)
+/// and placement and failure processes match it draw for draw.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid.
+/// Panics if the configuration is invalid or uses such an event.
 pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSummary {
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = validate(cfg) {
         panic!("invalid scenario: {e}");
     }
     let sink_enabled = sink.is_enabled();
     let coordinator = coord::coordinator_for(cfg.algorithm);
-    let bounds = cfg.bounds();
     let n_sensors = cfg.n_sensors();
     let n_robots = cfg.n_robots();
     let sensor_range = cfg.ranges.sensor;
 
-    let mut deploy_rng = rng::stream(cfg.seed, "deploy");
-    let sensors = if cfg.regions.is_empty() {
-        deploy::uniform(&mut deploy_rng, &bounds, n_sensors)
-    } else {
-        weighted_deployment(&mut deploy_rng, &bounds, n_sensors, &cfg.regions)
-    };
+    let FieldDeployment {
+        bounds,
+        sensor_pos: sensors,
+        partition,
+        robot_pos,
+        ..
+    } = field_deployment(cfg);
     let lifetime_factor = region_lifetime_factors(cfg, &sensors);
 
-    let partition: Option<Box<dyn Partition>> = coordinator.build_partition(bounds, cfg.k);
     let sensor_subarea: Vec<usize> = match &partition {
         Some(p) => sensors.iter().map(|&s| p.subarea_of(s)).collect(),
         None => vec![0; n_sensors],
@@ -196,13 +220,6 @@ pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSumm
         None => Vec::new(),
     };
 
-    let mut robot_rng = rng::stream(cfg.seed, "robots");
-    let robot_pos: Vec<Point> = coordinator.initial_robot_positions(
-        partition.as_deref(),
-        &bounds,
-        n_robots,
-        &mut robot_rng,
-    );
     let mut robots: Vec<RobotState> = robot_pos
         .iter()
         .enumerate()
@@ -509,9 +526,9 @@ pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSumm
                         update,
                         ..
                     } => inj.set_loss_rates(report, dispatch, update),
-                    // No per-hop frames to block, no modelled robot
-                    // health: these exist only at packet level.
-                    TimedFault::Partition { .. } | TimedFault::Attrition { .. } => {}
+                    TimedFault::Partition { .. } | TimedFault::Attrition { .. } => {
+                        unreachable!("rejected by validate")
+                    }
                 }
             }
             Event::Sample => {
@@ -519,13 +536,12 @@ pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSumm
                 sched.schedule_after(every, Event::Sample);
                 let t = now.as_secs_f64();
                 let alive_count = alive.iter().filter(|&&a| a).count() as u32;
-                let cov = cfg.coverage_sample.unwrap_or_default();
                 let coverage = robonet_wsn::coverage::coverage_fraction(
                     &bounds,
                     &sensors,
                     &alive,
-                    cov.sensing_range,
-                    cov.resolution,
+                    robonet_wsn::coverage::SENSING_RANGE,
+                    robonet_wsn::coverage::GRID_RESOLUTION,
                 );
                 let ledger = monitor.as_ref().expect("sampling implies a monitor");
                 let stages = ledger.stage_counts();
@@ -774,6 +790,52 @@ mod tests {
             base.failures
         );
         assert_eq!(run(&cfg), o, "timeline runs stay deterministic");
+    }
+
+    /// The standard flow-test scenario with a one-event fault timeline.
+    fn with_timeline_event(event: impl FnOnce(f64) -> TimedFault) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::paper(2, Algorithm::Dynamic)
+            .with_seed(5)
+            .scaled(16.0);
+        cfg.faults = Some(FaultPlan {
+            timeline: vec![event(cfg.side())],
+            ..FaultPlan::default()
+        });
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "the flow engine cannot execute the partition timeline event")]
+    fn partition_timeline_is_rejected() {
+        use robonet_des::SimDuration;
+        let cfg = with_timeline_event(|side| {
+            let half = |x0: f64, x1: f64| {
+                robonet_geom::ConvexPolygon::new(vec![
+                    Point::new(x0, 0.0),
+                    Point::new(x1, 0.0),
+                    Point::new(x1, side),
+                    Point::new(x0, side),
+                ])
+                .unwrap()
+            };
+            TimedFault::Partition {
+                from: SimDuration::from_secs(100.0),
+                until: SimDuration::from_secs(200.0),
+                a: half(0.0, side / 2.0),
+                b: half(side / 2.0, side),
+            }
+        });
+        run(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "the flow engine cannot execute the attrition timeline event")]
+    fn attrition_timeline_is_rejected() {
+        let cfg = with_timeline_event(|_| TimedFault::Attrition {
+            at: robonet_des::SimDuration::from_secs(100.0),
+            robots: 1,
+        });
+        run(&cfg);
     }
 
     #[test]

@@ -43,8 +43,8 @@ use crate::fault::{FaultInjector, FaultKind, TimedFault};
 use crate::metrics::Metrics;
 use crate::msg::AppMsg;
 use crate::obs::timeline::{Checkpoint, HealthMonitor, TelemetrySnapshot};
-use crate::obs::{EventSink, NullSink, RingSink, SpanAssembler, SpanReport, TeeSink};
-use crate::trace::{DropReason, Trace, TraceEvent};
+use crate::obs::{EventSink, NullSink, RingSink, SpanAssembler, SpanReport};
+use crate::trace::{DropReason, TraceEvent};
 
 /// The initial world geometry of a scenario: everything derivable from
 /// the configuration alone, before the first protocol event.
@@ -188,10 +188,10 @@ pub struct Outcome {
     pub config: ScenarioConfig,
     /// Collected metrics.
     pub metrics: Metrics,
-    /// Protocol-level event trace (empty unless
-    /// [`ScenarioConfig::trace_capacity`] is set or an external ring
-    /// sink was attached).
-    pub trace: Trace,
+    /// Protocol-level event trace: the attached [`RingSink`] (directly
+    /// or inside a [`TeeSink`](crate::obs::TeeSink)), empty when none
+    /// was attached.
+    pub trace: RingSink,
     /// Per-failure latency decomposition, assembled online from the
     /// same event stream the sinks see (`None` for unobserved runs).
     pub spans: Option<SpanReport>,
@@ -238,8 +238,6 @@ enum Event {
     RelaySend {
         frame: Box<Frame<AppMsg>>,
     },
-    /// Periodic coverage sample (only when enabled).
-    CoverageSample,
     /// Periodic telemetry sample + health check (only when
     /// [`ScenarioConfig::sample_every`] is set).
     TelemetrySample,
@@ -378,18 +376,18 @@ impl Simulation {
     ///
     /// Panics if the configuration fails [`ScenarioConfig::validate`].
     pub fn new(cfg: ScenarioConfig) -> Self {
-        Self::with_sink_opt(cfg, None)
+        Self::with_sink(cfg, Box::new(NullSink))
     }
 
-    /// Like [`Simulation::new`], but additionally streams every event
-    /// into `sink` (e.g. a [`JsonlSink`](crate::obs::JsonlSink) writing
-    /// a `--trace-out` artifact). The in-memory ring configured by
-    /// [`ScenarioConfig::trace_capacity`] still works alongside it.
+    /// Like [`Simulation::new`], but streams every event into `sink`:
+    /// a [`RingSink`] keeping the last events for [`Outcome::trace`], a
+    /// [`JsonlSink`](crate::obs::JsonlSink) writing a `--trace-out`
+    /// artifact, or a [`TeeSink`](crate::obs::TeeSink) of several.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`ScenarioConfig::validate`].
     pub fn with_sink(cfg: ScenarioConfig, sink: Box<dyn EventSink>) -> Self {
-        Self::with_sink_opt(cfg, Some(sink))
-    }
-
-    fn with_sink_opt(cfg: ScenarioConfig, extra: Option<Box<dyn EventSink>>) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid scenario: {e}");
         }
@@ -528,9 +526,6 @@ impl Simulation {
                 },
             );
         }
-        if let Some(cov) = cfg.coverage_sample {
-            sched.schedule_at(SimTime::ZERO + cov.period, Event::CoverageSample);
-        }
         if let Some(every) = cfg.sample_every {
             sched.schedule_at(SimTime::ZERO + every, Event::TelemetrySample);
         }
@@ -557,14 +552,6 @@ impl Simulation {
         }
 
         let cfg_seed = cfg.seed;
-        let ring: Option<Box<dyn EventSink>> = (cfg.trace_capacity > 0)
-            .then(|| Box::new(RingSink::with_capacity(cfg.trace_capacity)) as Box<dyn EventSink>);
-        let sink: Box<dyn EventSink> = match (ring, extra) {
-            (Some(ring), Some(extra)) => Box::new(TeeSink::new().with(ring).with(extra)),
-            (Some(ring), None) => ring,
-            (None, Some(extra)) => extra,
-            (None, None) => Box::new(NullSink),
-        };
         let sink_enabled = sink.is_enabled();
         // Telemetry sampling needs the event stream (the health
         // monitor's ledger is built from it), so sampling forces
@@ -831,7 +818,7 @@ impl Simulation {
         let bucket = match &ev {
             Event::Radio(_) => 0,
             Event::RelaySend { .. } => 1,
-            Event::CoverageSample | Event::TelemetrySample => 2,
+            Event::TelemetrySample => 2,
             _ => 3,
         };
         let start = std::time::Instant::now();
@@ -862,7 +849,6 @@ impl Simulation {
                 self.do_location_update(now, robot as usize, TrafficClass::Init)
             }
             Event::RelaySend { frame } => self.radio_send(now, *frame),
-            Event::CoverageSample => self.on_coverage_sample(now),
             Event::TelemetrySample => self.on_telemetry_sample(now),
             Event::RobotBreakdown { robot } => self.on_robot_breakdown(now, robot as usize),
             Event::RobotRepair { robot } => self.on_robot_repair(now, robot as usize),
@@ -976,26 +962,6 @@ impl Simulation {
         });
     }
 
-    fn on_coverage_sample(&mut self, now: SimTime) {
-        let Some(cov) = self.cfg.coverage_sample else {
-            return;
-        };
-        self.sched.schedule_after(cov.period, Event::CoverageSample);
-        let positions: Vec<Point> = self.sensors.iter().map(|s| s.loc).collect();
-        let alive: Vec<bool> = self.sensors.iter().map(|s| s.alive).collect();
-        let dead = alive.iter().filter(|&&a| !a).count() as u32;
-        let fraction = robonet_wsn::coverage::coverage_fraction(
-            &self.cfg.bounds(),
-            &positions,
-            &alive,
-            cov.sensing_range,
-            cov.resolution,
-        );
-        self.metrics
-            .coverage_timeline
-            .push((now.as_secs_f64(), fraction, dead));
-    }
-
     /// Fires the telemetry sampler: capture a [`TelemetrySnapshot`] of
     /// live gauges, emit it as a trace event, and run the health
     /// monitor's conservation checks. Everything read here sits on the
@@ -1009,17 +975,14 @@ impl Simulation {
 
         let alive = self.sensors.iter().filter(|s| s.alive).count() as u32;
         let down = self.sensors.len() as u32 - alive;
-        // Coverage reuses the coverage-sampling geometry when that is
-        // configured, its defaults otherwise.
-        let cov = self.cfg.coverage_sample.unwrap_or_default();
         let positions: Vec<Point> = self.sensors.iter().map(|s| s.loc).collect();
         let alive_mask: Vec<bool> = self.sensors.iter().map(|s| s.alive).collect();
         let coverage = robonet_wsn::coverage::coverage_fraction(
             &self.cfg.bounds(),
             &positions,
             &alive_mask,
-            cov.sensing_range,
-            cov.resolution,
+            robonet_wsn::coverage::SENSING_RANGE,
+            robonet_wsn::coverage::GRID_RESOLUTION,
         );
         let stages = self
             .health
@@ -2425,9 +2388,11 @@ mod tests {
 
     #[test]
     fn trace_records_the_repair_story() {
-        let mut cfg = small(Algorithm::Dynamic);
-        cfg.trace_capacity = 10_000;
-        let o = Simulation::run(cfg);
+        let o = Simulation::with_sink(
+            small(Algorithm::Dynamic),
+            Box::new(RingSink::with_capacity(10_000)),
+        )
+        .run_to_completion();
         let trace = &o.trace;
         assert!(!trace.is_empty());
         // Every replacement leaves a Replaced event (capacity allowing).
@@ -2454,9 +2419,11 @@ mod tests {
     #[test]
     fn tracing_does_not_change_results() {
         let plain = Simulation::run(small(Algorithm::Centralized));
-        let mut cfg = small(Algorithm::Centralized);
-        cfg.trace_capacity = 500;
-        let traced = Simulation::run(cfg);
+        let traced = Simulation::with_sink(
+            small(Algorithm::Centralized),
+            Box::new(RingSink::with_capacity(500)),
+        )
+        .run_to_completion();
         assert_eq!(
             plain.metrics.failures_occurred,
             traced.metrics.failures_occurred
@@ -2496,17 +2463,14 @@ mod tests {
     #[test]
     fn coverage_sampling_produces_timeline() {
         let mut cfg = small(Algorithm::Dynamic);
-        cfg.coverage_sample = Some(crate::config::CoverageSampling {
-            period: robonet_des::SimDuration::from_secs(200.0),
-            sensing_range: 63.0,
-            resolution: 40,
-        });
+        cfg.sample_every = Some(robonet_des::SimDuration::from_secs(200.0));
         let o = Simulation::run(cfg);
-        let tl = &o.metrics.coverage_timeline;
+        let tl = &o.metrics.telemetry_timeline;
         assert!(tl.len() >= 15, "timeline samples: {}", tl.len());
         // Coverage stays high throughout thanks to replacement; dead
         // counts fluctuate but stay small.
-        for &(t, cov, dead) in tl {
+        for (t, sample) in tl {
+            let (t, cov, dead) = (*t, sample.coverage, sample.down);
             assert!(t > 0.0);
             assert!(cov > 0.75, "coverage collapsed to {cov} at {t}s");
             // Compressed runs have an elevated orphan rate (guardian and

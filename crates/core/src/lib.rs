@@ -54,9 +54,7 @@ pub mod scenario;
 pub mod sweep;
 pub mod trace;
 
-pub use config::{
-    Algorithm, CoverageSampling, DeployRegion, DispatchPolicy, PartitionKind, ScenarioConfig,
-};
+pub use config::{Algorithm, DeployRegion, DispatchPolicy, PartitionKind, ScenarioConfig};
 pub use fault::{FaultKind, FaultPlan};
 pub use harness::{field_deployment, FieldDeployment, Outcome, Simulation};
 pub use metrics::{DropBreakdown, Metrics, Summary};

@@ -172,12 +172,9 @@ pub struct Metrics {
     pub myrobot_accuracy: f64,
     /// MAC-level transmission statistics snapshot.
     pub tx: TxStats,
-    /// Periodic coverage samples `(time s, covered fraction, dead
-    /// sensors)` — populated only when the scenario enables
-    /// [`coverage sampling`](crate::config::CoverageSampling).
-    pub coverage_timeline: Vec<(f64, f64, u32)>,
-    /// Periodic telemetry snapshots `(time s, gauges)` — populated only
-    /// when the scenario sets
+    /// Periodic telemetry snapshots `(time s, gauges)`, sensing
+    /// coverage and down sensors among them — populated only when the
+    /// scenario sets
     /// [`sample_every`](crate::config::ScenarioConfig::sample_every).
     pub telemetry_timeline: Vec<(f64, crate::obs::timeline::TelemetrySnapshot)>,
     /// Conservation-invariant violations the online health monitor

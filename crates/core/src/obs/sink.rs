@@ -2,18 +2,19 @@
 //!
 //! The simulation emits events through one `&mut dyn EventSink`;
 //! implementations decide what happens to them — nothing
-//! ([`NullSink`]), a bounded in-memory ring ([`RingSink`], today's
-//! [`Trace`]), a streamed JSONL artifact ([`JsonlSink`]), or several of
-//! those at once ([`TeeSink`]).
+//! ([`NullSink`]), a bounded in-memory ring ([`RingSink`]), a streamed
+//! JSONL artifact ([`JsonlSink`]), or several of those at once
+//! ([`TeeSink`]).
 
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::io::Write;
 
 use robonet_des::NodeId;
 use robonet_geom::Point;
 
 use super::json::{self, FieldValue, JsonValue, ObjectWriter};
-use crate::trace::{DropReason, Trace, TraceEvent};
+use crate::trace::{DropReason, TraceEvent};
 
 /// Current version of the JSONL trace artifact schema. Bump when the
 /// line format changes incompatibly; readers reject other versions.
@@ -231,9 +232,9 @@ pub trait EventSink {
     /// Flushes any buffered output; called once at the end of a run.
     fn finish(&mut self) {}
 
-    /// Surrenders an in-memory [`Trace`] if this sink (or one of its
-    /// children) kept one, for embedding into the run's `Outcome`.
-    fn take_trace(&mut self) -> Option<Trace> {
+    /// Surrenders the in-memory [`RingSink`] if this sink is one (or one
+    /// of its children is), for embedding into the run's `Outcome`.
+    fn take_trace(&mut self) -> Option<RingSink> {
         None
     }
 }
@@ -250,38 +251,101 @@ impl EventSink for NullSink {
     fn record(&mut self, _event: &TraceEvent) {}
 }
 
-/// Keeps the last `capacity` events in memory — the classic [`Trace`]
-/// behind the sink interface.
-#[derive(Debug, Default, Clone)]
+/// Keeps the last `capacity` events in memory; the oldest are evicted
+/// once the ring is full.
+#[derive(Debug, Clone, Default)]
 pub struct RingSink {
-    trace: Trace,
+    events: VecDeque<TraceEvent>,
+    capacity: usize,
+    dropped: u64,
 }
 
 impl RingSink {
     /// A ring retaining at most `capacity` events (0 disables).
     pub fn with_capacity(capacity: usize) -> Self {
         RingSink {
-            trace: Trace::with_capacity(capacity),
+            // Reserve the full bound: the ring really does fill up to
+            // `capacity` before evicting, and an under-reserved VecDeque
+            // would reallocate mid-run.
+            events: VecDeque::with_capacity(capacity),
+            capacity,
+            dropped: 0,
         }
     }
 
-    /// Read access to the ring.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// The retained events, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.events.iter()
+    }
+
+    /// Number of retained events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Returns `true` if nothing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Events evicted due to the capacity bound.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// The retained lifecycle of one node: every event mentioning it.
+    pub fn lifecycle_of(&self, node: NodeId) -> Vec<&TraceEvent> {
+        self.events
+            .iter()
+            .filter(|e| match e {
+                TraceEvent::Failure { sensor, .. } => *sensor == node,
+                TraceEvent::Detected {
+                    guardian, failed, ..
+                } => *guardian == node || *failed == node,
+                TraceEvent::ReportDelivered {
+                    manager, failed, ..
+                } => *manager == node || *failed == node,
+                TraceEvent::Dispatched { robot, failed, .. } => *robot == node || *failed == node,
+                TraceEvent::Replaced { robot, sensor, .. } => *robot == node || *sensor == node,
+                TraceEvent::PacketDropped { at, .. } => *at == node,
+                TraceEvent::LocUpdateFlooded { robot, .. } => *robot == node,
+                TraceEvent::RobotLegStarted { robot, failed, .. } => {
+                    *robot == node || *failed == node
+                }
+                TraceEvent::RobotLegEnded { robot, .. } => *robot == node,
+                TraceEvent::FaultInjected { node: n, .. } => *n == node,
+                TraceEvent::ReportRetried {
+                    guardian, failed, ..
+                } => *guardian == node || *failed == node,
+                TraceEvent::DispatchTimedOut { failed, .. } => *failed == node,
+                TraceEvent::RobotDied { robot, .. } | TraceEvent::RobotRepaired { robot, .. } => {
+                    *robot == node
+                }
+                TraceEvent::TakeoverAssumed { robot, dead, .. } => *robot == node || *dead == node,
+                TraceEvent::TelemetrySample { .. } | TraceEvent::InvariantViolated { .. } => false,
+            })
+            .collect()
     }
 }
 
 impl EventSink for RingSink {
     fn is_enabled(&self) -> bool {
-        self.trace.is_enabled()
+        self.capacity > 0
     }
 
     fn record(&mut self, event: &TraceEvent) {
-        self.trace.push(event.clone());
+        if self.capacity == 0 {
+            return;
+        }
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event.clone());
     }
 
-    fn take_trace(&mut self) -> Option<Trace> {
-        Some(std::mem::take(&mut self.trace))
+    fn take_trace(&mut self) -> Option<RingSink> {
+        Some(std::mem::take(self))
     }
 }
 
@@ -355,12 +419,6 @@ impl TeeSink {
     pub fn push(&mut self, sink: Box<dyn EventSink>) {
         self.sinks.push(sink);
     }
-
-    /// Builder-style [`TeeSink::push`].
-    pub fn with(mut self, sink: Box<dyn EventSink>) -> Self {
-        self.push(sink);
-        self
-    }
 }
 
 impl EventSink for TeeSink {
@@ -382,7 +440,7 @@ impl EventSink for TeeSink {
         }
     }
 
-    fn take_trace(&mut self) -> Option<Trace> {
+    fn take_trace(&mut self) -> Option<RingSink> {
         self.sinks.iter_mut().find_map(|s| s.take_trace())
     }
 }
@@ -1007,11 +1065,81 @@ mod tests {
         for ev in all_event_kinds().into_iter().take(3) {
             sink.record(&ev);
         }
-        assert_eq!(sink.trace().len(), 2);
-        assert_eq!(sink.trace().dropped(), 1);
+        assert_eq!(sink.len(), 2);
+        assert_eq!(sink.dropped(), 1);
         let trace = sink.take_trace().unwrap();
         assert_eq!(trace.len(), 2);
-        assert_eq!(sink.trace().len(), 0, "take_trace leaves an empty ring");
+        assert_eq!(sink.len(), 0, "take_trace leaves an empty ring");
+    }
+
+    fn failure(t: f64, sensor: u32) -> TraceEvent {
+        TraceEvent::Failure {
+            t,
+            sensor: NodeId::new(sensor),
+        }
+    }
+
+    #[test]
+    fn disabled_trace_records_nothing() {
+        let mut ring = RingSink::with_capacity(0);
+        assert!(!ring.is_enabled());
+        ring.record(&failure(1.0, 1));
+        assert!(ring.is_empty());
+        assert_eq!(ring.dropped(), 0);
+    }
+
+    #[test]
+    fn capacity_evicts_oldest() {
+        let mut ring = RingSink::with_capacity(3);
+        for i in 0..5 {
+            ring.record(&failure(i as f64, i));
+        }
+        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.dropped(), 2);
+        let times: Vec<f64> = ring.events().map(TraceEvent::time).collect();
+        assert_eq!(times, vec![2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn large_capacity_preallocates_fully() {
+        // Regression: with_capacity used to clamp the reservation at 4096
+        // even though the ring legitimately grows to `capacity`.
+        let capacity = 10_000;
+        let mut ring = RingSink::with_capacity(capacity);
+        assert!(ring.events.capacity() >= capacity);
+        let before = ring.events.capacity();
+        for i in 0..capacity + 5 {
+            ring.record(&failure(i as f64, i as u32));
+        }
+        assert_eq!(ring.len(), capacity);
+        assert_eq!(ring.dropped(), 5);
+        assert_eq!(
+            ring.events.capacity(),
+            before,
+            "filling to capacity must not reallocate"
+        );
+    }
+
+    #[test]
+    fn lifecycle_filters_by_node() {
+        let mut ring = RingSink::with_capacity(16);
+        ring.record(&failure(1.0, 7));
+        ring.record(&TraceEvent::Detected {
+            t: 2.0,
+            guardian: NodeId::new(3),
+            failed: NodeId::new(7),
+        });
+        ring.record(&TraceEvent::Replaced {
+            t: 3.0,
+            robot: NodeId::new(100),
+            sensor: NodeId::new(7),
+            travel: 88.0,
+            loc: Point::new(1.0, 2.0),
+        });
+        ring.record(&failure(9.9, 8));
+        assert_eq!(ring.lifecycle_of(NodeId::new(7)).len(), 3);
+        assert_eq!(ring.lifecycle_of(NodeId::new(100)).len(), 1);
+        assert_eq!(ring.lifecycle_of(NodeId::new(42)).len(), 0);
     }
 
     #[test]

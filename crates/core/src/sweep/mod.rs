@@ -47,7 +47,6 @@ use robonet_des::pool::{scatter_map, CellPanic};
 use crate::config::{Algorithm, ScenarioConfig};
 use crate::harness::Simulation;
 use crate::metrics::Metrics;
-use crate::obs::SpanReport;
 use crate::report::Row;
 
 /// An ordered batch of simulation cells.
@@ -118,7 +117,6 @@ impl SweepGrid {
             let out = Simulation::run(cfg.clone());
             CellOutput {
                 metrics: out.metrics,
-                spans: out.spans,
                 events_processed: out.events_processed,
             }
         });
@@ -126,14 +124,12 @@ impl SweepGrid {
     }
 }
 
-/// What one cell's simulation hands back to the engine. The event
-/// trace and the wall-clock scheduler profile are deliberately
-/// excluded: the trace is bounded-capacity noise at sweep scale and
-/// the profile varies run to run, which would break the bit-identity
-/// contract.
+/// What one cell's simulation hands back to the engine. Cells run
+/// unobserved, so they have no trace or spans; the wall-clock scheduler
+/// profile is deliberately excluded because it varies run to run, which
+/// would break the bit-identity contract.
 struct CellOutput {
     metrics: Metrics,
-    spans: Option<SpanReport>,
     events_processed: u64,
 }
 
@@ -146,8 +142,6 @@ pub struct CellResult {
     pub config: ScenarioConfig,
     /// The run's metrics.
     pub metrics: Metrics,
-    /// Per-failure latency decomposition (`None` for unobserved runs).
-    pub spans: Option<SpanReport>,
     /// Events the kernel delivered for this cell.
     pub events_processed: u64,
 }
@@ -209,7 +203,6 @@ impl SweepResult {
                         index,
                         config: configs[index].clone(),
                         metrics: out.metrics,
-                        spans: out.spans,
                         events_processed: out.events_processed,
                     });
                 }

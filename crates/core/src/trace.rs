@@ -1,11 +1,10 @@
 //! Structured event tracing.
 //!
-//! A bounded log of the *protocol-level* story of a run — failures,
-//! detections, dispatches, replacements — for debugging coordination
-//! behaviour and for storyline output in tools. Disabled by default
-//! (capacity 0) so figure sweeps pay nothing.
-
-use std::collections::VecDeque;
+//! The *protocol-level* story of a run — failures, detections,
+//! dispatches, replacements — as typed events. Runs emit them into an
+//! [`EventSink`](crate::obs::EventSink); a
+//! [`RingSink`](crate::obs::RingSink) keeps the last few in memory for
+//! debugging and storyline output in tools.
 
 use robonet_des::NodeId;
 use robonet_geom::Point;
@@ -385,152 +384,9 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded FIFO of [`TraceEvent`]s; the oldest events are dropped once
-/// `capacity` is reached.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Trace {
-    /// Creates a trace that keeps at most `capacity` events (0 disables
-    /// recording entirely).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Trace {
-            // Reserve the full bound: the ring really does fill up to
-            // `capacity` before evicting, and an under-reserved VecDeque
-            // would reallocate mid-run.
-            events: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Records an event (no-op when disabled).
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained lifecycle of one node: every event mentioning it.
-    pub fn lifecycle_of(&self, node: NodeId) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| match e {
-                TraceEvent::Failure { sensor, .. } => *sensor == node,
-                TraceEvent::Detected {
-                    guardian, failed, ..
-                } => *guardian == node || *failed == node,
-                TraceEvent::ReportDelivered {
-                    manager, failed, ..
-                } => *manager == node || *failed == node,
-                TraceEvent::Dispatched { robot, failed, .. } => *robot == node || *failed == node,
-                TraceEvent::Replaced { robot, sensor, .. } => *robot == node || *sensor == node,
-                TraceEvent::PacketDropped { at, .. } => *at == node,
-                TraceEvent::LocUpdateFlooded { robot, .. } => *robot == node,
-                TraceEvent::RobotLegStarted { robot, failed, .. } => {
-                    *robot == node || *failed == node
-                }
-                TraceEvent::RobotLegEnded { robot, .. } => *robot == node,
-                TraceEvent::FaultInjected { node: n, .. } => *n == node,
-                TraceEvent::ReportRetried {
-                    guardian, failed, ..
-                } => *guardian == node || *failed == node,
-                TraceEvent::DispatchTimedOut { failed, .. } => *failed == node,
-                TraceEvent::RobotDied { robot, .. } | TraceEvent::RobotRepaired { robot, .. } => {
-                    *robot == node
-                }
-                TraceEvent::TakeoverAssumed { robot, dead, .. } => *robot == node || *dead == node,
-                TraceEvent::TelemetrySample { .. } | TraceEvent::InvariantViolated { .. } => false,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(t: f64, sensor: u32) -> TraceEvent {
-        TraceEvent::Failure {
-            t,
-            sensor: NodeId::new(sensor),
-        }
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut tr = Trace::with_capacity(0);
-        assert!(!tr.is_enabled());
-        tr.push(ev(1.0, 1));
-        assert!(tr.is_empty());
-        assert_eq!(tr.dropped(), 0);
-    }
-
-    #[test]
-    fn capacity_evicts_oldest() {
-        let mut tr = Trace::with_capacity(3);
-        for i in 0..5 {
-            tr.push(ev(i as f64, i));
-        }
-        assert_eq!(tr.len(), 3);
-        assert_eq!(tr.dropped(), 2);
-        let times: Vec<f64> = tr.events().map(TraceEvent::time).collect();
-        assert_eq!(times, vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn large_capacity_preallocates_fully() {
-        // Regression: with_capacity used to clamp the reservation at 4096
-        // even though the ring legitimately grows to `capacity`.
-        let capacity = 10_000;
-        let mut tr = Trace::with_capacity(capacity);
-        assert!(tr.events.capacity() >= capacity);
-        let before = tr.events.capacity();
-        for i in 0..capacity + 5 {
-            tr.push(ev(i as f64, i as u32));
-        }
-        assert_eq!(tr.len(), capacity);
-        assert_eq!(tr.dropped(), 5);
-        assert_eq!(
-            tr.events.capacity(),
-            before,
-            "filling to capacity must not reallocate"
-        );
-    }
 
     #[test]
     fn drop_reason_labels_round_trip() {
@@ -542,28 +398,6 @@ mod tests {
             assert_eq!(DropReason::from_label(reason.label()), Some(reason));
         }
         assert_eq!(DropReason::from_label("cosmic_rays"), None);
-    }
-
-    #[test]
-    fn lifecycle_filters_by_node() {
-        let mut tr = Trace::with_capacity(16);
-        tr.push(ev(1.0, 7));
-        tr.push(TraceEvent::Detected {
-            t: 2.0,
-            guardian: NodeId::new(3),
-            failed: NodeId::new(7),
-        });
-        tr.push(TraceEvent::Replaced {
-            t: 3.0,
-            robot: NodeId::new(100),
-            sensor: NodeId::new(7),
-            travel: 88.0,
-            loc: Point::new(1.0, 2.0),
-        });
-        tr.push(ev(9.9, 8));
-        assert_eq!(tr.lifecycle_of(NodeId::new(7)).len(), 3);
-        assert_eq!(tr.lifecycle_of(NodeId::new(100)).len(), 1);
-        assert_eq!(tr.lifecycle_of(NodeId::new(42)).len(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    scheduler innards.
 
 use robonet_core::fault::FaultPlan;
-use robonet_core::{Algorithm, PartitionKind, ScenarioConfig, Simulation};
+use robonet_core::{Algorithm, Outcome, PartitionKind, RingSink, ScenarioConfig, Simulation};
 use robonet_des::SimDuration;
 
 /// A small scenario every test can afford at packet level.
@@ -24,10 +24,10 @@ fn small(alg: Algorithm) -> ScenarioConfig {
     ScenarioConfig::paper(2, alg).with_seed(11).scaled(16.0)
 }
 
-/// Observability on, so `Outcome::spans` is assembled.
-fn observed(mut cfg: ScenarioConfig) -> ScenarioConfig {
-    cfg.trace_capacity = 16;
-    cfg
+/// Runs `cfg` with a small ring attached: observability on, so
+/// `Outcome::spans` is assembled.
+fn run_observed(cfg: ScenarioConfig) -> Outcome {
+    Simulation::with_sink(cfg, Box::new(RingSink::with_capacity(16))).run_to_completion()
 }
 
 const ALL: [Algorithm; 3] = [
@@ -39,10 +39,10 @@ const ALL: [Algorithm; 3] = [
 #[test]
 fn inert_plan_reproduces_fault_free_run_bit_exactly() {
     for alg in ALL {
-        let free = Simulation::run(observed(small(alg)));
-        let mut cfg = observed(small(alg));
+        let free = run_observed(small(alg));
+        let mut cfg = small(alg);
         cfg.faults = Some(FaultPlan::default());
-        let inert = Simulation::run(cfg);
+        let inert = run_observed(cfg);
 
         assert_eq!(
             free.metrics.summary(),
@@ -63,9 +63,9 @@ fn inert_plan_reproduces_fault_free_run_bit_exactly() {
 #[test]
 fn partial_loss_with_retries_loses_nothing_silently() {
     for alg in ALL {
-        let mut cfg = observed(small(alg));
+        let mut cfg = small(alg);
         cfg.faults = Some(FaultPlan::message_loss(0.10));
-        let out = Simulation::run(cfg);
+        let out = run_observed(cfg);
         let report = out.spans.as_ref().unwrap();
 
         // Conservation: every observed failure either closed as a
@@ -88,9 +88,9 @@ fn partial_loss_with_retries_loses_nothing_silently() {
         // (A guardian may still exhaust its budget when a *delivered*
         // report's repair outlasts the whole backoff schedule, so a few
         // abandonments are legitimate — what matters is throughput.)
-        let mut free_cfg = observed(small(alg));
+        let mut free_cfg = small(alg);
         free_cfg.faults = None;
-        let free = Simulation::run(free_cfg);
+        let free = run_observed(free_cfg);
         let ratio = |o: &robonet_core::Outcome| {
             let s = o.metrics.summary();
             s.replacements as f64 / s.failures_occurred as f64
@@ -111,10 +111,10 @@ fn same_seed_and_plan_reproduce_the_run_exactly() {
     plan.breakdown_repair = Some(SimDuration::from_secs(300.0));
     plan.slow_prob = 0.3;
     for alg in ALL {
-        let mut cfg = observed(small(alg));
+        let mut cfg = small(alg);
         cfg.faults = Some(plan.clone());
-        let a = Simulation::run(cfg.clone());
-        let b = Simulation::run(cfg);
+        let a = run_observed(cfg.clone());
+        let b = run_observed(cfg);
         assert_eq!(a.metrics.summary(), b.metrics.summary(), "{alg:?}");
         assert_eq!(a.metrics.faults, b.metrics.faults, "{alg:?}");
         let (ra, rb) = (a.spans.unwrap(), b.spans.unwrap());
@@ -139,9 +139,9 @@ fn span_accounting_survives_redispatch() {
         max_dispatch_attempts: 6,
         ..FaultPlan::default()
     };
-    let mut cfg = observed(small(Algorithm::Centralized));
+    let mut cfg = small(Algorithm::Centralized);
     cfg.faults = Some(plan);
-    let out = Simulation::run(cfg);
+    let out = run_observed(cfg);
     let report = out.spans.as_ref().unwrap();
 
     assert!(

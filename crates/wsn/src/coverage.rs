@@ -9,6 +9,14 @@
 use robonet_geom::spatial::GridIndex;
 use robonet_geom::{Bounds, Point};
 
+/// Sensing radius of one sensor, in metres, used by the simulators'
+/// coverage gauge. Distinct from the radio range; the paper does not fix
+/// it, and 63 m (the sensor transmission range) is a natural choice.
+pub const SENSING_RANGE: f64 = 63.0;
+
+/// Lattice points per axis of the simulators' coverage estimate.
+pub const GRID_RESOLUTION: usize = 80;
+
 /// Monte-Carlo-free grid estimate of covered area fraction.
 ///
 /// Evaluates an `resolution × resolution` lattice of sample points and

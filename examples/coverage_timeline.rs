@@ -8,24 +8,27 @@
 //!     cargo run --release --example coverage_timeline
 
 use robonet::prelude::*;
-use robonet::wsn::coverage::coverage_fraction;
+use robonet::wsn::coverage::{coverage_fraction, GRID_RESOLUTION, SENSING_RANGE};
 
 fn main() {
     let mut cfg = ScenarioConfig::paper(2, Algorithm::Dynamic)
         .with_seed(9)
         .scaled(16.0);
-    cfg.coverage_sample = Some(CoverageSampling {
-        period: SimDuration::from_secs(100.0),
-        sensing_range: 63.0,
-        resolution: 80,
-    });
+    // Every telemetry sample carries the covered fraction and the
+    // number of sensors down.
+    cfg.sample_every = Some(SimDuration::from_secs(100.0));
     let bounds = cfg.bounds();
     let n_sensors = cfg.n_sensors();
     let outcome = Simulation::run(cfg);
-    let tl = &outcome.metrics.coverage_timeline;
+    let tl: Vec<(f64, f64, u32)> = outcome
+        .metrics
+        .telemetry_timeline
+        .iter()
+        .map(|(t, sample)| (*t, sample.coverage, sample.down))
+        .collect();
 
     println!("time_s,coverage,dead_sensors");
-    for &(t, cov, dead) in tl {
+    for &(t, cov, dead) in &tl {
         println!("{t:.0},{cov:.4},{dead}");
     }
 
@@ -57,7 +60,7 @@ fn main() {
     for a in alive.iter_mut().take(failures) {
         *a = false;
     }
-    let unmaintained = coverage_fraction(&bounds, &sensors, &alive, 63.0, 80);
+    let unmaintained = coverage_fraction(&bounds, &sensors, &alive, SENSING_RANGE, GRID_RESOLUTION);
     eprintln!(
         "without replacement, the {failures} failures of this run would leave ~{:.1}% coverage",
         unmaintained * 100.0

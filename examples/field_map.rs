@@ -10,27 +10,24 @@
 use std::collections::HashMap;
 
 use robonet::core::trace::TraceEvent;
+use robonet::core::{field_deployment, RingSink};
 use robonet::geom::voronoi::voronoi_cells;
 use robonet::prelude::*;
 use robonet::viz::map::FieldMap;
 
 fn main() {
-    let mut cfg = ScenarioConfig::paper(2, Algorithm::Dynamic)
+    let cfg = ScenarioConfig::paper(2, Algorithm::Dynamic)
         .with_seed(21)
         .scaled(16.0);
-    cfg.trace_capacity = 100_000;
-    let bounds = cfg.bounds();
     let n_sensors = cfg.n_sensors();
     let n_robots = cfg.n_robots();
+    // The deployment the run uses, re-derived from the configuration.
+    let field = field_deployment(&cfg);
+    let (bounds, sensors, starts) = (field.bounds, field.sensor_pos, field.robot_pos);
 
-    let outcome = Simulation::run(cfg);
-
-    // Recover deployment and robot routes from the deterministic streams
-    // and the trace.
-    let mut rng = robonet::des::rng::stream(21, "deploy");
-    let sensors = robonet::geom::deploy::uniform(&mut rng, &bounds, n_sensors);
-    let mut robot_rng = robonet::des::rng::stream(21, "robots");
-    let starts = robonet::geom::deploy::uniform(&mut robot_rng, &bounds, n_robots);
+    // Robot routes come from the trace.
+    let ring = RingSink::with_capacity(100_000);
+    let outcome = Simulation::with_sink(cfg, Box::new(ring)).run_to_completion();
 
     let mut routes: HashMap<u32, Vec<Point>> = starts
         .iter()

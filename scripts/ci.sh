@@ -5,7 +5,8 @@
 #
 # Usage:
 #   scripts/ci.sh               full gate (what .github/workflows/ci.yml runs)
-#   scripts/ci.sh --fast        pre-push subset: fmt + clippy + tests only
+#   scripts/ci.sh --fast        pre-push subset: fmt + clippy + tests +
+#                               benchmark build
 #   scripts/ci.sh --stage NAME  one named gate (see --list); stages that
 #                               read the golden trace artifact produce it
 #                               first if it is missing
@@ -452,6 +453,11 @@ run_stage "$(stage_label fmt)" stage_fmt
 run_stage "$(stage_label clippy)" stage_clippy
 if [ "$fast" = 1 ]; then
     run_stage "$(stage_label test)" stage_test
+    # The benchmark is its own workspace, so nothing above compiles it;
+    # build it so a public-API change it depends on cannot break it
+    # unseen (the full gate's perfbench stage also runs its self-test).
+    run_stage "benchmark build (perfbench, its own workspace)" \
+        cargo build --release --offline --manifest-path perfbench/Cargo.toml
     print_timings
     echo "==> ci.sh --fast: all green"
     exit 0

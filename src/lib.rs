@@ -52,8 +52,8 @@ pub use robonet_wsn as wsn;
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use robonet_core::{
-        Algorithm, CoverageSampling, DispatchPolicy, Metrics, Outcome, PartitionKind,
-        ScenarioConfig, Simulation, Summary,
+        Algorithm, DispatchPolicy, Metrics, Outcome, PartitionKind, ScenarioConfig, Simulation,
+        Summary,
     };
     pub use robonet_des::{NodeId, SimDuration, SimTime};
     pub use robonet_geom::{Bounds, Point};
