@@ -139,22 +139,24 @@ impl Coordinator for Centralized {
 
     fn flow_update_cost(&self, flow: &FlowCtx<'_>, _robot: usize, from: Point) -> f64 {
         // Unicast to the manager + a one-hop hello, per update.
-        flow.hops_for(from.distance(flow.manager_loc)) + 1.0
+        let manager = flow.manager_loc.expect("centralized runs deploy a manager");
+        flow.hops_for(from.distance(manager)) + 1.0
     }
 
     fn flow_report(
         &self,
         flow: &FlowCtx<'_>,
         failed_loc: Point,
-        _subarea: usize,
+        _subarea: u32,
         robot_locs: &[Point],
     ) -> FlowDispatch {
-        let report_hops = flow.hops_for(failed_loc.distance(flow.manager_loc));
+        let manager = flow.manager_loc.expect("centralized runs deploy a manager");
+        let report_hops = flow.hops_for(failed_loc.distance(manager));
         // Manager picks the robot closest (current position).
         let r = robonet_geom::voronoi::nearest_site(robot_locs, failed_loc).expect("robots exist");
         // The request's first hop uses the manager's long-range radio;
         // any remaining distance is covered by sensor relays.
-        let d = (flow.manager_loc.distance(robot_locs[r]) - flow.manager_range).max(0.0);
+        let d = (manager.distance(robot_locs[r]) - flow.manager_range).max(0.0);
         let request_hops = if d > 0.0 { 1.0 + flow.hops_for(d) } else { 1.0 };
         FlowDispatch {
             robot: r,

@@ -117,7 +117,7 @@ impl Coordinator for Dynamic {
         &self,
         flow: &FlowCtx<'_>,
         failed_loc: Point,
-        _subarea: usize,
+        _subarea: u32,
         robot_locs: &[Point],
     ) -> FlowDispatch {
         let r = nearest_site(robot_locs, failed_loc).expect("robots exist");

@@ -151,10 +151,10 @@ impl Coordinator for Fixed {
         &self,
         flow: &FlowCtx<'_>,
         failed_loc: Point,
-        subarea: usize,
+        subarea: u32,
         robot_locs: &[Point],
     ) -> FlowDispatch {
-        let r = subarea;
+        let r = subarea as usize;
         FlowDispatch {
             robot: r,
             report_hops: flow.hops_for(robot_locs[r].distance(failed_loc)),

@@ -116,8 +116,9 @@ pub enum Announcement {
 
 /// Precomputed geometry facts for the flow-level closed-form costs.
 pub struct FlowCtx<'a> {
-    /// The central manager's location (field centre).
-    pub manager_loc: Point,
+    /// The central manager's location (field centre), when the
+    /// algorithm uses one.
+    pub manager_loc: Option<Point>,
     /// The manager's transmission range in metres.
     pub manager_range: f64,
     /// Greedy-progress hop length: `GREEDY_PROGRESS × sensor_range`.
@@ -328,7 +329,7 @@ pub trait Coordinator: std::fmt::Debug + Sync {
         &self,
         flow: &FlowCtx<'_>,
         failed_loc: Point,
-        subarea: usize,
+        subarea: u32,
         robot_locs: &[Point],
     ) -> FlowDispatch;
 }
@@ -568,11 +569,11 @@ mod tests {
             &self,
             flow: &FlowCtx<'_>,
             _: Point,
-            subarea: usize,
+            subarea: u32,
             _: &[Point],
         ) -> FlowDispatch {
             FlowDispatch {
-                robot: subarea.min(flow.n_robots - 1),
+                robot: (subarea as usize).min(flow.n_robots - 1),
                 report_hops: 1.0,
                 request_hops: None,
             }

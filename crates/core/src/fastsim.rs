@@ -21,33 +21,22 @@
 //! only where the cross-validation holds.
 
 use robonet_des::{rng, sampler, NodeId, Scheduler, SimTime};
-use robonet_geom::Point;
+use robonet_geom::{ConvexPolygon, Point};
+use robonet_robot::motion::Leg;
 use robonet_robot::{ReplacementTask, RobotState};
-use robonet_wsn::failure::FailureProcess;
 
 use crate::config::ScenarioConfig;
-use crate::coord::{self, FlowCtx};
+use crate::coord::{self, Coordinator, FlowCtx};
 use crate::fault::{FaultInjector, FaultKind, TimedFault};
-use crate::harness::{
-    field_deployment, region_lifetime_factors, scale_failure_time, FieldDeployment,
-};
-use crate::obs::timeline::{Checkpoint, HealthMonitor, TelemetrySnapshot};
+use crate::obs::timeline::{Checkpoint, HealthMonitor};
 use crate::obs::{EventSink, NullSink};
 use crate::trace::TraceEvent;
+use crate::world::{FaultHooks, Gauges, World};
 
 /// Greedy geographic routing makes roughly this fraction of the radio
 /// range of forward progress per hop at the paper's deployment density
 /// (calibrated against the packet simulator).
 pub const GREEDY_PROGRESS: f64 = 0.75;
-
-/// Records `ev` into the sink, teeing it through the telemetry health
-/// ledger when sampling is active.
-fn observe(monitor: &mut Option<HealthMonitor>, sink: &mut dyn EventSink, ev: &TraceEvent) {
-    if let Some(m) = monitor.as_mut() {
-        m.ingest(ev);
-    }
-    sink.record(ev);
-}
 
 /// Flow-level results, mirroring the packet simulator's [`crate::Summary`]
 /// where the models overlap.
@@ -85,9 +74,10 @@ enum Event {
         sensor: u32,
         attempt: u32,
     },
+    /// A robot reaches the failure it drives to. Flow-level robots
+    /// never break down, so every scheduled arrival happens.
     Arrive {
         robot: u32,
-        leg: u64,
     },
     /// Periodic telemetry sample (only with a live sink and
     /// [`ScenarioConfig::sample_every`] set — samples exist solely as
@@ -178,10 +168,12 @@ pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, crate::obs::SpanRep
 /// loss probabilities switch). [`TimedFault::Partition`] and
 /// [`TimedFault::Attrition`] are rejected with an error naming the
 /// event kind — there are no per-hop frames to block and no modelled
-/// robot health; use the packet simulator for those. The field comes from
-/// [`field_deployment`], as in the packet simulator, so deployment
-/// regions apply in full (density weighting and per-region lifetimes)
-/// and placement and failure processes match it draw for draw.
+/// robot health; use the packet simulator for those. The field
+/// ([`crate::field_deployment`]), the failure schedule and the timeline
+/// executor are the packet simulator's own, so deployment regions apply
+/// in full (density weighting and per-region lifetimes), placement
+/// matches it draw for draw, and so do failures until either engine
+/// installs its first replacement.
 ///
 /// # Panics
 ///
@@ -190,75 +182,37 @@ pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSumm
     if let Err(e) = validate(cfg) {
         panic!("invalid scenario: {e}");
     }
-    let sink_enabled = sink.is_enabled();
-    let coordinator = coord::coordinator_for(cfg.algorithm);
+    let mut world = World::new(cfg);
+    let mut subarea_population = vec![0f64; world.field.partition.as_ref().map_or(0, |p| p.len())];
+    for &sub in world.sensor_subarea.iter().filter(|&&sub| sub != u32::MAX) {
+        subarea_population[sub as usize] += 1.0;
+    }
+    let bounds = world.field.bounds;
     let n_sensors = cfg.n_sensors();
-    let n_robots = cfg.n_robots();
-    let sensor_range = cfg.ranges.sensor;
-
-    let FieldDeployment {
-        bounds,
-        sensor_pos: sensors,
-        partition,
-        robot_pos,
-        ..
-    } = field_deployment(cfg);
-    let lifetime_factor = region_lifetime_factors(cfg, &sensors);
-
-    let sensor_subarea: Vec<usize> = match &partition {
-        Some(p) => sensors.iter().map(|&s| p.subarea_of(s)).collect(),
-        None => vec![0; n_sensors],
-    };
-    let subarea_population: Vec<f64> = match &partition {
-        Some(p) => {
-            let mut counts = vec![0f64; p.len()];
-            for &sub in &sensor_subarea {
-                counts[sub] += 1.0;
-            }
-            counts
-        }
-        None => Vec::new(),
+    // The closed-form message costs live in the coordinator's flow
+    // hooks; this context hands them the precomputed geometry facts.
+    let flow = FlowCtx {
+        manager_loc: world.field.manager.map(|(_, loc)| loc),
+        manager_range: cfg.ranges.manager,
+        hop_unit: GREEDY_PROGRESS * cfg.ranges.sensor,
+        n_sensors,
+        n_robots: cfg.n_robots(),
+        area: bounds.area(),
+        density: n_sensors as f64 / bounds.area(),
+        update_threshold: cfg.update_threshold,
+        subarea_population: &subarea_population,
     };
 
-    let mut robots: Vec<RobotState> = robot_pos
-        .iter()
-        .enumerate()
-        .map(|(r, &loc)| RobotState::new(NodeId::new((n_sensors + r) as u32), loc, cfg.robot_speed))
-        .collect();
-    let mut leg_seq = vec![0u64; n_robots];
-    let manager_loc = bounds.center();
-
-    // Same normalization as the packet simulator: an inert plan is no
-    // plan at all, so its runs match fault-free runs bit for bit.
-    let mut faults = cfg
-        .faults
-        .clone()
-        .filter(|p| !p.is_inert())
-        .map(|p| FaultInjector::new(cfg.seed, p));
-
-    let mut failure_proc =
-        FailureProcess::new(cfg.mean_lifetime, rng::stream(cfg.seed, "lifetimes"));
-    let mut detect_rng = rng::stream(cfg.seed, "detect");
-    let mut sched: Scheduler<Event> = Scheduler::with_horizon(SimTime::ZERO + cfg.sim_time);
-    let mut incarnation = vec![0u32; n_sensors];
-    let mut alive = vec![true; n_sensors];
-
+    let mut sched = Scheduler::with_horizon(SimTime::ZERO + cfg.sim_time);
     // Flow-level telemetry samples exist only as trace events, so with
     // no sink there is nowhere for them to go and the sampler never
     // schedules (summaries are unaffected either way).
-    let sampling = if sink_enabled { cfg.sample_every } else { None };
-    let mut monitor = sampling.map(|_| HealthMonitor::new());
+    let sampling = cfg.sample_every.filter(|_| sink.is_enabled());
     if let Some(every) = sampling {
         sched.schedule_at(SimTime::ZERO + every, Event::Sample);
     }
-
     for i in 0..n_sensors {
-        let at = scale_failure_time(
-            SimTime::ZERO,
-            failure_proc.sample_failure_at(SimTime::ZERO),
-            lifetime_factor.get(i).copied().unwrap_or(1.0),
-        );
-        if at <= sched.horizon() {
+        if let Some(at) = world.next_failure(SimTime::ZERO, i) {
             sched.schedule_at(
                 at,
                 Event::Fail {
@@ -268,328 +222,308 @@ pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSumm
             );
         }
     }
-    if let Some(inj) = faults.as_ref() {
-        for (i, event) in inj.plan.timeline.iter().enumerate() {
-            sched.schedule_at(
-                SimTime::ZERO + event.at(),
-                Event::Timeline { index: i as u32 },
-            );
-        }
+    for (at, index) in world.timeline() {
+        sched.schedule_at(at, Event::Timeline { index });
     }
 
-    let density = n_sensors as f64 / bounds.area();
-    // The closed-form message costs live in the coordinator's flow
-    // hooks; this context hands them the precomputed geometry facts.
-    let flow = FlowCtx {
-        manager_loc,
-        manager_range: cfg.ranges.manager,
-        hop_unit: GREEDY_PROGRESS * sensor_range,
-        n_sensors,
-        n_robots,
-        area: bounds.area(),
-        density,
-        update_threshold: cfg.update_threshold,
-        subarea_population: &subarea_population,
+    let mut run = FlowRun {
+        cfg,
+        coordinator: coord::coordinator_for(cfg.algorithm),
+        robots: world.fleet(cfg.robot_speed),
+        world,
+        flow,
+        sink_enabled: sink.is_enabled(),
+        sink,
+        monitor: sampling.map(|_| HealthMonitor::new()),
+        sched,
+        detect_rng: rng::stream(cfg.seed, "detect"),
+        incarnation: vec![0; n_sensors],
+        alive: vec![true; n_sensors],
+        tally: Tally::default(),
     };
-
-    let mut out = FastSummary {
-        failures: 0,
-        replacements: 0,
-        avg_travel_per_failure: 0.0,
-        avg_report_hops: 0.0,
-        avg_request_hops: coordinator.uses_manager().then_some(0.0),
-        loc_update_tx_per_failure: 0.0,
-        avg_repair_delay: 0.0,
-        report_orphans: 0,
-    };
-    let mut travel_sum = 0.0;
-    let mut report_hop_sum = 0.0;
-    let mut request_hop_sum = 0.0;
-    let mut requests = 0u64;
-    let mut update_tx = 0.0;
-    let mut delay_sum = 0.0;
-
-    // Cost of the location updates generated by one leg of travel.
-    let mut leg_update_cost = |robots: &[RobotState], r: usize, leg_dist: f64| {
-        let updates = (leg_dist / cfg.update_threshold).floor() + 1.0; // + arrival
-        update_tx += updates * coordinator.flow_update_cost(&flow, r, robots[r].last_update_loc);
-    };
-
-    while let Some(ev) = sched.next_event() {
-        let now = sched.now();
+    while let Some(ev) = run.sched.next_event() {
+        let now = run.sched.now();
         match ev {
             Event::Fail {
                 sensor,
-                incarnation: inc,
-            } => {
-                let s = sensor as usize;
-                if incarnation[s] != inc || !alive[s] {
-                    continue;
-                }
-                alive[s] = false;
-                out.failures += 1;
-                if sink_enabled {
-                    observe(
-                        &mut monitor,
-                        sink,
-                        &TraceEvent::Failure {
-                            t: now.as_secs_f64(),
-                            sensor: NodeId::new(sensor),
-                        },
-                    );
-                }
+                incarnation,
+            } => run.on_fail(now, sensor, incarnation),
+            Event::Report { sensor, attempt } => run.on_report(now, sensor, attempt),
+            Event::Arrive { robot } => run.on_arrive(now, robot as usize),
+            Event::Timeline { index } => World::fire_timeline(now, index, &mut run),
+            Event::Sample => run.on_sample(now),
+        }
+    }
+    run.finish()
+}
 
-                // Detection: timeout + residual beacon phase.
-                let detect_delay = cfg.failure_timeout()
-                    + sampler::uniform_duration(&mut detect_rng, cfg.beacon_period);
-                sched.schedule_at(now + detect_delay, Event::Report { sensor, attempt: 1 });
-            }
-            Event::Report { sensor, attempt } => {
-                let s = sensor as usize;
-                let failed_loc = sensors[s];
+/// Running totals behind a [`FastSummary`].
+#[derive(Default)]
+struct Tally {
+    failures: u64,
+    replacements: u64,
+    report_orphans: u64,
+    travel: f64,
+    report_hops: f64,
+    request_hops: f64,
+    requests: u64,
+    update_tx: f64,
+    repair_delay: f64,
+}
 
-                // Injected loss on the report (and, for manager
-                // algorithms, the follow-up dispatch request): the
-                // whole instant chain fails and the guardian's backoff
-                // timer re-drives it, until the budget runs out and the
-                // failure becomes an explicit orphan.
-                if let Some(inj) = faults.as_mut() {
-                    let lost = inj.drop_message(FaultKind::ReportLoss)
-                        || (coordinator.uses_manager()
-                            && inj.drop_message(FaultKind::DispatchLoss));
-                    if lost {
-                        if attempt >= inj.plan.max_report_attempts {
-                            out.report_orphans += 1;
-                        } else {
-                            let backoff = FaultInjector::report_backoff(cfg.report_retry, attempt);
-                            sched.schedule_at(
-                                now + backoff,
-                                Event::Report {
-                                    sensor,
-                                    attempt: attempt + 1,
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                }
+/// One flow-level run in progress.
+struct FlowRun<'a> {
+    cfg: &'a ScenarioConfig,
+    coordinator: &'static dyn Coordinator,
+    world: World,
+    flow: FlowCtx<'a>,
+    sink: &'a mut dyn EventSink,
+    sink_enabled: bool,
+    /// Event-ledger health monitor, present exactly when sampling.
+    monitor: Option<HealthMonitor>,
+    sched: Scheduler<Event>,
+    detect_rng: rng::Xoshiro256,
+    robots: Vec<RobotState>,
+    incarnation: Vec<u32>,
+    alive: Vec<bool>,
+    tally: Tally,
+}
 
-                // Report + dispatch (instant at flow level): the
-                // coordinator selects the robot and prices the report
-                // (and request) legs.
-                let locs: Vec<Point> = robots.iter().map(|rb| rb.position_at(now)).collect();
-                let fd = coordinator.flow_report(&flow, failed_loc, sensor_subarea[s], &locs);
-                report_hop_sum += fd.report_hops;
-                if let Some(rq) = fd.request_hops {
-                    request_hop_sum += rq;
-                    requests += 1;
-                }
-                let r = fd.robot;
+impl FlowRun<'_> {
+    /// Records `ev` into the sink, teeing it through the telemetry
+    /// health ledger when sampling is active.
+    fn observe(&mut self, ev: &TraceEvent) {
+        if let Some(m) = self.monitor.as_mut() {
+            m.ingest(ev);
+        }
+        self.sink.record(ev);
+    }
 
-                let task = ReplacementTask {
-                    failed: NodeId::new(sensor),
-                    loc: failed_loc,
-                    dispatched_at: now,
-                };
-                let leg = robots[r].enqueue(task, now);
-                if sink_enabled {
-                    observe(
-                        &mut monitor,
-                        sink,
-                        &TraceEvent::Dispatched {
-                            t: now.as_secs_f64(),
-                            robot: robots[r].id,
-                            failed: NodeId::new(sensor),
-                            departed: leg.is_some(),
+    fn on_fail(&mut self, now: SimTime, sensor: u32, inc: u32) {
+        let s = sensor as usize;
+        if self.incarnation[s] != inc || !self.alive[s] {
+            return;
+        }
+        self.alive[s] = false;
+        self.tally.failures += 1;
+        if self.sink_enabled {
+            self.observe(&TraceEvent::Failure {
+                t: now.as_secs_f64(),
+                sensor: NodeId::new(sensor),
+            });
+        }
+        // Detection: timeout + residual beacon phase.
+        let detect_delay = self.cfg.failure_timeout()
+            + sampler::uniform_duration(&mut self.detect_rng, self.cfg.beacon_period);
+        self.sched
+            .schedule_at(now + detect_delay, Event::Report { sensor, attempt: 1 });
+    }
+
+    fn on_report(&mut self, now: SimTime, sensor: u32, attempt: u32) {
+        let s = sensor as usize;
+        let failed_loc = self.world.field.sensor_pos[s];
+
+        // Injected loss on the report (and, for manager algorithms, the
+        // follow-up dispatch request): the whole instant chain fails and
+        // the guardian's backoff timer re-drives it, until the budget
+        // runs out and the failure becomes an explicit orphan.
+        if let Some(inj) = self.world.faults.as_mut() {
+            let lost = inj.drop_message(FaultKind::ReportLoss)
+                || (self.coordinator.uses_manager() && inj.drop_message(FaultKind::DispatchLoss));
+            if lost {
+                if attempt >= inj.plan.max_report_attempts {
+                    self.tally.report_orphans += 1;
+                } else {
+                    let backoff = FaultInjector::report_backoff(self.cfg.report_retry, attempt);
+                    self.sched.schedule_at(
+                        now + backoff,
+                        Event::Report {
+                            sensor,
+                            attempt: attempt + 1,
                         },
                     );
                 }
-                if let Some(leg) = leg {
-                    leg_seq[r] += 1;
-                    if sink_enabled {
-                        sink.record(&TraceEvent::RobotLegStarted {
-                            t: leg.start().as_secs_f64(),
-                            robot: robots[r].id,
-                            failed: NodeId::new(sensor),
-                            from: leg.from(),
-                            to: leg.to(),
-                        });
-                    }
-                    leg_update_cost(&robots, r, leg.distance());
-                    robots[r].last_update_loc = leg.to();
-                    sched.schedule_at(
-                        leg.arrival(),
-                        Event::Arrive {
-                            robot: r as u32,
-                            leg: leg_seq[r],
-                        },
-                    );
-                }
+                return;
             }
-            Event::Arrive { robot, leg } => {
-                let r = robot as usize;
-                if leg_seq[r] != leg {
-                    continue;
-                }
-                let travel = robots[r]
-                    .current_leg()
-                    .expect("arriving robot has a leg")
-                    .distance();
-                let (task, next) = robots[r].arrive(now);
-                if sink_enabled {
-                    sink.record(&TraceEvent::RobotLegEnded {
-                        t: now.as_secs_f64(),
-                        robot: robots[r].id,
-                        travel,
-                    });
-                    observe(
-                        &mut monitor,
-                        sink,
-                        &TraceEvent::Replaced {
-                            t: now.as_secs_f64(),
-                            robot: robots[r].id,
-                            sensor: task.failed,
-                            travel,
-                            loc: task.loc,
-                        },
-                    );
-                }
-                let s = task.failed.index();
-                alive[s] = true;
-                incarnation[s] += 1;
-                out.replacements += 1;
-                travel_sum += travel;
-                delay_sum += now.duration_since(task.dispatched_at).as_secs_f64();
-                let at = scale_failure_time(
-                    now,
-                    failure_proc.sample_failure_at(now),
-                    lifetime_factor.get(s).copied().unwrap_or(1.0),
-                );
-                if at <= sched.horizon() {
-                    sched.schedule_at(
-                        at,
-                        Event::Fail {
-                            sensor: s as u32,
-                            incarnation: incarnation[s],
-                        },
-                    );
-                }
-                if let Some(next_leg) = next {
-                    leg_seq[r] += 1;
-                    if sink_enabled {
-                        sink.record(&TraceEvent::RobotLegStarted {
-                            t: next_leg.start().as_secs_f64(),
-                            robot: robots[r].id,
-                            failed: robots[r]
-                                .current_task()
-                                .expect("departing robot has a task")
-                                .failed,
-                            from: next_leg.from(),
-                            to: next_leg.to(),
-                        });
-                    }
-                    leg_update_cost(&robots, r, next_leg.distance());
-                    robots[r].last_update_loc = next_leg.to();
-                    sched.schedule_at(
-                        next_leg.arrival(),
-                        Event::Arrive {
-                            robot: r as u32,
-                            leg: leg_seq[r],
-                        },
-                    );
-                }
-            }
-            Event::Timeline { index } => {
-                let Some(inj) = faults.as_mut() else {
-                    continue;
-                };
-                match inj.plan.timeline[index as usize].clone() {
-                    TimedFault::Blackout { region, .. } => {
-                        // Re-queue the kills as ordinary Fail events at
-                        // `now` so they take the exact detection path a
-                        // natural failure takes.
-                        for (s, &alive_now) in alive.iter().enumerate() {
-                            if alive_now && region.contains(sensors[s]) {
-                                sched.schedule_at(
-                                    now,
-                                    Event::Fail {
-                                        sensor: s as u32,
-                                        incarnation: incarnation[s],
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    TimedFault::LossRate {
-                        report,
-                        dispatch,
-                        update,
-                        ..
-                    } => inj.set_loss_rates(report, dispatch, update),
-                    TimedFault::Partition { .. } | TimedFault::Attrition { .. } => {
-                        unreachable!("rejected by validate")
-                    }
-                }
-            }
-            Event::Sample => {
-                let every = sampling.expect("Sample events only exist when sampling");
-                sched.schedule_after(every, Event::Sample);
-                let t = now.as_secs_f64();
-                let alive_count = alive.iter().filter(|&&a| a).count() as u32;
-                let coverage = robonet_wsn::coverage::coverage_fraction(
-                    &bounds,
-                    &sensors,
-                    &alive,
-                    robonet_wsn::coverage::SENSING_RANGE,
-                    robonet_wsn::coverage::GRID_RESOLUTION,
-                );
-                let ledger = monitor.as_ref().expect("sampling implies a monitor");
-                let stages = ledger.stage_counts();
-                let sample = TelemetrySnapshot {
-                    alive: alive_count,
-                    down: n_sensors as u32 - alive_count,
-                    failures: out.failures,
-                    replaced: out.replacements,
-                    coverage,
-                    open_failure: stages[0],
-                    open_detected: stages[1],
-                    open_reported: stages[2],
-                    open_dispatched: stages[3],
-                    robot_queues: robots.iter().map(|rb| rb.queue_len() as u32).collect(),
-                    robot_busy: robots.iter().map(|rb| rb.current_leg().is_some()).collect(),
-                    // The flow model has no packets and no shadow
-                    // in-flight ledger.
-                    in_flight: 0,
-                    sched_queue: sched.pending() as u32,
-                };
-                sink.record(&TraceEvent::TelemetrySample { t, sample });
-                let violations = ledger.check(
-                    t,
-                    &Checkpoint {
-                        failures: out.failures,
-                        replacements: out.replacements,
-                        open_spans: None,
-                        robots_down: 0,
-                    },
-                );
-                for violation in violations {
-                    sink.record(&violation);
-                }
-            }
+        }
+
+        // Report + dispatch (instant at flow level): the coordinator
+        // selects the robot and prices the report (and request) legs.
+        let locs: Vec<Point> = self.robots.iter().map(|rb| rb.position_at(now)).collect();
+        let fd = self.coordinator.flow_report(
+            &self.flow,
+            failed_loc,
+            self.world.sensor_subarea[s],
+            &locs,
+        );
+        self.tally.report_hops += fd.report_hops;
+        if let Some(rq) = fd.request_hops {
+            self.tally.request_hops += rq;
+            self.tally.requests += 1;
+        }
+        let r = fd.robot;
+        let task = ReplacementTask {
+            failed: NodeId::new(sensor),
+            loc: failed_loc,
+            dispatched_at: now,
+        };
+        let leg = self.robots[r].enqueue(task, now);
+        if self.sink_enabled {
+            self.observe(&TraceEvent::Dispatched {
+                t: now.as_secs_f64(),
+                robot: self.robots[r].id,
+                failed: NodeId::new(sensor),
+                departed: leg.is_some(),
+            });
+        }
+        if let Some(leg) = leg {
+            self.start_leg(r, leg);
         }
     }
 
-    let reports = out.failures.max(1) as f64;
-    let replaced = out.replacements.max(1) as f64;
-    out.avg_travel_per_failure = travel_sum / replaced;
-    out.avg_report_hops = report_hop_sum / reports;
-    if let Some(rq) = out.avg_request_hops.as_mut() {
-        *rq = request_hop_sum / requests.max(1) as f64;
+    /// Robot `r` departs on `leg` towards its current task: the leg's
+    /// location updates are priced and its arrival scheduled.
+    fn start_leg(&mut self, r: usize, leg: Leg) {
+        if self.sink_enabled {
+            self.sink.record(&TraceEvent::RobotLegStarted {
+                t: leg.start().as_secs_f64(),
+                robot: self.robots[r].id,
+                failed: self.robots[r]
+                    .current_task()
+                    .expect("departing robot has a task")
+                    .failed,
+                from: leg.from(),
+                to: leg.to(),
+            });
+        }
+        let updates = (leg.distance() / self.cfg.update_threshold).floor() + 1.0; // + arrival
+        self.tally.update_tx += updates
+            * self
+                .coordinator
+                .flow_update_cost(&self.flow, r, self.robots[r].last_update_loc);
+        self.robots[r].last_update_loc = leg.to();
+        self.sched
+            .schedule_at(leg.arrival(), Event::Arrive { robot: r as u32 });
     }
-    out.loc_update_tx_per_failure = update_tx / replaced;
-    out.avg_repair_delay = delay_sum / replaced;
-    sink.finish();
-    out
+
+    fn on_arrive(&mut self, now: SimTime, r: usize) {
+        let travel = self.robots[r]
+            .current_leg()
+            .expect("arriving robot has a leg")
+            .distance();
+        let (task, next) = self.robots[r].arrive(now);
+        if self.sink_enabled {
+            let robot = self.robots[r].id;
+            let t = now.as_secs_f64();
+            self.sink
+                .record(&TraceEvent::RobotLegEnded { t, robot, travel });
+            self.observe(&TraceEvent::Replaced {
+                t,
+                robot,
+                sensor: task.failed,
+                travel,
+                loc: task.loc,
+            });
+        }
+        let s = task.failed.index();
+        self.alive[s] = true;
+        self.incarnation[s] += 1;
+        self.tally.replacements += 1;
+        self.tally.travel += travel;
+        self.tally.repair_delay += now.duration_since(task.dispatched_at).as_secs_f64();
+        if let Some(at) = self.world.next_failure(now, s) {
+            self.sched.schedule_at(
+                at,
+                Event::Fail {
+                    sensor: s as u32,
+                    incarnation: self.incarnation[s],
+                },
+            );
+        }
+        if let Some(next_leg) = next {
+            self.start_leg(r, next_leg);
+        }
+    }
+
+    fn on_sample(&mut self, now: SimTime) {
+        let every = self.cfg.sample_every.expect("samples imply a cadence");
+        self.sched.schedule_after(every, Event::Sample);
+        let t = now.as_secs_f64();
+        let gauges = Gauges {
+            alive: &self.alive,
+            robots: &self.robots,
+            in_flight: 0,
+            sched_queue: self.sched.pending() as u32,
+            checkpoint: Checkpoint {
+                failures: self.tally.failures,
+                replacements: self.tally.replacements,
+                open_spans: None,
+                robots_down: 0,
+            },
+        };
+        let monitor = self.monitor.as_ref().expect("sampling implies a monitor");
+        let (sample, violations) = self.world.telemetry(t, monitor, &gauges);
+        self.sink.record(&TraceEvent::TelemetrySample { t, sample });
+        for violation in violations {
+            self.sink.record(&violation);
+        }
+    }
+
+    fn finish(self) -> FastSummary {
+        self.sink.finish();
+        let t = self.tally;
+        let replaced = t.replacements.max(1) as f64;
+        FastSummary {
+            failures: t.failures,
+            replacements: t.replacements,
+            avg_travel_per_failure: t.travel / replaced,
+            avg_report_hops: t.report_hops / t.failures.max(1) as f64,
+            avg_request_hops: self
+                .coordinator
+                .uses_manager()
+                .then(|| t.request_hops / t.requests.max(1) as f64),
+            loc_update_tx_per_failure: t.update_tx / replaced,
+            avg_repair_delay: t.repair_delay / replaced,
+            report_orphans: t.report_orphans,
+        }
+    }
+}
+
+/// The flow engine re-queues blackout kills as ordinary `Fail` events
+/// at `now`, so they take the exact detection path a natural failure
+/// takes. It has no per-hop frames to block and no modelled robot
+/// health, so [`validate`] rejects partition and attrition events
+/// before the run starts.
+impl FaultHooks for FlowRun<'_> {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
+    }
+
+    fn sensor_alive(&self, s: usize) -> bool {
+        self.alive[s]
+    }
+
+    fn fail_sensor(&mut self, now: SimTime, s: usize) {
+        self.sched.schedule_at(
+            now,
+            Event::Fail {
+                sensor: s as u32,
+                incarnation: self.incarnation[s],
+            },
+        );
+    }
+
+    fn robot_in_service(&self, _: usize) -> bool {
+        unreachable!("validate rejects attrition timelines")
+    }
+
+    fn kill_robot(&mut self, _: SimTime, _: usize) {
+        unreachable!("validate rejects attrition timelines")
+    }
+
+    fn install_partition(&mut self, _: SimTime, _: ConvexPolygon, _: ConvexPolygon) {
+        unreachable!("validate rejects partition timelines")
+    }
 }
 
 #[cfg(test)]

@@ -27,159 +27,23 @@
 use std::collections::BTreeMap;
 
 use robonet_des::{rng, sampler, NodeId, Scheduler, SimDuration, SimTime};
-use robonet_geom::partition::Partition;
-use robonet_geom::{deploy, Bounds, ConvexPolygon, Point};
+use robonet_geom::{ConvexPolygon, Point};
 use robonet_net::{route_with, GeoHeader, NeighborTable, RouteDecision, RouteScratch};
 use robonet_radio::engine::{RadioEvent, UpcallBuf, UpcallEntry};
 use robonet_radio::medium::{Medium, NodeClass};
 use robonet_radio::{Frame, RadioEngine, TrafficClass};
 use robonet_robot::{ReplacementTask, RobotState};
-use robonet_wsn::failure::FailureProcess;
 use robonet_wsn::{GuardianEvent, SensorState};
 
-use crate::config::{DeployRegion, ScenarioConfig};
-use crate::coord::{self, Announcement, CoordCtx, Coordinator, FleetView};
-use crate::fault::{FaultInjector, FaultKind, TimedFault};
+use crate::config::ScenarioConfig;
+use crate::coord::{self, Announcement, Coordinator, FleetView};
+use crate::fault::{FaultInjector, FaultKind};
 use crate::metrics::Metrics;
 use crate::msg::AppMsg;
-use crate::obs::timeline::{Checkpoint, HealthMonitor, TelemetrySnapshot};
+use crate::obs::timeline::{Checkpoint, HealthMonitor};
 use crate::obs::{EventSink, NullSink, RingSink, SpanAssembler, SpanReport};
 use crate::trace::{DropReason, TraceEvent};
-
-/// The initial world geometry of a scenario: everything derivable from
-/// the configuration alone, before the first protocol event.
-///
-/// Both the simulation harness and the offline trace replayer
-/// ([`crate::obs::replay`]) build the field through
-/// [`field_deployment`], so a replay reconstructs the *exact* sensor
-/// and robot coordinates of the run that wrote the trace — positions
-/// are never serialized into the artifact, only re-derived from
-/// `(algorithm, seed, k, sensors_per_robot, area_per_robot_side)`.
-pub struct FieldDeployment {
-    /// The square field.
-    pub bounds: Bounds,
-    /// Sensor positions; index `i` is `NodeId(i)`.
-    pub sensor_pos: Vec<Point>,
-    /// The fixed algorithm's static subarea partition (`None` for
-    /// partition-free algorithms).
-    pub partition: Option<Box<dyn Partition>>,
-    /// Initial robot positions; index `r` is `NodeId(n_sensors + r)`.
-    pub robot_pos: Vec<Point>,
-    /// The centralized manager's id and location, when the algorithm
-    /// uses one.
-    pub manager: Option<(NodeId, Point)>,
-}
-
-/// Deterministically deploys the field for `cfg`.
-///
-/// The PRNG stream discipline here is load-bearing: `"deploy"` draws
-/// sensor positions, then the coordinator builds its partition, then
-/// `"robots"` places the fleet — the exact call order
-/// [`Simulation`] construction uses, byte-for-byte. Any change to this
-/// order changes every golden artifact in the repo.
-pub fn field_deployment(cfg: &ScenarioConfig) -> FieldDeployment {
-    let coordinator = coord::coordinator_for(cfg.algorithm);
-    let bounds = cfg.bounds();
-    let n_sensors = cfg.n_sensors();
-    let n_robots = cfg.n_robots();
-
-    let mut deploy_rng = rng::stream(cfg.seed, "deploy");
-    let sensor_pos = if cfg.regions.is_empty() {
-        deploy::uniform(&mut deploy_rng, &bounds, n_sensors)
-    } else {
-        weighted_deployment(&mut deploy_rng, &bounds, n_sensors, &cfg.regions)
-    };
-
-    let partition: Option<Box<dyn Partition>> = coordinator.build_partition(bounds, cfg.k);
-
-    // Fixed: robots sit at the subarea centres (§3.2); the initial
-    // drive there is part of initialization and not a per-failure
-    // cost. Partition-free algorithms deploy uniformly.
-    let mut robot_rng = rng::stream(cfg.seed, "robots");
-    let robot_pos: Vec<Point> = coordinator.initial_robot_positions(
-        partition.as_deref(),
-        &bounds,
-        n_robots,
-        &mut robot_rng,
-    );
-
-    let manager = coordinator
-        .uses_manager()
-        .then(|| (NodeId::new((n_sensors + n_robots) as u32), bounds.center()));
-
-    FieldDeployment {
-        bounds,
-        sensor_pos,
-        partition,
-        robot_pos,
-        manager,
-    }
-}
-
-/// Density-weighted sensor placement for scenarios with deployment
-/// regions: rejection sampling against the piecewise-constant density
-/// surface (background 1.0, each region its own multiplier), drawing
-/// from the same `"deploy"` stream as uniform placement. With no
-/// regions configured, [`field_deployment`] takes the plain
-/// [`deploy::uniform`] path, so historical runs draw the exact
-/// historical sequence.
-pub(crate) fn weighted_deployment<R: rng::Rng + ?Sized>(
-    rng: &mut R,
-    bounds: &Bounds,
-    n: usize,
-    regions: &[DeployRegion],
-) -> Vec<Point> {
-    let dmax = regions.iter().map(|r| r.density).fold(1.0, f64::max);
-    let density_at = |p: Point| {
-        regions
-            .iter()
-            .find(|r| r.poly.contains(p))
-            .map_or(1.0, |r| r.density)
-    };
-    (0..n)
-        .map(|_| loop {
-            let p = deploy::uniform_point(rng, bounds);
-            if rng.next_f64() * dmax < density_at(p) {
-                break p;
-            }
-        })
-        .collect()
-}
-
-/// Applies a per-region lifetime multiplier to an exponential failure
-/// draw: the exponential's linear scaling lets one shared draw serve
-/// every region (same stream, same draw count), so runs without
-/// overrides (`factor == 1.0`, the `Vec` never built) are bit-identical
-/// to historical ones.
-/// Per-sensor lifetime multipliers from region overrides. Empty unless
-/// some region actually overrides the mean, so ordinary runs carry no
-/// per-sensor state and [`scale_failure_time`] sees factor `1.0`.
-pub(crate) fn region_lifetime_factors(cfg: &ScenarioConfig, sensor_pos: &[Point]) -> Vec<f64> {
-    if !cfg.regions.iter().any(|r| r.mean_lifetime.is_some()) {
-        return Vec::new();
-    }
-    let global = cfg.mean_lifetime.as_secs_f64();
-    sensor_pos
-        .iter()
-        .map(|&p| {
-            cfg.regions
-                .iter()
-                .find_map(|r| {
-                    let m = r.mean_lifetime?;
-                    r.poly.contains(p).then(|| m.as_secs_f64() / global)
-                })
-                .unwrap_or(1.0)
-        })
-        .collect()
-}
-
-pub(crate) fn scale_failure_time(now: SimTime, at: SimTime, factor: f64) -> SimTime {
-    if factor == 1.0 {
-        at
-    } else {
-        now + SimDuration::from_secs(at.duration_since(now).as_secs_f64() * factor)
-    }
-}
+use crate::world::{FaultHooks, Gauges, World};
 
 /// Result of a completed run.
 #[derive(Debug)]
@@ -257,8 +121,6 @@ enum Event {
 }
 
 struct ManagerView {
-    id: NodeId,
-    loc: Point,
     /// Last known robot locations (index = robot index).
     robot_locs: Vec<Point>,
     /// Last reported robot queue lengths (for `NearestIdle` dispatch).
@@ -303,14 +165,11 @@ pub struct Simulation {
     incarnation: Vec<u32>,
     robots: Vec<RobotState>,
     robot_leg_seq: Vec<u64>,
-    /// Failed-sensor ids queued at each robot, sorted (a robot's queue
-    /// stays short, so binary-searched vectors beat hashing).
-    robot_pending: Vec<Vec<u32>>,
     robot_tasks_done: Vec<u64>,
     manager: Option<ManagerView>,
-    partition: Option<Box<dyn Partition>>,
-    sensor_subarea: Vec<u32>,
-    failure_proc: FailureProcess,
+    /// Deployment, failure schedule and fault plan (shared with the
+    /// flow engine).
+    world: World,
     metrics: Metrics,
     sink: Box<dyn EventSink>,
     /// Cached `sink.is_enabled()` — the sink half of the [`emit`] gate.
@@ -339,10 +198,6 @@ pub struct Simulation {
     /// Reused location-service table for robot/manager routing steps.
     oracle_scratch: NeighborTable,
     jitter_rng: rng::Xoshiro256,
-    /// Deterministic fault injector — `None` for fault-free runs *and*
-    /// for inert plans (all probabilities zero, no breakdowns), so an
-    /// inert `--faults` run is bit-identical to no `--faults` at all.
-    faults: Option<FaultInjector>,
     /// Robots currently broken down (silent, not moving).
     robot_down: Vec<bool>,
     /// Robots degraded to `slow_factor` speed.
@@ -354,10 +209,6 @@ pub struct Simulation {
     /// beacon. Empty unless the plan can take robots out of service
     /// (probabilistic breakdowns or a scheduled attrition wave).
     peer_last_heard: Vec<Vec<Option<SimTime>>>,
-    /// Per-sensor lifetime multiplier from deployment regions (empty
-    /// when no region overrides the mean — the common case, which then
-    /// costs nothing on the failure path).
-    lifetime_factor: Vec<f64>,
     /// Network partitions currently (or soon to be) in force:
     /// `(until, side_a, side_b)`. Frames crossing sides are dropped at
     /// the receiver while `now < until`. Empty unless a timeline
@@ -365,8 +216,6 @@ pub struct Simulation {
     active_partitions: Vec<(SimTime, ConvexPolygon, ConvexPolygon)>,
     /// Frames suppressed by an active partition.
     partition_drops: u64,
-    /// Timeline events that have fired.
-    timeline_fired: u64,
 }
 
 impl Simulation {
@@ -395,103 +244,59 @@ impl Simulation {
         let n_sensors = cfg.n_sensors();
         let n_robots = cfg.n_robots();
 
-        // --- Deployment (shared with the offline replayer) ---------------
-        let FieldDeployment {
-            bounds,
-            sensor_pos,
-            partition,
-            robot_pos,
-            ..
-        } = field_deployment(&cfg);
+        // --- Deployment, failure schedule and faults (shared) ------------
+        let mut world = World::new(&cfg);
+        let field = &world.field;
 
-        let centralized = coordinator.uses_manager();
-        let manager_node = NodeId::new((n_sensors + n_robots) as u32);
-        let manager_loc = bounds.center();
-
-        let mut positions = sensor_pos.clone();
-        positions.extend_from_slice(&robot_pos);
+        let mut positions = field.sensor_pos.clone();
+        positions.extend_from_slice(&field.robot_pos);
         let mut classes = vec![NodeClass::Sensor; n_sensors];
         classes.extend(vec![NodeClass::Robot; n_robots]);
-        if centralized {
-            positions.push(manager_loc);
+        if let Some((_, loc)) = field.manager {
+            positions.push(loc);
             classes.push(NodeClass::Manager);
         }
-        let medium = Medium::new(bounds, cfg.ranges, &positions, &classes).with_fading(cfg.fading);
+        let medium =
+            Medium::new(field.bounds, cfg.ranges, &positions, &classes).with_fading(cfg.fading);
         let radio = RadioEngine::new(medium, cfg.mac.clone(), rng::stream(cfg.seed, "mac"));
 
         // --- Protocol state ---------------------------------------------
-        let sensor_subarea: Vec<u32> = match &partition {
-            Some(p) => sensor_pos.iter().map(|&s| p.subarea_of(s) as u32).collect(),
-            None => vec![u32::MAX; n_sensors],
-        };
-        let mut sensors: Vec<SensorState> = sensor_pos
+        let mut sensors: Vec<SensorState> = field
+            .sensor_pos
             .iter()
             .enumerate()
             .map(|(i, &loc)| SensorState::new(NodeId::new(i as u32), loc))
             .collect();
         // Post-initialization role knowledge (§3.1 invariant): each
         // sensor learns who it reports to from the coordinator.
-        let seed_ctx = CoordCtx {
-            partition: partition.as_deref(),
-            n_sensors,
-            n_robots,
-            manager: centralized.then_some((manager_node, manager_loc)),
-            update_threshold: cfg.update_threshold,
-        };
+        let seed_ctx = world.coord_ctx(cfg.update_threshold);
         for (i, s) in sensors.iter_mut().enumerate() {
-            coordinator.seed_initial_role(s, sensor_subarea[i], &robot_pos, &seed_ctx);
+            coordinator.seed_initial_role(s, world.sensor_subarea[i], &field.robot_pos, &seed_ctx);
         }
 
-        let robots: Vec<RobotState> = robot_pos
-            .iter()
-            .enumerate()
-            .map(|(r, &loc)| {
-                RobotState::new(NodeId::new((n_sensors + r) as u32), loc, cfg.robot_speed)
-            })
-            .collect();
-
-        let manager = centralized.then(|| ManagerView {
-            id: manager_node,
-            loc: manager_loc,
-            robot_locs: robot_pos.clone(),
+        let robots = world.fleet(cfg.robot_speed);
+        let manager = field.manager.map(|_| ManagerView {
+            robot_locs: field.robot_pos.clone(),
             robot_queues: vec![0; n_robots],
             last_dispatch: vec![None; n_sensors],
             outstanding: BTreeMap::new(),
             suspect: vec![false; n_robots],
         });
-
-        // Fault injection: a dedicated injector with its own PRNG
-        // streams, normalised so an inert plan is exactly a fault-free
-        // run (no extra draws, events, or state anywhere).
-        let mut faults = cfg
+        let robot_faults = world
             .faults
-            .clone()
-            .filter(|p| !p.is_inert())
-            .map(|p| FaultInjector::new(cfg.seed, p));
-        let robot_faults = faults.as_ref().is_some_and(|i| i.plan.has_robot_faults());
+            .as_ref()
+            .is_some_and(|i| i.plan.has_robot_faults());
 
         // --- Initial events ----------------------------------------------
         let mut sched = Scheduler::with_horizon(SimTime::ZERO + cfg.sim_time);
         let mut phase_rng = rng::stream(cfg.seed, "phases");
-        let mut failure_proc =
-            FailureProcess::new(cfg.mean_lifetime, rng::stream(cfg.seed, "lifetimes"));
-
-        // Per-sensor lifetime multipliers from region overrides (built
-        // only when a region actually overrides the mean).
-        let lifetime_factor = region_lifetime_factors(&cfg, &sensor_pos);
-
         for i in 0..n_sensors {
             let phase = sampler::uniform_duration(&mut phase_rng, cfg.beacon_period);
             sched.schedule_at(
                 SimTime::ZERO + phase,
                 Event::SensorTick { sensor: i as u32 },
             );
-            let fail_at = scale_failure_time(
-                SimTime::ZERO,
-                failure_proc.sample_failure_at(SimTime::ZERO),
-                lifetime_factor.get(i).copied().unwrap_or(1.0),
-            );
-            if fail_at <= sched.horizon() {
+            if let Some(fail_at) = world.next_failure(SimTime::ZERO, i) {
                 sched.schedule_at(
                     fail_at,
                     Event::Fail {
@@ -517,13 +322,11 @@ impl Simulation {
                 Event::InitAnnounce { robot: r as u32 },
             );
         }
-        if centralized {
+        if let Some((id, _)) = world.field.manager {
             let phase = sampler::uniform_duration(&mut phase_rng, cfg.beacon_period);
             sched.schedule_at(
                 SimTime::ZERO + phase,
-                Event::AgentTick {
-                    node: manager_node.as_u32(),
-                },
+                Event::AgentTick { node: id.as_u32() },
             );
         }
         if let Some(every) = cfg.sample_every {
@@ -531,7 +334,7 @@ impl Simulation {
         }
         // First breakdown per robot (exponential interarrival from the
         // injector's own stream; robot order fixes the draw order).
-        if let Some(inj) = faults.as_mut() {
+        if let Some(inj) = world.faults.as_mut() {
             for r in 0..n_robots {
                 if let Some(delay) = inj.next_breakdown_delay() {
                     sched.schedule_at(
@@ -540,15 +343,9 @@ impl Simulation {
                     );
                 }
             }
-            // Scheduled timeline events, pinned at their (scaled) sim
-            // times. Validation bounds them by sim_time, so none fall
-            // past the horizon.
-            for (i, event) in inj.plan.timeline.iter().enumerate() {
-                sched.schedule_at(
-                    SimTime::ZERO + event.at(),
-                    Event::TimelineFault { index: i as u32 },
-                );
-            }
+        }
+        for (at, index) in world.timeline() {
+            sched.schedule_at(at, Event::TimelineFault { index });
         }
 
         let cfg_seed = cfg.seed;
@@ -566,12 +363,9 @@ impl Simulation {
             sensors,
             robots,
             robot_leg_seq: vec![0; n_robots],
-            robot_pending: vec![Vec::new(); n_robots],
             robot_tasks_done: vec![0; n_robots],
             manager,
-            partition,
-            sensor_subarea,
-            failure_proc,
+            world,
             metrics: Metrics::default(),
             sink,
             sink_enabled,
@@ -585,7 +379,6 @@ impl Simulation {
             route_scratch: RouteScratch::default(),
             oracle_scratch: NeighborTable::new(),
             jitter_rng: rng::stream(cfg_seed, "jitter"),
-            faults,
             robot_down: vec![false; n_robots],
             robot_slowed: vec![false; n_robots],
             takeover_done: vec![false; n_robots],
@@ -594,10 +387,8 @@ impl Simulation {
             } else {
                 Vec::new()
             },
-            lifetime_factor,
             active_partitions: Vec::new(),
             partition_drops: 0,
-            timeline_fired: 0,
         }
     }
 
@@ -739,7 +530,7 @@ impl Simulation {
 
         // Fault-injection and recovery counters exist only for faulty
         // runs, so fault-free registries stay byte-identical to pre-PR.
-        if self.faults.is_some() {
+        if self.world.faults.is_some() {
             let fs = m.faults;
             c.set("fault", "report_drops", fs.report_drops);
             c.set("fault", "dispatch_drops", fs.dispatch_drops);
@@ -756,12 +547,8 @@ impl Simulation {
         }
         // Timeline counters exist only for runs with a scheduled fault
         // timeline, so probabilistic-fault registries stay byte-identical.
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|i| !i.plan.timeline.is_empty())
-        {
-            c.set("fault", "timeline_events", self.timeline_fired);
+        if self.world.timeline().next().is_some() {
+            c.set("fault", "timeline_events", self.world.timeline_fired);
             c.set("fault", "partition_drops", self.partition_drops);
         }
 
@@ -794,7 +581,7 @@ impl Simulation {
             total += 1;
             let truth = self
                 .coord
-                .myrobot_truth(s.loc, self.sensor_subarea[s.id.index()], &robot_locs)
+                .myrobot_truth(s.loc, self.world.sensor_subarea[s.id.index()], &robot_locs)
                 .expect("myrobot algorithms define a ground truth");
             if let Some((robot, _)) = s.myrobot {
                 if robot.index() == self.sensors.len() + truth {
@@ -852,64 +639,7 @@ impl Simulation {
             Event::TelemetrySample => self.on_telemetry_sample(now),
             Event::RobotBreakdown { robot } => self.on_robot_breakdown(now, robot as usize),
             Event::RobotRepair { robot } => self.on_robot_repair(now, robot as usize),
-            Event::TimelineFault { index } => self.on_timeline_fault(now, index as usize),
-        }
-    }
-
-    /// A scheduled scenario fault fires. All decisions are
-    /// deterministic given the plan; the only RNG use is attrition's
-    /// victim pick, which draws from the breakdown stream.
-    fn on_timeline_fault(&mut self, now: SimTime, index: usize) {
-        self.timeline_fired += 1;
-        let event = self
-            .faults
-            .as_ref()
-            .expect("timeline events imply faults")
-            .plan
-            .timeline[index]
-            .clone();
-        match event {
-            TimedFault::Blackout { region, .. } => {
-                // Every alive sensor in the region dies through the
-                // ordinary failure path (same incarnation guard, same
-                // trace events), so detection and replacement proceed
-                // exactly as for a lifetime expiry.
-                for s in 0..self.sensors.len() {
-                    if self.sensors[s].alive && region.contains(self.sensors[s].loc) {
-                        let incarnation = self.incarnation[s];
-                        self.on_fail(now, s, incarnation);
-                    }
-                }
-            }
-            TimedFault::Partition { until, a, b, .. } => {
-                self.active_partitions.push((SimTime::ZERO + until, a, b));
-            }
-            TimedFault::Attrition { robots, .. } => {
-                let candidates: Vec<usize> = (0..self.robots.len())
-                    .filter(|&r| !self.robot_down[r])
-                    .collect();
-                let victims = self
-                    .faults
-                    .as_mut()
-                    .expect("checked above")
-                    .attrition_victims(&candidates, robots as usize);
-                for r in victims {
-                    // Attrition is permanent: no in-place repair even
-                    // when the plan allows repairs for random breakdowns.
-                    self.kill_robot(now, r);
-                }
-            }
-            TimedFault::LossRate {
-                report,
-                dispatch,
-                update,
-                ..
-            } => {
-                self.faults
-                    .as_mut()
-                    .expect("checked above")
-                    .set_loss_rates(report, dispatch, update);
-            }
+            Event::TimelineFault { index } => World::fire_timeline(now, index, self),
         }
     }
 
@@ -962,64 +692,32 @@ impl Simulation {
         });
     }
 
-    /// Fires the telemetry sampler: capture a [`TelemetrySnapshot`] of
-    /// live gauges, emit it as a trace event, and run the health
-    /// monitor's conservation checks. Everything read here sits on the
-    /// sim-time event axis, so same-seed runs sample identical values.
+    /// Fires the telemetry sampler: capture a
+    /// [`TelemetrySnapshot`](crate::TelemetrySnapshot) of live gauges,
+    /// emit it as a trace event, and run the health monitor's
+    /// conservation checks. Everything read here sits on the sim-time
+    /// event axis, so same-seed runs sample identical values.
     fn on_telemetry_sample(&mut self, now: SimTime) {
-        let Some(every) = self.cfg.sample_every else {
-            return;
-        };
+        let every = self.cfg.sample_every.expect("samples imply a cadence");
         self.sched.schedule_after(every, Event::TelemetrySample);
         let t = now.as_secs_f64();
-
-        let alive = self.sensors.iter().filter(|s| s.alive).count() as u32;
-        let down = self.sensors.len() as u32 - alive;
-        let positions: Vec<Point> = self.sensors.iter().map(|s| s.loc).collect();
-        let alive_mask: Vec<bool> = self.sensors.iter().map(|s| s.alive).collect();
-        let coverage = robonet_wsn::coverage::coverage_fraction(
-            &self.cfg.bounds(),
-            &positions,
-            &alive_mask,
-            robonet_wsn::coverage::SENSING_RANGE,
-            robonet_wsn::coverage::GRID_RESOLUTION,
-        );
-        let stages = self
-            .health
-            .as_ref()
-            .map_or([0; 4], HealthMonitor::stage_counts);
-        let sample = TelemetrySnapshot {
-            alive,
-            down,
-            failures: self.metrics.failures_occurred,
-            replaced: self.metrics.replacements,
-            coverage,
-            open_failure: stages[0],
-            open_detected: stages[1],
-            open_reported: stages[2],
-            open_dispatched: stages[3],
-            robot_queues: self.robot_pending.iter().map(|q| q.len() as u32).collect(),
-            robot_busy: self
-                .robots
-                .iter()
-                .map(|r| r.current_leg().is_some())
-                .collect(),
+        let alive: Vec<bool> = self.sensors.iter().map(|s| s.alive).collect();
+        let gauges = Gauges {
+            alive: &alive,
+            robots: &self.robots,
             in_flight: self.radio.in_flight() as u32,
             sched_queue: self.sched.pending() as u32,
+            checkpoint: Checkpoint {
+                failures: self.metrics.failures_occurred,
+                replacements: self.metrics.replacements,
+                open_spans: self.spans.as_ref().map(|a| a.open_count() as u64),
+                robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
+            },
         };
+        let health = self.health.as_ref().expect("sampling implies a monitor");
+        let (sample, violations) = self.world.telemetry(t, health, &gauges);
         self.metrics.telemetry_timeline.push((t, sample.clone()));
         self.emit(TraceEvent::TelemetrySample { t, sample });
-
-        let checkpoint = Checkpoint {
-            failures: self.metrics.failures_occurred,
-            replacements: self.metrics.replacements,
-            open_spans: self.spans.as_ref().map(|a| a.open_count() as u64),
-            robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
-        };
-        let violations = self
-            .health
-            .as_ref()
-            .map_or_else(Vec::new, |m| m.check(t, &checkpoint));
         for violation in violations {
             self.metrics.invariant_violations += 1;
             self.emit(violation);
@@ -1067,7 +765,11 @@ impl Simulation {
         // retries with exponential backoff until the guardee beacons
         // again (replaced) or the attempt budget runs out (explicit
         // orphan).
-        let max_attempts = self.faults.as_ref().map(|i| i.plan.max_report_attempts);
+        let max_attempts = self
+            .world
+            .faults
+            .as_ref()
+            .map(|i| i.plan.max_report_attempts);
         let silent = self.sensors[s].silent_guardees(now, timeout);
         for g in silent {
             if !self.sensors[s].should_report(g, now) {
@@ -1105,12 +807,12 @@ impl Simulation {
 
     fn pick_and_confirm_guardian(&mut self, now: SimTime, s: usize) {
         let n_sensors = self.sensors.len();
-        let my_sub = self.sensor_subarea[s];
+        let my_sub = self.world.sensor_subarea[s];
         let is_fixed = self.coord.guardian_requires_same_subarea();
         // Guardians must be sensors; in the fixed algorithm the pair must
         // share a subarea (§3.2). Sensors are static, so subarea can be
         // looked up from deployment data.
-        let subareas = &self.sensor_subarea;
+        let subareas = &self.world.sensor_subarea;
         let pick = self.sensors[s].pick_guardian(now, |id| {
             id.index() < n_sensors && (!is_fixed || subareas[id.index()] == my_sub)
         });
@@ -1165,10 +867,11 @@ impl Simulation {
         match self.robot_index(id) {
             Some(r) => self.robots[r].position_at(now),
             None => {
-                self.manager
-                    .as_ref()
+                self.world
+                    .field
+                    .manager
                     .expect("manager beacons only when present")
-                    .loc
+                    .1
             }
         }
     }
@@ -1228,19 +931,7 @@ impl Simulation {
         }
         // Injected link loss: the report leaves the guardian but dies
         // en route; the retry machinery re-drives it.
-        let dropped = self
-            .faults
-            .as_mut()
-            .is_some_and(|inj| inj.drop_message(FaultKind::ReportLoss));
-        if dropped {
-            self.metrics.faults.report_drops += 1;
-            if self.observing {
-                self.emit(TraceEvent::FaultInjected {
-                    t: now.as_secs_f64(),
-                    kind: FaultKind::ReportLoss,
-                    node: origin,
-                });
-            }
+        if self.message_lost(now, FaultKind::ReportLoss, origin) {
             return;
         }
         let msg = AppMsg::Report {
@@ -1454,13 +1145,7 @@ impl Simulation {
         if !self.sensors[to.index()].alive {
             return;
         }
-        let ctx = CoordCtx {
-            partition: self.partition.as_deref(),
-            n_sensors: self.sensors.len(),
-            n_robots: self.robots.len(),
-            manager: self.manager.as_ref().map(|m| (m.id, m.loc)),
-            update_threshold: self.cfg.update_threshold,
-        };
+        let ctx = self.world.coord_ctx(self.cfg.update_threshold);
         self.coord
             .on_robot_hello(&mut self.sensors[to.index()], robot, loc, manager, &ctx);
     }
@@ -1501,14 +1186,8 @@ impl Simulation {
             }
         }
         let s_loc = self.sensors[to.index()].loc;
-        let ctx = CoordCtx {
-            partition: self.partition.as_deref(),
-            n_sensors: self.sensors.len(),
-            n_robots: self.robots.len(),
-            manager: self.manager.as_ref().map(|m| (m.id, m.loc)),
-            update_threshold: self.cfg.update_threshold,
-        };
-        let my_sub = self.sensor_subarea[to.index()];
+        let ctx = self.world.coord_ctx(self.cfg.update_threshold);
+        let my_sub = self.world.sensor_subarea[to.index()];
         let mut relay = self.coord.accept_flood(
             &mut self.sensors[to.index()],
             robot,
@@ -1617,7 +1296,7 @@ impl Simulation {
     /// robot currently closest to the failure (§3.1).
     fn manager_dispatch(&mut self, now: SimTime, failed: NodeId, failed_loc: Point) {
         let retry_window = self.cfg.report_retry / 2;
-        let faults_active = self.faults.is_some();
+        let faults_active = self.world.faults.is_some();
         let manager = self.manager.as_mut().expect("centralized manager exists");
         // Drop duplicate reports for a failure already being handled.
         if let Some(t) = manager.last_dispatch[failed.index()] {
@@ -1637,7 +1316,7 @@ impl Simulation {
     /// One dispatch attempt: pick a (non-suspect) robot and send the
     /// request. `attempt` ≥ 2 means a post-timeout re-dispatch.
     fn dispatch_to_robot(&mut self, now: SimTime, failed: NodeId, failed_loc: Point, attempt: u32) {
-        let faults_active = self.faults.is_some();
+        let faults_active = self.world.faults.is_some();
         let manager = self.manager.as_mut().expect("centralized manager exists");
         manager.last_dispatch[failed.index()] = Some(now);
         let fleet = FleetView {
@@ -1662,26 +1341,18 @@ impl Simulation {
         }
         let robot_node = self.robots[best_robot].id;
         let robot_loc = manager.robot_locs[best_robot];
-        let manager_id = manager.id;
+        let (manager_id, _) = self
+            .world
+            .field
+            .manager
+            .expect("centralized manager exists");
         self.metrics.requests_sent += 1;
         if attempt >= 2 {
             self.metrics.faults.redispatches += 1;
         }
         // Injected link loss: the request dies en route; the timeout
         // re-drives it.
-        let dropped = self
-            .faults
-            .as_mut()
-            .is_some_and(|inj| inj.drop_message(FaultKind::DispatchLoss));
-        if dropped {
-            self.metrics.faults.dispatch_drops += 1;
-            if self.observing {
-                self.emit(TraceEvent::FaultInjected {
-                    t: now.as_secs_f64(),
-                    kind: FaultKind::DispatchLoss,
-                    node: manager_id,
-                });
-            }
+        if self.message_lost(now, FaultKind::DispatchLoss, manager_id) {
             return;
         }
         let msg = AppMsg::Request {
@@ -1697,7 +1368,7 @@ impl Simulation {
     /// suspect and go to the next-closest non-suspect robot, up to the
     /// attempt budget.
     fn check_dispatch_timeouts(&mut self, now: SimTime) {
-        let Some(inj) = self.faults.as_ref() else {
+        let Some(inj) = self.world.faults.as_ref() else {
             return;
         };
         let timeout = inj.plan.dispatch_timeout;
@@ -1732,9 +1403,8 @@ impl Simulation {
     }
 
     fn robot_enqueue(&mut self, now: SimTime, r: usize, failed: NodeId, failed_loc: Point) {
-        match self.robot_pending[r].binary_search(&failed.as_u32()) {
-            Ok(_) => return, // duplicate report for a queued failure
-            Err(i) => self.robot_pending[r].insert(i, failed.as_u32()),
+        if self.robots[r].has_task(failed) {
+            return; // duplicate report for a queued failure
         }
         let task = ReplacementTask {
             failed,
@@ -1808,9 +1478,6 @@ impl Simulation {
         let (task, next_leg) = self.robots[r].arrive(now);
         let robot_node = self.robots[r].id;
         self.radio.set_position(robot_node, task.loc);
-        if let Ok(i) = self.robot_pending[r].binary_search(&task.failed.as_u32()) {
-            self.robot_pending[r].remove(i);
-        }
         // The repair completed: the manager's dispatch watchdog (if
         // any) stops waiting on it.
         if let Some(m) = self.manager.as_mut() {
@@ -1831,20 +1498,14 @@ impl Simulation {
             // Install the replacement: same identity and location, fresh
             // protocol state, fresh exponential lifetime (§2(a), §2(d)).
             self.sensors[s].reset_for_replacement();
-            let ctx = CoordCtx {
-                partition: self.partition.as_deref(),
-                n_sensors: self.sensors.len(),
-                n_robots: self.robots.len(),
-                manager: self.manager.as_ref().map(|m| (m.id, m.loc)),
-                update_threshold: self.cfg.update_threshold,
-            };
+            let ctx = self.world.coord_ctx(self.cfg.update_threshold);
             self.coord.seed_replacement(&mut self.sensors[s], &ctx);
             // With breakdowns in play the installer may be a takeover
             // robot from another subarea whose scoped floods this sensor
             // will never match; adopt it directly so the replacement is
             // never robotless. Fault-free the next flood seeds `myrobot`
             // before it is needed, so this stays behind the fault gate.
-            if self.faults.is_some()
+            if self.world.faults.is_some()
                 && self.coord.uses_myrobot()
                 && self.sensors[s].myrobot.is_none()
             {
@@ -1852,12 +1513,7 @@ impl Simulation {
             }
             self.radio.set_alive(task.failed, true);
             self.incarnation[s] += 1;
-            let fail_at = scale_failure_time(
-                now,
-                self.failure_proc.sample_failure_at(now),
-                self.lifetime_factor.get(s).copied().unwrap_or(1.0),
-            );
-            if fail_at <= self.sched.horizon() {
+            if let Some(fail_at) = self.world.next_failure(now, s) {
                 self.sched.schedule_at(
                     fail_at,
                     Event::Fail {
@@ -1907,6 +1563,32 @@ impl Simulation {
         }
     }
 
+    /// Whether the fault plan drops a `kind` message `node` originates
+    /// (never on a fault-free run). A drop is counted and traced.
+    fn message_lost(&mut self, now: SimTime, kind: FaultKind, node: NodeId) -> bool {
+        let lost = self
+            .world
+            .faults
+            .as_mut()
+            .is_some_and(|inj| inj.drop_message(kind));
+        if lost {
+            let stats = &mut self.metrics.faults;
+            match kind {
+                FaultKind::ReportLoss => stats.report_drops += 1,
+                FaultKind::DispatchLoss => stats.dispatch_drops += 1,
+                _ => stats.update_drops += 1,
+            }
+            if self.observing {
+                self.emit(TraceEvent::FaultInjected {
+                    t: now.as_secs_f64(),
+                    kind,
+                    node,
+                });
+            }
+        }
+        lost
+    }
+
     // --- Injected robot faults --------------------------------------------
 
     /// An injected breakdown fires: the robot either degrades to
@@ -1917,21 +1599,12 @@ impl Simulation {
         if self.robot_down[r] {
             return;
         }
-        let slowdown = self
-            .faults
-            .as_mut()
-            .expect("breakdown events imply faults")
-            .breakdown_is_slowdown();
+        let slowdown = self.world.injector().breakdown_is_slowdown();
         let robot_node = self.robots[r].id;
         if slowdown {
             self.metrics.faults.robot_slowdowns += 1;
             self.robot_slowed[r] = true;
-            let factor = self
-                .faults
-                .as_ref()
-                .expect("checked above")
-                .plan
-                .slow_factor;
+            let factor = self.world.injector().plan.slow_factor;
             self.replan_at_speed(now, r, self.cfg.robot_speed * factor);
             if self.observing {
                 self.emit(TraceEvent::FaultInjected {
@@ -1944,37 +1617,11 @@ impl Simulation {
             self.schedule_next_breakdown(r);
         } else {
             self.kill_robot(now, r);
-            let repair = self
-                .faults
-                .as_ref()
-                .expect("checked above")
-                .plan
-                .breakdown_repair;
+            let repair = self.world.injector().plan.breakdown_repair;
             if let Some(repair) = repair {
                 self.sched
                     .schedule_at(now + repair, Event::RobotRepair { robot: r as u32 });
             }
-        }
-    }
-
-    /// Takes a robot out of service on the spot: silent radio, current
-    /// leg interrupted, in-flight motion events gone stale. Shared by
-    /// the probabilistic breakdown path (which may schedule a repair)
-    /// and attrition waves (which never do).
-    fn kill_robot(&mut self, now: SimTime, r: usize) {
-        self.metrics.faults.robot_breakdowns += 1;
-        self.robot_down[r] = true;
-        self.robots[r].interrupt(now);
-        self.robot_leg_seq[r] += 1; // stale in-flight arrive/update events
-        let robot_node = self.robots[r].id;
-        let loc = self.robots[r].position_at(now);
-        self.radio.set_position(robot_node, loc);
-        self.radio.set_alive(robot_node, false);
-        if self.observing {
-            self.emit(TraceEvent::RobotDied {
-                t: now.as_secs_f64(),
-                robot: robot_node,
-            });
         }
     }
 
@@ -2010,6 +1657,7 @@ impl Simulation {
 
     fn schedule_next_breakdown(&mut self, r: usize) {
         let delay = self
+            .world
             .faults
             .as_mut()
             .and_then(FaultInjector::next_breakdown_delay);
@@ -2043,12 +1691,7 @@ impl Simulation {
         if self.peer_last_heard.is_empty() {
             return; // breakdowns not in the plan
         }
-        let periods = self
-            .faults
-            .as_ref()
-            .expect("peer tables imply faults")
-            .plan
-            .peer_timeout_periods;
+        let periods = self.world.injector().plan.peer_timeout_periods;
         let timeout =
             SimDuration::from_secs(self.cfg.beacon_period.as_secs_f64() * f64::from(periods));
         for p in 0..self.robots.len() {
@@ -2111,31 +1754,18 @@ impl Simulation {
         // Injected loss on operational updates only (Init announcements
         // are part of the paper's assumed-reliable setup phase). The
         // robot believes it updated, so the cadence is unchanged.
-        let dropped = class == TrafficClass::LocationUpdate
-            && self
-                .faults
-                .as_mut()
-                .is_some_and(|inj| inj.drop_message(FaultKind::UpdateLoss));
-        if dropped {
-            self.metrics.faults.update_drops += 1;
-            if self.observing {
-                self.emit(TraceEvent::FaultInjected {
-                    t: now.as_secs_f64(),
-                    kind: FaultKind::UpdateLoss,
-                    node: robot_node,
-                });
-            }
+        if class == TrafficClass::LocationUpdate
+            && self.message_lost(now, FaultKind::UpdateLoss, robot_node)
+        {
             self.robots[r].last_update_loc = loc;
             return;
         }
         let seq = self.robots[r].next_seq();
         match self.coord.location_announcement(r) {
             Announcement::ManagerUnicast => {
-                let m = self.manager.as_ref().expect("manager exists");
-                let (m_id, m_loc) = (m.id, m.loc);
+                let (m_id, m_loc) = self.world.field.manager.expect("manager exists");
                 // Unicast to the manager via geographic routing...
-                let queue_len = self.robots[r].queue_len() as u32
-                    + u32::from(self.robots[r].current_task().is_some());
+                let queue_len = self.robots[r].outstanding_tasks() as u32;
                 let msg = AppMsg::RobotToManagerUpdate {
                     robot: robot_node,
                     loc,
@@ -2218,6 +1848,51 @@ impl Simulation {
             return;
         }
         self.route_and_send(now, src, frame.payload.clone(), frame.class, None);
+    }
+}
+
+/// Blackout victims die through [`Simulation::on_fail`]: same
+/// incarnation guard, same trace events as a lifetime expiry.
+impl FaultHooks for Simulation {
+    fn world(&mut self) -> &mut World {
+        &mut self.world
+    }
+
+    fn sensor_alive(&self, s: usize) -> bool {
+        self.sensors[s].alive
+    }
+
+    fn fail_sensor(&mut self, now: SimTime, s: usize) {
+        self.on_fail(now, s, self.incarnation[s]);
+    }
+
+    fn robot_in_service(&self, r: usize) -> bool {
+        !self.robot_down[r]
+    }
+
+    /// Takes a robot out of service on the spot: silent radio, current
+    /// leg interrupted, in-flight motion events gone stale. Shared by
+    /// the probabilistic breakdown path (which may schedule a repair)
+    /// and attrition waves (which never do).
+    fn kill_robot(&mut self, now: SimTime, r: usize) {
+        self.metrics.faults.robot_breakdowns += 1;
+        self.robot_down[r] = true;
+        self.robots[r].interrupt(now);
+        self.robot_leg_seq[r] += 1; // stale in-flight arrive/update events
+        let robot_node = self.robots[r].id;
+        let loc = self.robots[r].position_at(now);
+        self.radio.set_position(robot_node, loc);
+        self.radio.set_alive(robot_node, false);
+        if self.observing {
+            self.emit(TraceEvent::RobotDied {
+                t: now.as_secs_f64(),
+                robot: robot_node,
+            });
+        }
+    }
+
+    fn install_partition(&mut self, until: SimTime, a: ConvexPolygon, b: ConvexPolygon) {
+        self.active_partitions.push((until, a, b));
     }
 }
 
@@ -2639,6 +2314,7 @@ mod tests {
     #[test]
     fn dense_region_attracts_deployment() {
         use crate::config::DeployRegion;
+        use crate::field_deployment;
         let mut cfg = small(Algorithm::Dynamic);
         let side = cfg.side();
         let core = rect(side * 0.375, side * 0.375, side * 0.625, side * 0.625);

@@ -53,10 +53,11 @@ pub mod report;
 pub mod scenario;
 pub mod sweep;
 pub mod trace;
+mod world;
 
 pub use config::{Algorithm, DeployRegion, DispatchPolicy, PartitionKind, ScenarioConfig};
 pub use fault::{FaultKind, FaultPlan};
-pub use harness::{field_deployment, FieldDeployment, Outcome, Simulation};
+pub use harness::{Outcome, Simulation};
 pub use metrics::{DropBreakdown, Metrics, Summary};
 pub use obs::{
     EventSink, HealthMonitor, Invariant, JsonlSink, MetricsRegistry, NullSink, QuantileSketch,
@@ -67,3 +68,4 @@ pub use scenario::{
     compile as compile_scenario, Compiled, Overrides, ScenarioError, ScenarioErrorKind,
 };
 pub use sweep::{CellResult, FailedCell, MergedSweep, SweepGrid, SweepResult};
+pub use world::{field_deployment, FieldDeployment};

@@ -8,9 +8,8 @@
 //! - [`ReplaySetup`] — the static scenario geometry. Positions are
 //!   never serialized into the trace; they are re-derived from the run
 //!   manifest (`algorithm`, `seed`, `k`, …) through the *same*
-//!   [`field_deployment`](crate::harness::field_deployment) call the
-//!   simulation itself used, so replayed coordinates are exact, not
-//!   approximate.
+//!   [`field_deployment`] call the simulation itself used, so replayed
+//!   coordinates are exact, not approximate.
 //! - [`ReplayState`] — the event-by-event state machine. It also works
 //!   without a setup (a headerless pipe has no manifest): nodes are
 //!   then discovered from the events that mention them, and only the
@@ -31,8 +30,8 @@ use robonet_des::NodeId;
 use robonet_geom::{Bounds, Point};
 
 use crate::config::{Algorithm, ScenarioConfig};
-use crate::harness::{field_deployment, FieldDeployment};
 use crate::trace::TraceEvent;
+use crate::{field_deployment, FieldDeployment};
 
 use super::json;
 use super::sink::{LineCursor, TruncatedTail};

@@ -25,8 +25,7 @@ struct World {
     sensor_pos: Vec<Point>,
     partition: Option<Box<dyn Partition>>,
     robot_pos: Vec<Point>,
-    /// `u32::MAX` when the algorithm has no partition (harness
-    /// convention; the flow model uses 0 — both mean "unused").
+    /// `u32::MAX` when the algorithm has no partition.
     sensor_subarea: Vec<u32>,
     manager_node: NodeId,
     manager_loc: Point,
@@ -93,7 +92,7 @@ fn seed_sensors(
 fn flow_ctx<'a>(cfg: &ScenarioConfig, w: &World, subarea_population: &'a [f64]) -> FlowCtx<'a> {
     let bounds = cfg.bounds();
     FlowCtx {
-        manager_loc: w.manager_loc,
+        manager_loc: Some(w.manager_loc),
         manager_range: cfg.ranges.manager,
         hop_unit: GREEDY_PROGRESS * cfg.ranges.sensor,
         n_sensors: cfg.n_sensors(),
@@ -219,14 +218,8 @@ fn scripted_failure_dispatches_to_the_same_robot_in_both_simulators() {
                 target.index() - cfg.n_sensors()
             };
 
-            // Flow level: one call prices the report and picks the robot
-            // (`fastsim` passes subarea 0 when there is no partition).
-            let flow_subarea = if w.partition.is_some() {
-                w.sensor_subarea[s] as usize
-            } else {
-                0
-            };
-            let fd = coordinator.flow_report(&flow, failed_loc, flow_subarea, &w.robot_pos);
+            // Flow level: one call prices the report and picks the robot.
+            let fd = coordinator.flow_report(&flow, failed_loc, w.sensor_subarea[s], &w.robot_pos);
 
             assert_eq!(
                 fd.robot, packet_robot,
@@ -243,6 +236,82 @@ fn scripted_failure_dispatches_to_the_same_robot_in_both_simulators() {
                 fd.report_hops >= 1.0,
                 "{}: reports cost at least one hop",
                 entry.name
+            );
+        }
+    }
+}
+
+/// What [`FailureLog`] records: `(t bits, sensor)` for every `Failure`
+/// and the time of the first `Replaced`.
+#[derive(Default)]
+struct Log {
+    failures: Vec<(u64, u32)>,
+    first_replaced: Option<f64>,
+}
+
+/// A sink sharing its [`Log`], so the packet harness (which owns its
+/// sink) can be read back after the run.
+#[derive(Clone, Default)]
+struct FailureLog(std::rc::Rc<std::cell::RefCell<Log>>);
+
+impl robonet_core::EventSink for FailureLog {
+    fn record(&mut self, event: &robonet_core::trace::TraceEvent) {
+        use robonet_core::trace::TraceEvent;
+        let mut log = self.0.borrow_mut();
+        match event {
+            TraceEvent::Failure { t, sensor } => log.failures.push((t.to_bits(), sensor.as_u32())),
+            TraceEvent::Replaced { t, .. } => {
+                log.first_replaced.get_or_insert(*t);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl FailureLog {
+    /// Failures strictly before `cutoff`.
+    fn before(&self, cutoff: f64) -> Vec<(u64, u32)> {
+        let log = self.0.borrow();
+        log.failures
+            .iter()
+            .copied()
+            .filter(|&(t, _)| f64::from_bits(t) < cutoff)
+            .collect()
+    }
+
+    fn first_replaced(&self) -> f64 {
+        let log = self.0.borrow();
+        log.first_replaced
+            .expect("the run replaces at least one sensor")
+    }
+}
+
+/// Both engines draw sensor lifetimes from one failure schedule: until
+/// either engine installs its first replacement (after which repair
+/// timing re-arms lifetimes in a different order), the two runs fail
+/// the same sensors at the same instants, bit for bit.
+#[test]
+fn both_engines_share_one_failure_schedule() {
+    use robonet_core::{fastsim, Algorithm, Simulation};
+    for alg in [Algorithm::Centralized, Algorithm::Dynamic] {
+        for seed in [1, 2] {
+            let cfg = ScenarioConfig::paper(2, alg).with_seed(seed).scaled(16.0);
+            let packet = FailureLog::default();
+            Simulation::with_sink(cfg.clone(), Box::new(packet.clone())).run_to_completion();
+            let mut flow = FailureLog::default();
+            fastsim::run_with_sink(&cfg, &mut flow);
+
+            let cutoff = packet.first_replaced().min(flow.first_replaced());
+            let prefix = packet.before(cutoff);
+            assert!(
+                prefix.len() >= 3,
+                "{alg:?} seed {seed}: only {} failures before the first replacement",
+                prefix.len()
+            );
+            assert_eq!(
+                prefix,
+                flow.before(cutoff),
+                "{alg:?} seed {seed}: the engines' failure schedules diverge before {cutoff} s"
             );
         }
     }

@@ -203,11 +203,6 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// The configured horizon ([`SimTime::MAX`] if unbounded).
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
     /// Schedules `event` at the absolute time `at`.
     ///
     /// # Panics

@@ -146,6 +146,18 @@ impl RobotState {
         self.queue.len()
     }
 
+    /// Tasks dispatched to this robot and not yet installed: the queue
+    /// plus the one being driven to.
+    pub fn outstanding_tasks(&self) -> usize {
+        self.queue.len() + usize::from(matches!(self.activity, Activity::Moving { .. }))
+    }
+
+    /// Whether a task for `failed` is queued or being driven to.
+    pub fn has_task(&self, failed: NodeId) -> bool {
+        self.current_task().is_some_and(|t| t.failed == failed)
+            || self.queue.iter().any(|t| t.failed == failed)
+    }
+
     /// Next location-update sequence number (1, 2, ...).
     pub fn next_seq(&mut self) -> u32 {
         self.next_seq += 1;
@@ -267,6 +279,23 @@ mod tests {
         assert!(!r.is_idle());
         assert_eq!(r.current_task().unwrap().failed, NodeId::new(1));
         assert_eq!(r.position_at(t(50.0)), p(50.0, 0.0));
+    }
+
+    #[test]
+    fn outstanding_tasks_include_the_one_under_way() {
+        let mut r = RobotState::new(NodeId::new(100), p(0.0, 0.0), 1.0);
+        assert_eq!(r.outstanding_tasks(), 0);
+        r.enqueue(task(1, p(100.0, 0.0), 0.0), t(0.0)).unwrap();
+        r.enqueue(task(2, p(0.0, 50.0), 5.0), t(5.0));
+        assert_eq!(r.outstanding_tasks(), 2);
+        assert!(r.has_task(NodeId::new(1)), "the task under way");
+        assert!(r.has_task(NodeId::new(2)), "a queued task");
+        r.interrupt(t(10.0));
+        assert_eq!(r.outstanding_tasks(), 2, "an interrupted task stays");
+        r.resume(t(10.0));
+        r.arrive(t(100.0));
+        assert_eq!(r.outstanding_tasks(), 1);
+        assert!(!r.has_task(NodeId::new(1)), "installed tasks are gone");
     }
 
     #[test]

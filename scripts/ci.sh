@@ -39,7 +39,7 @@ stage_label() {
         scenarios) echo "scenario library gate (golden summaries)" ;;
         scale_smoke) echo "scale smoke (2000 sensors under wall budget)" ;;
         bench_smoke) echo "bench smoke (one iteration per target)" ;;
-        perfbench) echo "benchmark self-test (folds vs live runs, exact ledgers)" ;;
+        perfbench) echo "benchmark self-test and exact-ledger golden" ;;
         *) echo "$1" ;;
     esac
 }
@@ -427,6 +427,25 @@ stage_perfbench() {
     # The benchmark is a package of its own; its quick self-test checks
     # every fold against its live run and that exact ledgers repeat.
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    # The exact per-layer work counts of each workload's quick traced
+    # run must equal the committed ledger byte for byte, so any change
+    # in per-layer work shows up in review as a delta.
+    mkdir -p "$artifact_dir"
+    local ledger="$artifact_dir/perfbench_ledger.txt" workload
+    : > "$ledger"
+    for workload in paper_grid observed_repair flow_fleet; do
+        cargo run -q --release --offline --manifest-path perfbench/Cargo.toml \
+            --bin perfbench-traced -- --workload "$workload" --seed 1 --seconds 0.01 --quick \
+            | grep '^{"ledger":' >> "$ledger"
+    done
+    if ! diff -u tests/golden/perfbench_ledger.txt "$ledger"; then
+        echo "perfbench gate failed: exact ledger drifted from tests/golden/perfbench_ledger.txt" >&2
+        echo "(regenerate: for w in paper_grid observed_repair flow_fleet; do" \
+             "cargo run -q --release --offline --manifest-path perfbench/Cargo.toml" \
+             "--bin perfbench-traced -- --workload \$w --seed 1 --seconds 0.01 --quick" \
+             "| grep '^{\"ledger\":'; done > tests/golden/perfbench_ledger.txt)" >&2
+        exit 1
+    fi
 }
 
 if [ -n "$only_stage" ]; then

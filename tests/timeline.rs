@@ -183,6 +183,39 @@ fn fastsim_emits_parseable_samples() {
     assert_eq!(tl.violations.len(), 0, "fastsim ledger must balance");
 }
 
+/// Queue depth means the same on both engines: tasks dispatched but
+/// not yet installed, including the one a busy robot is driving to. In
+/// a fault-free run every dispatched open repair therefore sits in
+/// exactly one robot's queue, and a busy robot's queue is never empty.
+#[test]
+fn robot_queues_count_every_dispatched_task_on_both_engines() {
+    use robonet_core::fastsim;
+    for alg in ALGS {
+        let mut cfg = ScenarioConfig::paper(2, alg).with_seed(3).scaled(16.0);
+        cfg.sample_every = Some(SimDuration::from_secs(50.0));
+        let packet = Simulation::run(cfg.clone()).metrics.telemetry_timeline;
+        let buf = SharedBuf::default();
+        fastsim::run_with_sink(&cfg, &mut JsonlSink::new(buf.clone()));
+        let (flow, _) = Timeline::from_jsonl(&buf.contents()).expect("flow artifact parses");
+        for (engine, samples) in [("packet", &packet), ("flow", &flow.samples)] {
+            assert!(!samples.is_empty(), "{alg} {engine}: the sampler must fire");
+            for (t, s) in samples {
+                assert_eq!(
+                    s.queued_total(),
+                    s.open_dispatched,
+                    "{alg} {engine} t={t}: queues must hold every dispatched repair"
+                );
+                for (r, (&q, &busy)) in s.robot_queues.iter().zip(&s.robot_busy).enumerate() {
+                    assert!(
+                        q >= u32::from(busy),
+                        "{alg} {engine} t={t}: robot {r} is busy with an empty queue"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The seed-pinned configuration behind the golden timeline CSVs —
 /// deliberately the same run `scripts/ci.sh` traces for its golden
 /// artifact, so the committed CSVs also gate the CLI path.
