@@ -2,10 +2,10 @@
 //! redundant *mobile sensors* (Wang et al. \[13\]) instead of dispatching
 //! a few robots. Direct vs cascaded movement over a failure sequence,
 //! reporting total distance, worst single-node distance, and how many
-//! nodes needed mobility hardware.
+//! nodes needed mobility hardware. No simulation runs.
+//!
+//! Usage: `cargo run --release -p robonet-bench --bin ablation_baseline`
 
-use robonet_bench::selftime::Criterion;
-use robonet_bench::{bench_group, bench_main};
 use robonet_des::rng::{Rng, Xoshiro256};
 
 use robonet_core::baseline::{MobileSensorField, RelocationPolicy};
@@ -38,7 +38,7 @@ fn run_policy(policy: RelocationPolicy) -> (f64, f64, usize) {
     (total, worst, movers)
 }
 
-fn baseline(c: &mut Criterion) {
+fn main() {
     println!("\nMobile-sensor relocation baseline (40 failures, 40 spares, 400x400 m):");
     for policy in [RelocationPolicy::Direct, RelocationPolicy::Cascaded] {
         let (total, worst, movers) = run_policy(policy);
@@ -50,15 +50,4 @@ fn baseline(c: &mut Criterion) {
         "  (robot approach, for contrast: only k robots need mobility at all, each\n\
          travelling ~100 m per failure — run `--bin fig2` for the full numbers)"
     );
-    let mut group = c.benchmark_group("ablation_baseline");
-    group.bench_function("direct", |b| {
-        b.iter(|| run_policy(RelocationPolicy::Direct))
-    });
-    group.bench_function("cascaded", |b| {
-        b.iter(|| run_policy(RelocationPolicy::Cascaded))
-    });
-    group.finish();
 }
-
-bench_group!(benches, baseline);
-bench_main!(benches);

@@ -14,10 +14,10 @@
 //! All (algorithm × loss) cells run on the deterministic work-stealing
 //! pool, so the curve is identical whatever the worker count. Each cell
 //! runs observed (a small ring attached) so its repair spans are
-//! assembled, and the benchmark times that same observed run.
-
-use robonet_bench::selftime::{BenchmarkId, Criterion};
-use robonet_bench::{bench_group, bench_main};
+//! assembled; the sweep engine runs cells unobserved, hence the pool
+//! directly.
+//!
+//! Usage: `cargo run --release -p robonet-bench --bin degradation_curve`
 
 use robonet_core::{
     Algorithm, FaultPlan, Outcome, PartitionKind, RingSink, ScenarioConfig, Simulation,
@@ -47,9 +47,7 @@ fn observed_run(cfg: &ScenarioConfig) -> Outcome {
     Simulation::with_sink(cfg.clone(), Box::new(RingSink::with_capacity(16))).run_to_completion()
 }
 
-fn degradation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("degradation_curve");
-    group.sample_size(10);
+fn main() {
     println!("\nLoss-degradation curve (k=2, time-compressed x{SCALE}):");
     println!(
         "  {:<12} {:>6} {:>10} {:>12} {:>14}",
@@ -81,17 +79,5 @@ fn degradation(c: &mut Criterion) {
             s.replacements as f64 / s.failures_occurred.max(1) as f64,
             p95
         );
-        group.bench_with_input(
-            BenchmarkId::new(
-                format!("{alg:?}").to_lowercase(),
-                (loss * 100.0).round() as u64,
-            ),
-            &outcome.config,
-            |b, cfg| b.iter(|| observed_run(cfg).metrics.replacements),
-        );
     }
-    group.finish();
 }
-
-bench_group!(benches, degradation);
-bench_main!(benches);

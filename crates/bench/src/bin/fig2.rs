@@ -4,8 +4,8 @@
 //! Usage: `cargo run --release -p robonet-bench --bin fig2 -- [--scale N] [--seeds a,b] [--ks 2,3,4]`
 //!
 //! With no arguments this runs the paper's full 64000 s configuration
-//! (expect minutes of wall time); `--scale 8` runs 8× compressed with
-//! per-failure metrics preserved.
+//! (expect minutes of wall time); `--scale 8` runs 8× compressed, which
+//! keeps Figure 2's travel per failure (see `ScenarioConfig::scaled`).
 
 use robonet_bench::{print_series, sweep, SweepOptions};
 use robonet_core::report::Row;

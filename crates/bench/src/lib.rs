@@ -1,4 +1,5 @@
-//! Shared sweep harness for regenerating the paper's figures.
+//! Shared sweep harness for regenerating the paper's figures and
+//! ablations.
 //!
 //! Every figure in the evaluation section of *Replacing Failed Sensor
 //! Nodes by Mobile Robots* comes from the same experiment design: run
@@ -6,16 +7,18 @@
 //! a per-failure average (§4.3). [`sweep`] runs that design on the
 //! deterministic work-stealing engine ([`robonet_core::sweep`]) — rows
 //! are bit-identical for any `--jobs` value — and the `fig2`/`fig3`/
-//! `fig4` binaries print the matching series.
+//! `fig4` binaries print the matching series. The ablation binaries
+//! (`ablation_partition`, `ablation_broadcast`, `ablation_dispatch`)
+//! run their own cell lists through [`run_cells`];
+//! `ablation_baseline` and `degradation_curve` print the remaining
+//! experiment tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod selftime;
-
 use robonet_core::report::Row;
-use robonet_core::sweep::{SweepGrid, SweepResult};
-use robonet_core::{coord, Algorithm};
+use robonet_core::sweep::{CellResult, SweepGrid, SweepResult};
+use robonet_core::{coord, Algorithm, ScenarioConfig};
 use robonet_des::pool::resolve_jobs;
 
 /// The robot-count axis of the paper's figures: k² for k ∈ {2, 3, 4},
@@ -34,9 +37,9 @@ pub fn paper_algorithms() -> Vec<Algorithm> {
 /// Options for a figure sweep.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Time-compression factor (1.0 = the paper's full 64000 s runs;
-    /// see [`ScenarioConfig::scaled`] — per-failure metrics are
-    /// preserved).
+    /// Time-compression factor (1.0 = the paper's full 64000 s runs).
+    /// Only Figure 2 survives compression; see
+    /// [`ScenarioConfig::scaled`] for the drift of the other figures.
     pub scale: f64,
     /// Seeds to run and average over.
     pub seeds: Vec<u64>,
@@ -135,7 +138,25 @@ pub fn sweep_result(opts: &SweepOptions) -> SweepResult {
 ///
 /// Panics if any cell's simulation panicked, listing the failed cells.
 pub fn sweep(opts: &SweepOptions) -> Vec<Row> {
-    let result = sweep_result(opts);
+    completed(sweep_result(opts))
+        .iter()
+        .map(CellResult::row)
+        .collect()
+}
+
+/// Runs an explicit cell list on the sweep engine with the default
+/// worker count (`ROBONET_JOBS`, else all cores) and returns the
+/// results in cell order, bit-identical for any worker count.
+///
+/// # Panics
+///
+/// Panics if any cell's simulation panicked, listing the failed cells.
+pub fn run_cells(cells: Vec<ScenarioConfig>) -> Vec<CellResult> {
+    completed(SweepGrid::from_configs(cells).run(resolve_jobs(None)))
+}
+
+/// The completed cells of `result`, or a panic listing the failed ones.
+fn completed(result: SweepResult) -> Vec<CellResult> {
     assert!(
         result.failed.is_empty(),
         "sweep cells panicked:\n{}",
@@ -146,7 +167,7 @@ pub fn sweep(opts: &SweepOptions) -> Vec<Row> {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    result.rows()
+    result.cells
 }
 
 /// Averages a per-row metric over seeds, returning

@@ -76,8 +76,10 @@ pub fn usage_text() -> String {
      \x20 robonet figures [--scale F] [--seeds a,b] [--ks 2,3,4] [--jobs N]\n\
      \x20 robonet sweep   [--scale F] [--seeds a,b] [--ks 2,3,4] [--jobs N]\n\
      \n\
-     `--scale F` compresses simulated time F× while preserving all\n\
-     per-failure metrics (default 16; use 1 for the paper's full 64000 s runs).\n\
+     `--scale F` compresses simulated time F× (default 16; use 1 for the\n\
+     paper's full 64000 s runs). Only Figure 2's travel per failure survives\n\
+     compression; report hops, update cost and repair ratio drift at large F\n\
+     (see `ScenarioConfig::scaled`).\n\
      `--scenario FILE.rjson` loads a declarative scenario (field geometry,\n\
      non-uniform deployment regions, fleet spec, scheduled fault timeline)\n\
      instead of building the run from flags; see scenarios/ for the\n\
@@ -89,7 +91,7 @@ pub fn usage_text() -> String {
      `--sensors N` deploys exactly N sensors at the paper's density: the\n\
      k x k fleet keeps N/k^2 sensors per robot cell (N must divide evenly)\n\
      and the robot cell side scales so density stays at 50 sensors per\n\
-     200 m x 200 m — the geometry the scale benchmarks use.\n\
+     200 m x 200 m — the geometry of CI's 1k/5k/10k-sensor scale gate.\n\
      `--jobs N` fans sweep cells across N worker threads (default: the\n\
      `ROBONET_JOBS` env var, else all cores); output is byte-identical\n\
      for any value — parallelism only changes the wall-clock.\n\

@@ -95,7 +95,21 @@ enum Event {
 /// [`TimedFault::Partition`] (the model has no per-hop frames to block)
 /// and no [`TimedFault::Attrition`] (it models no robot health). Run
 /// those on the packet simulator.
-fn validate(cfg: &ScenarioConfig) -> Result<(), String> {
+///
+/// [`run`] and its siblings panic on exactly the configurations this
+/// rejects, so a caller holding an arbitrary scenario can refuse it
+/// before running.
+///
+/// ```
+/// use robonet_core::{fastsim, Algorithm, ScenarioConfig};
+/// assert!(fastsim::validate(&ScenarioConfig::paper(2, Algorithm::Dynamic)).is_ok());
+/// ```
+///
+/// # Errors
+///
+/// Returns the [`ScenarioConfig::validate`] message, or one naming the
+/// first unsupported timeline event's kind and its time in seconds.
+pub fn validate(cfg: &ScenarioConfig) -> Result<(), String> {
     cfg.validate()?;
     let timeline = cfg.faults.iter().flat_map(|plan| &plan.timeline);
     for event in timeline {
@@ -760,6 +774,17 @@ mod tests {
             }
         });
         run(&cfg);
+    }
+
+    #[test]
+    fn validate_names_the_rejected_event_and_its_time() {
+        let cfg = with_timeline_event(|_| TimedFault::Attrition {
+            at: robonet_des::SimDuration::from_secs(100.0),
+            robots: 1,
+        });
+        let err = validate(&cfg).expect_err("attrition is packet-only");
+        assert!(err.contains("attrition timeline event"), "{err}");
+        assert!(err.contains("at 100 s"), "{err}");
     }
 
     #[test]

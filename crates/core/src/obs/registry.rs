@@ -101,8 +101,7 @@ impl Log2Histogram {
     }
 
     /// Sum of all (finite) observed values (fixed-point accumulated —
-    /// deterministic and order-independent; see
-    /// [`DetSum`](super::detsum::DetSum)).
+    /// deterministic and order-independent; see [`DetSum`]).
     pub fn sum(&self) -> f64 {
         self.sum.value()
     }

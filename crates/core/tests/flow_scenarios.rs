@@ -5,14 +5,14 @@
 //! changes with `ROBONET_UPDATE_GOLDEN=1 cargo test -q -p robonet-core
 //! --test flow_scenarios`).
 //!
-//! The flow engine rejects partition and attrition timeline events, so
-//! scenarios holding them are skipped — and the skipped set is pinned,
-//! so a new library file cannot drop out of the gate unseen.
+//! The flow engine rejects partition and attrition timeline events
+//! (`fastsim::validate`), so scenarios holding them are skipped — and
+//! the skipped set is pinned, so a new library file cannot drop out of
+//! the gate unseen.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use robonet_core::fault::TimedFault;
 use robonet_core::{compile_scenario, fastsim, Overrides};
 
 #[test]
@@ -33,13 +33,7 @@ fn flow_engine_library_summaries_match_golden() {
         let cfg = compile_scenario(&source, &Overrides::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"))
             .cfg;
-        let packet_only = cfg.faults.iter().flat_map(|p| &p.timeline).any(|e| {
-            matches!(
-                e,
-                TimedFault::Partition { .. } | TimedFault::Attrition { .. }
-            )
-        });
-        if packet_only {
+        if fastsim::validate(&cfg).is_err() {
             skipped.push(name);
             continue;
         }

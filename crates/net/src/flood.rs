@@ -18,8 +18,8 @@ use robonet_des::NodeId;
 /// The table is a dense window indexed by origin id: the origins a
 /// sensor hears from are the robots, whose ids are contiguous, so the
 /// flood-relay hot path (`accept`) is one array load and one compare.
-/// Origins far outside the window (more than [`MAX_DENSE_SPAN`] ids
-/// apart) fall back to a small sorted spill vector.
+/// Origins far outside the window (more than 65 536 ids apart) fall
+/// back to a small sorted spill vector.
 #[derive(Debug, Clone, Default)]
 pub struct DedupTable {
     /// Origin id of `dense[0]`.

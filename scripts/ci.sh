@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, and smoke-run the benches — fully offline.
+# Tier-1 gate: build, test, golden artifacts and experiment runs — fully
+# offline.
 # The workspace has no registry dependencies (tests/hermetic.rs enforces
 # this), so --offline is not just a flag but a guarantee being tested.
 #
@@ -19,15 +20,16 @@ cd "$(dirname "$0")/.."
 
 # The full gate in order: `name` is the `--stage` handle, the function
 # is `stage_<name>`, and the label is what the log prints.
-all_stages=(fmt clippy build test golden_trace golden_spans timeline
+all_stages=(fmt clippy build doc test golden_trace golden_spans timeline
             replay_figs determinism sweep_determinism golden_figs
-            scenarios scale_smoke bench_smoke perfbench)
+            scenarios experiments scale perfbench)
 
 stage_label() {
     case "$1" in
         fmt) echo "rustfmt (check only)" ;;
         clippy) echo "clippy (all targets, warnings are errors)" ;;
         build) echo "build (release, offline)" ;;
+        doc) echo "rustdoc (warnings are errors)" ;;
         test) echo "tests (offline)" ;;
         golden_trace) echo "golden trace artifact" ;;
         golden_spans) echo "golden span decomposition" ;;
@@ -37,8 +39,8 @@ stage_label() {
         sweep_determinism) echo "sweep engine gate (--jobs 1 vs --jobs 4)" ;;
         golden_figs) echo "golden figures gate (paper-scale sweep)" ;;
         scenarios) echo "scenario library gate (golden summaries)" ;;
-        scale_smoke) echo "scale smoke (2000 sensors under wall budget)" ;;
-        bench_smoke) echo "bench smoke (one iteration per target)" ;;
+        experiments) echo "experiment binaries (one run each, non-empty tables)" ;;
+        scale) echo "1k/5k/10k-sensor runs (exact golden summaries)" ;;
         perfbench) echo "benchmark self-test and exact-ledger golden" ;;
         *) echo "$1" ;;
     esac
@@ -106,13 +108,18 @@ stage_build() {
     cargo build --release --offline --workspace
 }
 
+stage_doc() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+}
+
 stage_test() {
     cargo test -q --offline --workspace
 }
 
-# Absolute, because cargo runs bench binaries with the package dir
-# (crates/bench) as cwd — a relative ROBONET_BENCH_JSON would land there.
+# Absolute, because the experiments stage runs the figure binaries
+# from inside the artifact directory.
 artifact_dir="$PWD/target/ci-artifacts"
+release_dir="$PWD/target/release"
 
 stage_golden_trace() {
     mkdir -p "$artifact_dir"
@@ -289,34 +296,19 @@ stage_golden_figs() {
     fi
 }
 
-stage_scale_smoke() {
-    # A 2000-sensor fault-free run (paper density, 4x4 fleet) must
-    # finish inside a generous wall budget: the hot path regressing an
-    # order of magnitude fails CI instead of only slowing the benches.
-    mkdir -p "$artifact_dir"
-    local budget=120
-    local t0=$SECONDS
-    timeout "$budget" cargo run -q --release --offline -p robonet-cli --bin robonet -- \
-        run --alg dynamic --k 4 --sensors 2000 --scale 64 --seed 1 \
-        > "$artifact_dir/scale_smoke.txt" || {
-        echo "scale smoke failed or exceeded ${budget}s wall budget" >&2
-        exit 1
-    }
-    echo "    2000-sensor run: $((SECONDS - t0))s (budget ${budget}s)"
-    grep -q '^replacements:' "$artifact_dir/scale_smoke.txt" || {
-        echo "scale smoke produced no summary" >&2
-        exit 1
-    }
+# Copies stdin to stdout without its trailing blank lines.
+trim_trailing_blank() {
+    awk '
+        { lines[NR] = $0; if ($0 != "") last = NR }
+        END { for (i = 1; i <= last; i++) print lines[i] }
+    '
 }
 
 # A run summary with the legitimately non-deterministic wall-clock
 # `profile:` line and any trailing blank lines removed — the exact
 # normalization the scenario golden tests apply.
 normalize_summary() {
-    grep -v '^profile:' "$1" | awk '
-        { lines[NR] = $0; if ($0 != "") last = NR }
-        END { for (i = 1; i <= last; i++) print lines[i] }
-    '
+    grep -v '^profile:' "$1" | trim_trailing_blank
 }
 
 stage_scenarios() {
@@ -351,76 +343,75 @@ stage_scenarios() {
     fi
 }
 
-stage_bench_smoke() {
+# Runs one experiment binary of robonet-bench with the remaining
+# arguments; fails on a non-zero exit or when no stdout line matches the
+# table-row pattern `$2`.
+run_experiment() {
+    local bin="$1" row="$2"
+    shift 2
+    echo "--> $bin $*"
+    local out="$artifact_dir/experiment_${bin}.txt"
+    "$release_dir/$bin" "$@" > "$out"
+    grep -Eq "$row" "$out" || {
+        echo "experiments gate failed: $bin printed no table rows (see $out)" >&2
+        exit 1
+    }
+}
+
+stage_experiments() {
+    # Every paper experiment and ablation still runs and prints its
+    # table. The figure binaries write figN.svg into their cwd, so they
+    # run from inside the artifact directory.
     mkdir -p "$artifact_dir"
-    local bench
-    for bench in fig2_motion fig3_hops fig4_updates ablation_partition \
-                 ablation_broadcast ablation_dispatch ablation_baseline \
-                 micro_substrates degradation_curve; do
-        echo "--> $bench"
-        ROBONET_BENCH_SMOKE=1 cargo bench -q --offline -p robonet-bench --bench "$bench"
+    cargo build -q --release --offline -p robonet-bench --bins
+    run_experiment ablation_partition '^  (Square|Hex) +[0-9]+ robots: travel'
+    run_experiment ablation_broadcast '^  prune [a-z0-9.]+ *: updates'
+    run_experiment ablation_dispatch '^  lifetime +[0-9.]+s '
+    run_experiment ablation_baseline '^  (Direct|Cascaded): total'
+    run_experiment degradation_curve '^  [a-z()]+ +[0-9]+% '
+    local fig
+    for fig in fig2 fig3 fig4; do
+        (cd "$artifact_dir" &&
+            run_experiment "$fig" '^(fixed|dynamic|centralized) +[0-9]' \
+                --scale 64 --ks 2,3 --seeds 1)
+        test -s "$artifact_dir/$fig.svg" || {
+            echo "experiments gate failed: $fig wrote no $fig.svg" >&2
+            exit 1
+        }
     done
-    # The sweep-engine bench also asserts parallel == sequential before
-    # timing; its raw statistics become the BENCH_sweep.json artifact.
-    echo "--> sweep_engine"
-    ROBONET_BENCH_SMOKE=1 ROBONET_BENCH_JSON="$artifact_dir/BENCH_sweep.json" \
-        cargo bench -q --offline -p robonet-bench --bench sweep_engine
-    test -s "$artifact_dir/BENCH_sweep.json" || {
-        echo "BENCH_sweep.json artifact missing or empty" >&2
-        exit 1
-    }
-    # The packet-scale bench tracks simulator throughput across sizes;
-    # its raw statistics become the BENCH_scale.json artifact. The JSON
-    # writer appends, so drop any artifact left by an earlier run first.
-    echo "--> packet_scale"
-    rm -f "$artifact_dir/BENCH_scale.json"
-    ROBONET_BENCH_SMOKE=1 ROBONET_BENCH_JSON="$artifact_dir/BENCH_scale.json" \
-        cargo bench -q --offline -p robonet-bench --bench packet_scale
-    test -s "$artifact_dir/BENCH_scale.json" || {
-        echo "BENCH_scale.json artifact missing or empty" >&2
-        exit 1
-    }
-    # Telemetry guardrail: packet_scale runs NullSink with sampling
-    # disabled, so the sampling machinery must cost it nothing. Each
-    # smoke median must stay under 0.75x the committed pre-refactor
-    # baseline — the simulator currently runs at roughly half the
-    # baseline, so this trips well before a real regression ships
-    # while staying insensitive to shared-runner noise.
-    awk -F'"median_ns":' '
-        function bench_of(line) {
-            match(line, /"bench":"[^"]*"/)
-            return substr(line, RSTART + 9, RLENGTH - 10)
+}
+
+stage_scale() {
+    # Large-field work, gated exactly: paper-density fields at 1000,
+    # 5000 and 10000 sensors (dynamic, fault-free, x64, seed 1) must
+    # reproduce tests/golden/scale_packet.txt byte for byte — events,
+    # queue high-water, figures and the per-class transmission table.
+    # Only the wall-clock tail of the `profile:` line is dropped. Each
+    # run also has an order-of-magnitude wall budget (~7x a 2-core dev
+    # host) so a hot path slowed tenfold fails here, while host speed
+    # alone cannot turn the gate red.
+    mkdir -p "$artifact_dir"
+    cargo build -q --release --offline -p robonet-cli --bin robonet
+    local out="$artifact_dir/scale_packet.txt" size sensors k budget cmd
+    : > "$out"
+    for size in 1000:5:10 5000:10:60 10000:10:240; do
+        IFS=: read -r sensors k budget <<< "$size"
+        cmd=(run --alg dynamic --k "$k" --sensors "$sensors" --scale 64 --seed 1)
+        echo "--> $sensors sensors (budget ${budget}s)"
+        echo "# robonet ${cmd[*]}" >> "$out"
+        timeout "$budget" "$release_dir/robonet" "${cmd[@]}" \
+            > "$artifact_dir/scale_${sensors}.txt" || {
+            echo "scale gate: $sensors-sensor run failed or exceeded ${budget}s" >&2
+            exit 1
         }
-        NR==FNR { split($2, a, ","); base[bench_of($1)] = a[1]; next }
-        { split($2, a, ","); fresh[bench_of($1)] = a[1] }
-        END {
-            for (name in base) {
-                if (!(name in fresh)) {
-                    printf "bench %s missing from fresh artifact\n", \
-                           name > "/dev/stderr"
-                    bad = 1
-                } else if (fresh[name] + 0 > 0.75 * base[name]) {
-                    printf "%s: median %.0f ns > 0.75 x baseline %.0f ns\n", \
-                           name, fresh[name], base[name] > "/dev/stderr"
-                    bad = 1
-                }
-            }
-            # A bench present fresh but absent from the baseline would
-            # otherwise pass silently — and ship ungated forever.
-            for (name in fresh) {
-                if (!(name in base)) {
-                    printf "bench %s has no committed baseline — add it to %s\n", \
-                           name, \
-                           "tests/golden/BENCH_scale_baseline.json" > "/dev/stderr"
-                    bad = 1
-                }
-            }
-            exit bad
-        }
-    ' tests/golden/BENCH_scale_baseline.json "$artifact_dir/BENCH_scale.json" || {
-        echo "bench smoke: packet_scale regressed vs tests/golden/BENCH_scale_baseline.json" >&2
+        sed -E '/^profile:/s/ in [0-9.]+ wall-s \([0-9.]+x real time\)$//' \
+            "$artifact_dir/scale_${sensors}.txt" | trim_trailing_blank >> "$out"
+    done
+    if ! diff -u tests/golden/scale_packet.txt "$out"; then
+        echo "scale gate failed: large-field runs drifted from tests/golden/scale_packet.txt" >&2
+        echo "(to accept an intended change: cp $out tests/golden/scale_packet.txt)" >&2
         exit 1
-    }
+    fi
 }
 
 stage_perfbench() {
