@@ -620,7 +620,8 @@ fn run_manifest_json(outcome: &Outcome) -> String {
 /// `robonet stats <run.jsonl>`: re-derives the paper's per-failure
 /// overhead table from a trace artifact, without re-running. Travel and
 /// hop averages match the producing run's output exactly; the repair
-/// delay is reconstructed from event timestamps and is approximate.
+/// delay is reconstructed from event timestamps and matches it to
+/// within float rounding.
 fn cmd_stats(args: &[String]) -> Result<String, String> {
     let [path] = args else {
         return Err("usage: robonet stats <run.jsonl>".into());

@@ -445,7 +445,7 @@ impl Simulation {
             if let Some(hb) = self.progress.as_mut() {
                 if hb.due() {
                     let p = self.sched.profile();
-                    let open = self.spans.as_ref().map_or(0, SpanAssembler::open_count);
+                    let open = self.spans.as_ref().map_or(0, |a| a.ledger().open_count());
                     eprintln!(
                         "[progress] sim {:.0} s | wall {:.1} s | {} events | {} open spans",
                         p.sim_seconds, p.wall_seconds, p.events_dispatched, open
@@ -710,7 +710,7 @@ impl Simulation {
             checkpoint: Checkpoint {
                 failures: self.metrics.failures_occurred,
                 replacements: self.metrics.replacements,
-                open_spans: self.spans.as_ref().map(|a| a.open_count() as u64),
+                open_spans: self.spans.as_ref().map(|a| a.ledger().open_count() as u64),
                 robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
             },
         };

@@ -17,6 +17,11 @@
 //!   travel → install), online during a run or offline over a JSONL
 //!   artifact, with per-stage percentiles from a fixed-memory
 //!   [`QuantileSketch`].
+//! - **Repair ledger** — a [`RepairLedger`] matches each lifecycle
+//!   event to the open failure it belongs to and tracks how far every
+//!   open repair got ([`Milestone`]). Span assembly, [`ReplayState`]
+//!   and the live [`HealthMonitor`] each hold one, so open repairs by
+//!   milestone mean one thing in every view.
 //! - **Profiling** — wall-clock phase numbers from
 //!   [`robonet_des::SchedulerProfile`], surfaced by the CLI.
 //!
@@ -37,6 +42,7 @@
 
 pub mod detsum;
 pub mod json;
+pub mod ledger;
 pub mod quantile;
 pub mod registry;
 pub mod replay;
@@ -46,6 +52,7 @@ pub mod stats;
 pub mod timeline;
 
 pub use detsum::DetSum;
+pub use ledger::{Milestone, OpenRepair, RepairLedger};
 pub use quantile::{QuantileSketch, RELATIVE_ERROR, ZERO_THRESHOLD};
 pub use registry::{Log2Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use replay::{Film, LegRecord, OutageRecord, ReplaySetup, ReplayState, Replayer, SensorPhase};

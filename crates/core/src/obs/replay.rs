@@ -18,7 +18,8 @@
 //!   that `viz::anim` turns into an SMIL animation.
 //!
 //! Everything is deterministic: state is held in `BTreeMap`s keyed by
-//! node id, every rendered summary is a pure function of the events
+//! node id (the repair ledger lists open repairs in node-id order too),
+//! every rendered summary is a pure function of the events
 //! applied, and replaying a truncated prefix of a trace yields exactly
 //! the state the full replay passed through at the truncation point
 //! (property-tested in `tests/replay.rs`).
@@ -34,6 +35,7 @@ use crate::trace::TraceEvent;
 use crate::{field_deployment, FieldDeployment};
 
 use super::json;
+use super::ledger::RepairLedger;
 use super::sink::{LineCursor, TruncatedTail};
 
 /// Static scenario geometry recovered for a trace: the deployment the
@@ -259,17 +261,6 @@ impl RobotView {
     }
 }
 
-/// How far an open (unrepaired) failure has progressed through the
-/// repair lifecycle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenRepair {
-    /// When the sensor failed.
-    pub failed_at: f64,
-    /// Furthest lifecycle event reached (`"failure"`, `"detected"`,
-    /// `"report_delivered"` or `"dispatched"`).
-    pub reached: &'static str,
-}
-
 /// Event tallies at the replay instant (mirrors
 /// [`TraceAggregate`](super::TraceAggregate) counts, but time-bounded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -312,7 +303,7 @@ pub struct ReplayState {
     pub robot_speed: f64,
     sensors: BTreeMap<u32, SensorView>,
     robots: BTreeMap<u32, RobotView>,
-    open: BTreeMap<u32, VecDeque<OpenRepair>>,
+    ledger: RepairLedger,
     counts: ReplayCounts,
 }
 
@@ -339,7 +330,7 @@ impl ReplayState {
             robot_speed: setup.robot_speed,
             sensors,
             robots,
-            open: BTreeMap::new(),
+            ledger: RepairLedger::new(),
             counts: ReplayCounts::default(),
         }
     }
@@ -355,7 +346,7 @@ impl ReplayState {
             robot_speed: 1.0,
             sensors: BTreeMap::new(),
             robots: BTreeMap::new(),
-            open: BTreeMap::new(),
+            ledger: RepairLedger::new(),
             counts: ReplayCounts::default(),
         }
     }
@@ -372,21 +363,12 @@ impl ReplayState {
             .or_insert_with(|| RobotView::fresh(None))
     }
 
-    fn reach(&mut self, sensor: NodeId, stage: &'static str) {
-        if let Some(q) = self.open.get_mut(&sensor.as_u32()) {
-            // The earliest open failure that has not yet reached this
-            // stage advances (FIFO, like span assembly).
-            if let Some(r) = q.iter_mut().find(|r| r.reached != stage) {
-                r.reached = stage;
-            }
-        }
-    }
-
     /// Applies one event. Never panics on malformed streams: events
     /// that reference unknown nodes simply materialise them.
     pub fn apply(&mut self, event: &TraceEvent) {
         self.time = event.time();
         self.events += 1;
+        self.ledger.apply(event);
         match event {
             TraceEvent::Failure { t, sensor } => {
                 self.counts.failures += 1;
@@ -394,25 +376,11 @@ impl ReplayState {
                 s.failures += 1;
                 s.phase = SensorPhase::Down;
                 s.down_since = Some(*t);
-                self.open
-                    .entry(sensor.as_u32())
-                    .or_default()
-                    .push_back(OpenRepair {
-                        failed_at: *t,
-                        reached: "failure",
-                    });
             }
-            TraceEvent::Detected { failed, .. } => {
-                self.counts.detections += 1;
-                self.reach(*failed, "detected");
-            }
-            TraceEvent::ReportDelivered { failed, .. } => {
-                self.counts.reports_delivered += 1;
-                self.reach(*failed, "report_delivered");
-            }
-            TraceEvent::Dispatched { robot, failed, .. } => {
+            TraceEvent::Detected { .. } => self.counts.detections += 1,
+            TraceEvent::ReportDelivered { .. } => self.counts.reports_delivered += 1,
+            TraceEvent::Dispatched { robot, .. } => {
                 self.counts.dispatches += 1;
-                self.reach(*failed, "dispatched");
                 self.robot(*robot).queue += 1;
             }
             TraceEvent::RobotLegStarted {
@@ -444,11 +412,7 @@ impl ReplayState {
                 r.travel += travel;
             }
             TraceEvent::Replaced {
-                t,
-                robot,
-                sensor,
-                loc,
-                ..
+                robot, sensor, loc, ..
             } => {
                 self.counts.replacements += 1;
                 let s = self.sensor(*sensor);
@@ -456,13 +420,6 @@ impl ReplayState {
                 s.replacements += 1;
                 s.down_since = None;
                 s.loc = Some(*loc);
-                let _ = t;
-                if let Some(q) = self.open.get_mut(&sensor.as_u32()) {
-                    q.pop_front();
-                    if q.is_empty() {
-                        self.open.remove(&sensor.as_u32());
-                    }
-                }
                 let r = self.robot(*robot);
                 r.installs += 1;
                 r.queue = r.queue.saturating_sub(1);
@@ -501,11 +458,9 @@ impl ReplayState {
         self.robots.iter().map(|(&id, v)| (id, v))
     }
 
-    /// Open (failed, unreplaced) repairs in node-id order.
-    pub fn open_repairs(&self) -> impl Iterator<Item = (u32, &OpenRepair)> {
-        self.open
-            .iter()
-            .flat_map(|(&id, q)| q.iter().map(move |r| (id, r)))
+    /// The open (failed, unreplaced) repairs.
+    pub fn ledger(&self) -> &RepairLedger {
+        &self.ledger
     }
 
     /// Sensors currently down.
@@ -551,18 +506,16 @@ impl ReplayState {
             "failures:             {} ({} replaced, {} open)",
             self.counts.failures,
             self.counts.replacements,
-            self.open.values().map(VecDeque::len).sum::<usize>()
+            self.ledger.open_count()
         );
-        for (id, r) in &self.open {
-            for o in r {
-                let _ = writeln!(
-                    out,
-                    "  open: sensor {:>4} down {:>9.1} s, reached {}",
-                    id,
-                    clock - o.failed_at,
-                    o.reached
-                );
-            }
+        for (id, o) in self.ledger.open_repairs() {
+            let _ = writeln!(
+                out,
+                "  open: sensor {:>4} down {:>9.1} s, reached {}",
+                id,
+                clock - o.failed_at,
+                o.reached().label()
+            );
         }
         let _ = writeln!(
             out,
@@ -624,7 +577,7 @@ impl ReplayState {
             self.events,
             self.sensors.len() - self.down_count(),
             self.sensors.len(),
-            self.open.values().map(VecDeque::len).sum::<usize>(),
+            self.ledger.open_count(),
             self.en_route_count(),
             self.counts.replacements,
             self.counts.failures,
@@ -825,6 +778,7 @@ impl Film {
 mod tests {
     use super::*;
     use crate::config::Algorithm;
+    use crate::obs::ledger::Milestone;
     use crate::obs::sink::{event_to_jsonl, trace_header};
 
     fn story() -> Vec<TraceEvent> {
@@ -911,8 +865,8 @@ mod tests {
         assert_eq!(mid.counts().replacements, 0);
         assert_eq!(mid.down_count(), 1);
         assert_eq!(mid.en_route_count(), 1);
-        let (_, open) = mid.open_repairs().next().unwrap();
-        assert_eq!(open.reached, "dispatched");
+        let (_, open) = mid.ledger().open_repairs().next().unwrap();
+        assert_eq!(open.reached(), Milestone::Dispatched);
         // In-flight interpolation: 19 s into a 50 m leg at 1 m/s along
         // the 3-4-5 direction.
         let robot = mid.robots().find(|(id, _)| *id == 200).unwrap().1;
@@ -923,7 +877,7 @@ mod tests {
         let done = state_at(&setup, &events, 1e9);
         assert_eq!(done.counts().replacements, 1);
         assert_eq!(done.down_count(), 0);
-        assert_eq!(done.open_repairs().count(), 0);
+        assert_eq!(done.ledger().open_count(), 0);
         let robot = done.robots().find(|(id, _)| *id == 200).unwrap().1;
         assert_eq!(robot.loc, Some(Point::new(30.0, 40.0)));
         assert_eq!(robot.legs_done, 1);

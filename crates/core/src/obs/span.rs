@@ -29,12 +29,13 @@
 //! never repaired, events that match no open span, out-of-order
 //! timestamps — are flagged on the [`SpanReport`], never panicked on.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use robonet_des::NodeId;
 
 use crate::trace::TraceEvent;
 
+use super::ledger::{Milestone, OpenRepair, RepairLedger};
 use super::quantile::QuantileSketch;
 use super::sink::{for_each_event_line, TruncatedTail};
 
@@ -139,33 +140,8 @@ pub struct OrphanSpan {
     pub sensor: NodeId,
     /// When it failed.
     pub failed_at: f64,
-    /// The furthest lifecycle event the failure reached
-    /// (`"failure"`, `"detected"`, `"report_delivered"` or
-    /// `"dispatched"`).
-    pub reached: &'static str,
-}
-
-/// A span mid-assembly: timestamps filled in as events arrive.
-#[derive(Debug, Clone)]
-struct OpenSpan {
-    failed_at: f64,
-    detected_at: Option<f64>,
-    report_at: Option<f64>,
-    dispatched_at: Option<f64>,
-}
-
-impl OpenSpan {
-    fn reached(&self) -> &'static str {
-        if self.dispatched_at.is_some() {
-            "dispatched"
-        } else if self.report_at.is_some() {
-            "report_delivered"
-        } else if self.detected_at.is_some() {
-            "detected"
-        } else {
-            "failure"
-        }
-    }
+    /// The furthest lifecycle milestone the failure reached.
+    pub reached: Milestone,
 }
 
 /// Correlates a stream of [`TraceEvent`]s into [`RepairSpan`]s.
@@ -178,13 +154,11 @@ impl OpenSpan {
 /// never reaches the report.
 #[derive(Debug, Default)]
 pub struct SpanAssembler {
-    open: HashMap<NodeId, VecDeque<OpenSpan>>,
+    ledger: RepairLedger,
     last_leg_end: HashMap<NodeId, f64>,
     closed: Vec<RepairSpan>,
     failures: u64,
-    unmatched_events: u64,
     out_of_order: u64,
-    redispatches: u64,
     stage_sketches: [QuantileSketch; 5],
     total_sketch: QuantileSketch,
 }
@@ -195,9 +169,9 @@ impl SpanAssembler {
         Self::default()
     }
 
-    /// Number of spans still open (failed, not yet replaced).
-    pub fn open_count(&self) -> usize {
-        self.open.values().map(VecDeque::len).sum()
+    /// The open-repair ledger (failed, not yet replaced).
+    pub fn ledger(&self) -> &RepairLedger {
+        &self.ledger
     }
 
     /// Number of spans closed so far.
@@ -206,89 +180,27 @@ impl SpanAssembler {
     }
 
     /// Consumes one event. Never panics on malformed streams: events
-    /// that match no open span bump `unmatched_events`, negative stage
+    /// that match no open span count as unmatched, negative stage
     /// intervals bump `out_of_order` and drop that stage to `None`.
     pub fn ingest(&mut self, event: &TraceEvent) {
+        let closed = self.ledger.apply(event);
         match event {
-            TraceEvent::Failure { t, sensor } => {
-                self.failures += 1;
-                self.open.entry(*sensor).or_default().push_back(OpenSpan {
-                    failed_at: *t,
-                    detected_at: None,
-                    report_at: None,
-                    dispatched_at: None,
-                });
-            }
-            TraceEvent::Detected { t, failed, .. } => {
-                let t = *t;
-                self.stamp(
-                    *failed,
-                    |s| s.detected_at.is_none(),
-                    |s| s.detected_at = Some(t),
-                );
-            }
-            TraceEvent::ReportDelivered { t, failed, .. } => {
-                let t = *t;
-                self.stamp(
-                    *failed,
-                    |s| s.report_at.is_none(),
-                    |s| s.report_at = Some(t),
-                );
-            }
-            TraceEvent::Dispatched { t, failed, .. } => {
-                let t = *t;
-                match self.open.get_mut(failed) {
-                    Some(spans) if !spans.is_empty() => {
-                        match spans.iter_mut().find(|s| s.dispatched_at.is_none()) {
-                            Some(span) => span.dispatched_at = Some(t),
-                            // Every open span for this sensor is already
-                            // dispatched: the recovery protocol re-dispatched
-                            // a stalled repair. The first dispatch keeps the
-                            // stage decomposition (the failure's clock
-                            // started then); the re-dispatch is counted, not
-                            // flagged as an anomaly.
-                            None => self.redispatches += 1,
-                        }
-                    }
-                    _ => self.unmatched_events += 1,
-                }
-            }
+            TraceEvent::Failure { .. } => self.failures += 1,
             TraceEvent::RobotLegEnded { t, robot, .. } => {
                 self.last_leg_end.insert(*robot, *t);
             }
             TraceEvent::Replaced {
                 t, robot, sensor, ..
-            } => match self.open.get_mut(sensor).and_then(VecDeque::pop_front) {
-                Some(span) => self.close(span, *sensor, *t, *robot),
-                None => self.unmatched_events += 1,
-            },
+            } => {
+                if let Some(span) = closed {
+                    self.close(span, *sensor, *t, *robot);
+                }
+            }
             _ => {}
         }
     }
 
-    /// Applies `set` to the first open span for `sensor` that still
-    /// wants this lifecycle timestamp (FIFO — repeated failures of one
-    /// sensor resolve in order). Re-occurrences for an already-stamped
-    /// span (report retries, duplicate deliveries) are normal protocol
-    /// behaviour and ignored; an event for a sensor with no open span
-    /// at all is counted as unmatched.
-    fn stamp(
-        &mut self,
-        sensor: NodeId,
-        wants: impl Fn(&OpenSpan) -> bool,
-        set: impl FnOnce(&mut OpenSpan),
-    ) {
-        match self.open.get_mut(&sensor) {
-            Some(spans) if !spans.is_empty() => {
-                if let Some(span) = spans.iter_mut().find(|s| wants(s)) {
-                    set(span);
-                }
-            }
-            _ => self.unmatched_events += 1,
-        }
-    }
-
-    fn close(&mut self, span: OpenSpan, sensor: NodeId, replaced_at: f64, robot: NodeId) {
+    fn close(&mut self, span: OpenRepair, sensor: NodeId, replaced_at: f64, robot: NodeId) {
         // The serving robot's final leg ends at the replacement instant;
         // accept its recorded leg end only if it falls inside the span
         // (a stale end from an earlier task must not leak in).
@@ -337,16 +249,14 @@ impl SpanAssembler {
 
     /// Closes the books: remaining open spans become orphans (sorted by
     /// `(failed_at, sensor)` for determinism).
-    pub fn finish(mut self) -> SpanReport {
+    pub fn finish(self) -> SpanReport {
         let mut orphans: Vec<OrphanSpan> = self
-            .open
-            .drain()
-            .flat_map(|(sensor, spans)| {
-                spans.into_iter().map(move |s| OrphanSpan {
-                    sensor,
-                    failed_at: s.failed_at,
-                    reached: s.reached(),
-                })
+            .ledger
+            .open_repairs()
+            .map(|(sensor, s)| OrphanSpan {
+                sensor: NodeId::new(sensor),
+                failed_at: s.failed_at,
+                reached: s.reached(),
             })
             .collect();
         orphans.sort_by(|a, b| {
@@ -358,9 +268,9 @@ impl SpanAssembler {
             spans: self.closed,
             orphans,
             failures: self.failures,
-            unmatched_events: self.unmatched_events,
+            unmatched_events: self.ledger.unmatched,
             out_of_order: self.out_of_order,
-            redispatches: self.redispatches,
+            redispatches: self.ledger.redispatches,
             truncated: None,
             stage_sketches: self.stage_sketches,
             total_sketch: self.total_sketch,
@@ -654,15 +564,15 @@ mod tests {
             guardian: NodeId::new(1),
             failed: NodeId::new(4),
         });
-        assert_eq!(a.open_count(), 2);
+        assert_eq!(a.ledger().open_count(), 2);
         let report = a.finish();
         assert_eq!(report.failures, 2);
         assert_eq!(report.replacements(), 0);
         assert_eq!(report.orphans.len(), 2);
         assert_eq!(report.orphans[0].sensor, NodeId::new(8), "sorted by time");
-        assert_eq!(report.orphans[0].reached, "failure");
+        assert_eq!(report.orphans[0].reached, Milestone::Failure);
         assert_eq!(report.orphans[1].sensor, NodeId::new(4));
-        assert_eq!(report.orphans[1].reached, "detected");
+        assert_eq!(report.orphans[1].reached, Milestone::Detected);
     }
 
     #[test]

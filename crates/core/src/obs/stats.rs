@@ -9,7 +9,6 @@
 //! reproduce it bit-exactly.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
 use robonet_des::NodeId;
 
@@ -66,11 +65,11 @@ pub struct TraceAggregate {
     /// Hops of each delivered report, in event order — the same samples
     /// as `Metrics::report_hops`.
     pub report_hops: Vec<u32>,
-    /// Dispatch→installation delay per replacement, reconstructed by
-    /// pairing each `replaced` event with the earliest unmatched
-    /// `dispatched` event for the same failed node. Seconds; an
-    /// approximation of the in-process metric (which subtracts
-    /// nanosecond timestamps before converting).
+    /// Dispatch→installation delay per replacement, in seconds: each
+    /// `replaced` event minus the last `dispatched` event that gave the
+    /// installing robot its task for that sensor — the dispatch the run
+    /// itself measures from. Matches the in-process samples to within
+    /// float rounding (the run subtracts nanosecond timestamps).
     pub repair_delay: Vec<f64>,
     /// Packet drops by reason.
     pub drops: DropCounts,
@@ -110,13 +109,16 @@ impl TraceAggregate {
     /// the complete prefix is aggregated normally.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut agg = TraceAggregate::default();
-        let mut pending_dispatch: HashMap<NodeId, VecDeque<f64>> = HashMap::new();
+        let mut pending_dispatch: HashMap<(NodeId, NodeId), f64> = HashMap::new();
         let tail = for_each_event_line(text, |event| agg.ingest(event, &mut pending_dispatch))?;
         agg.truncated = tail;
         Ok(agg)
     }
 
-    fn ingest(&mut self, event: &TraceEvent, pending: &mut HashMap<NodeId, VecDeque<f64>>) {
+    /// `pending` holds, per `(robot, sensor)`, the time of the dispatch
+    /// that robot's task for the sensor dates from: a robot holds one
+    /// task per sensor, so a later dispatch to it replaces the earlier.
+    fn ingest(&mut self, event: &TraceEvent, pending: &mut HashMap<(NodeId, NodeId), f64>) {
         self.events += 1;
         match event {
             TraceEvent::Failure { .. } => self.failures += 1,
@@ -125,16 +127,22 @@ impl TraceAggregate {
                 self.reports_delivered += 1;
                 self.report_hops.push(*hops);
             }
-            TraceEvent::Dispatched { t, failed, .. } => {
+            TraceEvent::Dispatched {
+                t, robot, failed, ..
+            } => {
                 self.dispatches += 1;
-                pending.entry(*failed).or_default().push_back(*t);
+                pending.insert((*robot, *failed), *t);
             }
             TraceEvent::Replaced {
-                t, sensor, travel, ..
+                t,
+                robot,
+                sensor,
+                travel,
+                ..
             } => {
                 self.replacements += 1;
                 self.travel_per_task.push(*travel);
-                if let Some(dispatched_at) = pending.get_mut(sensor).and_then(VecDeque::pop_front) {
+                if let Some(dispatched_at) = pending.remove(&(*robot, *sensor)) {
                     self.repair_delay.push(t - dispatched_at);
                 }
             }
@@ -169,8 +177,8 @@ impl TraceAggregate {
         mean_u32(&self.report_hops).unwrap_or(0.0)
     }
 
-    /// Mean reconstructed dispatch→installation delay (0.0 when no
-    /// replacements matched a dispatch).
+    /// Mean dispatch→installation delay (0.0 when no replacements
+    /// matched a dispatch).
     pub fn avg_repair_delay(&self) -> f64 {
         mean_f64(&self.repair_delay).unwrap_or(0.0)
     }
@@ -262,10 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn repeated_failures_of_one_node_pair_fifo() {
-        // The same sensor id can fail, be replaced, and fail again; the
-        // delay pairing must match dispatches to replacements in order.
+    fn delays_pair_with_the_installing_robots_dispatch() {
+        // Robot 201's order stalls and robot 200 is sent instead; then
+        // the same sensor fails, is replaced, and fails again. Each
+        // delay runs from the dispatch that gave the installer its task.
         let events = vec![
+            TraceEvent::Dispatched {
+                t: 5.0,
+                robot: NodeId::new(201),
+                failed: NodeId::new(5),
+                departed: true,
+            },
             TraceEvent::Dispatched {
                 t: 10.0,
                 robot: NodeId::new(200),

@@ -7,8 +7,8 @@
 //! and offline tools reconstruct bit-exact values from the artifact.
 //!
 //! Alongside the sampler runs a [`HealthMonitor`]: an event-ledger
-//! shadow of the simulation (the same FIFO stage taxonomy the replay
-//! engine uses) whose conservation invariants are checked at every
+//! shadow of the simulation (a [`RepairLedger`], as span assembly and
+//! replay hold) whose conservation invariants are checked at every
 //! sample. A simulation whose counters drift from its own event stream
 //! emits a typed [`TraceEvent::InvariantViolated`] instead of silently
 //! diverging.
@@ -18,10 +18,9 @@
 //! through the same shortest-round-trip formatting the artifact uses,
 //! so `robonet timeline --csv` is byte-identical to the live values.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use crate::trace::TraceEvent;
 
+use super::ledger::RepairLedger;
 use super::sink::{for_each_event_line, TruncatedTail};
 
 /// A conservation invariant the [`HealthMonitor`] checks at each
@@ -293,12 +292,6 @@ impl Timeline {
     }
 }
 
-/// What the [`HealthMonitor`] believes about one open repair: the
-/// furthest lifecycle stage its events have reached (the replay
-/// engine's taxonomy: `"failure"`, `"detected"`, `"report_delivered"`,
-/// `"dispatched"`).
-type Stage = &'static str;
-
 /// Sim-side counter values handed to [`HealthMonitor::check`] — the
 /// ground truth the event ledger is compared against.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -316,15 +309,12 @@ pub struct Checkpoint {
 /// An event-ledger shadow of the repair pipeline, used to check
 /// conservation invariants online.
 ///
-/// The monitor ingests the same event stream the sink sees and keeps a
-/// FIFO per-sensor open-repair ledger exactly like the offline replay
-/// engine, so "open repairs by furthest stage" means the same thing
-/// live and in `robonet replay`.
+/// The monitor ingests the same event stream the sink sees into its
+/// own [`RepairLedger`], so "open repairs by furthest milestone" means
+/// the same thing live, in `robonet spans` and in `robonet replay`.
 #[derive(Debug, Default)]
 pub struct HealthMonitor {
-    open: BTreeMap<u32, VecDeque<Stage>>,
-    failures: u64,
-    replacements: u64,
+    ledger: RepairLedger,
     robot_deaths: u64,
     robot_repairs: u64,
 }
@@ -337,64 +327,18 @@ impl HealthMonitor {
 
     /// Consumes one event into the ledger.
     pub fn ingest(&mut self, event: &TraceEvent) {
+        self.ledger.apply(event);
         match event {
-            TraceEvent::Failure { sensor, .. } => {
-                self.failures += 1;
-                self.open
-                    .entry(sensor.as_u32())
-                    .or_default()
-                    .push_back("failure");
-            }
-            TraceEvent::Detected { failed, .. } => self.reach(failed.as_u32(), "detected"),
-            TraceEvent::ReportDelivered { failed, .. } => {
-                self.reach(failed.as_u32(), "report_delivered");
-            }
-            TraceEvent::Dispatched { failed, .. } => self.reach(failed.as_u32(), "dispatched"),
-            TraceEvent::Replaced { sensor, .. } => {
-                self.replacements += 1;
-                if let Some(q) = self.open.get_mut(&sensor.as_u32()) {
-                    q.pop_front();
-                    if q.is_empty() {
-                        self.open.remove(&sensor.as_u32());
-                    }
-                }
-            }
             TraceEvent::RobotDied { .. } => self.robot_deaths += 1,
             TraceEvent::RobotRepaired { .. } => self.robot_repairs += 1,
             _ => {}
         }
     }
 
-    /// Advances the earliest open repair for `sensor` that has not yet
-    /// reached `stage` (FIFO, mirroring replay's `reach`).
-    fn reach(&mut self, sensor: u32, stage: Stage) {
-        if let Some(q) = self.open.get_mut(&sensor) {
-            if let Some(r) = q.iter_mut().find(|r| **r != stage) {
-                *r = stage;
-            }
-        }
-    }
-
-    /// Open repairs in the ledger (orphaned failures stay open
-    /// forever — they were never replaced).
-    pub fn open_total(&self) -> u64 {
-        self.open.values().map(|q| q.len() as u64).sum()
-    }
-
-    /// Open repairs bucketed by furthest stage:
-    /// `[failure, detected, report_delivered, dispatched]`.
-    pub fn stage_counts(&self) -> [u32; 4] {
-        let mut counts = [0u32; 4];
-        for stage in self.open.values().flatten() {
-            let slot = match *stage {
-                "failure" => 0,
-                "detected" => 1,
-                "report_delivered" => 2,
-                _ => 3,
-            };
-            counts[slot] += 1;
-        }
-        counts
+    /// The open-repair ledger (orphaned failures stay open forever —
+    /// they were never replaced).
+    pub fn ledger(&self) -> &RepairLedger {
+        &self.ledger
     }
 
     /// Checks every invariant against the sim-side `checkpoint`,
@@ -415,13 +359,14 @@ impl HealthMonitor {
         // Every counted failure is either replaced or still in the
         // ledger (open or orphaned); a mismatch means the simulation's
         // counters and its own event stream tell different stories.
+        let open = self.ledger.open_count() as u64;
         verify(
             Invariant::RepairConservation,
-            checkpoint.replacements + self.open_total(),
+            checkpoint.replacements + open,
             checkpoint.failures,
         );
         if let Some(spans) = checkpoint.open_spans {
-            verify(Invariant::SpanBalance, self.open_total(), spans);
+            verify(Invariant::SpanBalance, open, spans);
         }
         verify(
             Invariant::FleetLiveness,
@@ -514,13 +459,13 @@ mod tests {
         let mut m = HealthMonitor::new();
         let s = NodeId::new(4);
         m.ingest(&TraceEvent::Failure { t: 1.0, sensor: s });
-        assert_eq!(m.stage_counts(), [1, 0, 0, 0]);
+        assert_eq!(m.ledger().stage_counts(), [1, 0, 0, 0]);
         m.ingest(&TraceEvent::Detected {
             t: 2.0,
             guardian: NodeId::new(1),
             failed: s,
         });
-        assert_eq!(m.stage_counts(), [0, 1, 0, 0]);
+        assert_eq!(m.ledger().stage_counts(), [0, 1, 0, 0]);
         m.ingest(&TraceEvent::ReportDelivered {
             t: 3.0,
             manager: NodeId::new(99),
@@ -533,8 +478,8 @@ mod tests {
             failed: s,
             departed: true,
         });
-        assert_eq!(m.stage_counts(), [0, 0, 0, 1]);
-        assert_eq!(m.open_total(), 1);
+        assert_eq!(m.ledger().stage_counts(), [0, 0, 0, 1]);
+        assert_eq!(m.ledger().open_count(), 1);
         m.ingest(&TraceEvent::Replaced {
             t: 9.0,
             robot: NodeId::new(100),
@@ -542,7 +487,7 @@ mod tests {
             travel: 12.0,
             loc: robonet_geom::Point::new(1.0, 2.0),
         });
-        assert_eq!(m.open_total(), 0);
+        assert_eq!(m.ledger().open_count(), 0);
     }
 
     #[test]

@@ -303,7 +303,8 @@ impl World {
     ) -> (TelemetrySnapshot, Vec<TraceEvent>) {
         let robots = gauges.robots;
         let alive = gauges.alive.iter().filter(|&&a| a).count();
-        let [open_failure, open_detected, open_reported, open_dispatched] = health.stage_counts();
+        let [open_failure, open_detected, open_reported, open_dispatched] =
+            health.ledger().stage_counts();
         let sample = TelemetrySnapshot {
             alive: alive as u32,
             down: (gauges.alive.len() - alive) as u32,

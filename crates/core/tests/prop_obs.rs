@@ -1,13 +1,18 @@
 //! Property tests for the observability layer: the streaming quantile
 //! sketch against exact order statistics, the quickselect percentile
 //! against a sort-based reference, the span assembler's accounting
-//! invariants over randomized well-formed repair workloads, and the
-//! trace-line decoder against the event writer and `json::parse`.
+//! invariants over randomized well-formed repair workloads, the one
+//! repair ledger behind span assembly, replay and the health monitor
+//! over duplicate-ridden lifecycles, and the trace-line decoder against
+//! the event writer and `json::parse`.
+
+use std::collections::BTreeMap;
 
 use robonet_core::metrics::percentile;
 use robonet_core::obs::json::{self, JsonValue};
 use robonet_core::obs::{
-    event_from_jsonl, event_to_jsonl, QuantileSketch, SpanAssembler, RELATIVE_ERROR, ZERO_THRESHOLD,
+    event_from_jsonl, event_to_jsonl, HealthMonitor, Milestone, QuantileSketch, RepairLedger,
+    ReplayState, SpanAssembler, RELATIVE_ERROR, ZERO_THRESHOLD,
 };
 use robonet_core::trace::TraceEvent;
 use robonet_des::check::{self, Outcome};
@@ -177,6 +182,141 @@ fn assembler_conserves_failures() {
         }
         Outcome::Pass
     });
+}
+
+/// One lifecycle event: `(kind, sensor)` with kind 0 = failure,
+/// 1 = detected, 2 = report delivered, 3 = dispatched, 4 = replaced.
+type LedgerStep = (usize, u32);
+
+/// Interleaved lifecycles of three sensors in any order: repeated
+/// failures, duplicate detections and reports, re-dispatches (to
+/// either of two robots), and events with no open failure at all.
+fn ledger_steps() -> check::Gen<Vec<LedgerStep>> {
+    check::vec_of(check::pair(check::usizes(0..5), check::u32s(0..3)), 1..60)
+}
+
+fn ledger_event(i: usize, &(kind, sensor): &LedgerStep) -> TraceEvent {
+    let t = i as f64;
+    let sensor = NodeId::new(sensor);
+    let robot = NodeId::new(100 + (i % 2) as u32);
+    match kind {
+        0 => TraceEvent::Failure { t, sensor },
+        1 => TraceEvent::Detected {
+            t,
+            guardian: NodeId::new(50),
+            failed: sensor,
+        },
+        2 => TraceEvent::ReportDelivered {
+            t,
+            manager: robot,
+            failed: sensor,
+            hops: 2,
+        },
+        3 => TraceEvent::Dispatched {
+            t,
+            robot,
+            failed: sensor,
+            departed: true,
+        },
+        _ => TraceEvent::Replaced {
+            t,
+            robot,
+            sensor,
+            travel: 1.0,
+            loc: Point::new(0.0, 0.0),
+        },
+    }
+}
+
+/// Each open repair's furthest milestone, per sensor in FIFO order.
+fn milestones(ledger: &RepairLedger) -> BTreeMap<u32, Vec<Milestone>> {
+    let mut out: BTreeMap<u32, Vec<Milestone>> = BTreeMap::new();
+    for (sensor, repair) in ledger.open_repairs() {
+        out.entry(sensor).or_default().push(repair.reached());
+    }
+    out
+}
+
+/// Feeds `events` to the health monitor, replay and span assembly,
+/// asserting after every event that the three agree on the open
+/// repairs per milestone and that no open repair moved backwards.
+fn assert_ledgers_agree_and_advance(events: &[TraceEvent]) {
+    let mut monitor = HealthMonitor::new();
+    let mut replay = ReplayState::discovering();
+    let mut spans = SpanAssembler::new();
+    let mut before: [BTreeMap<u32, Vec<Milestone>>; 3] = Default::default();
+    for (i, ev) in events.iter().enumerate() {
+        monitor.ingest(ev);
+        replay.apply(ev);
+        spans.ingest(ev);
+        let ledgers = [monitor.ledger(), replay.ledger(), spans.ledger()];
+        let counts = ledgers.map(RepairLedger::stage_counts);
+        assert!(
+            counts[1] == counts[0] && counts[2] == counts[0],
+            "monitor/replay/spans disagree after event {i} ({ev:?}): {counts:?}"
+        );
+        for (ledger, was) in ledgers.iter().zip(before.iter_mut()) {
+            if let TraceEvent::Replaced { sensor, .. } = ev {
+                // The closed repair leaves the front of its queue.
+                if let Some(queue) = was.get_mut(&sensor.as_u32()).filter(|q| !q.is_empty()) {
+                    queue.remove(0);
+                }
+            }
+            let now = milestones(ledger);
+            for (sensor, old) in was.iter() {
+                let new = now.get(sensor).map_or(&[][..], Vec::as_slice);
+                assert!(new.len() >= old.len(), "a repair vanished at event {i}");
+                for (old, new) in old.iter().zip(new) {
+                    assert!(
+                        new >= old,
+                        "sensor {sensor} moved back from {} to {} at event {i}: {ev:?}",
+                        old.label(),
+                        new.label()
+                    );
+                }
+            }
+            *was = now;
+        }
+    }
+}
+
+/// The three holders of the repair ledger never disagree on open
+/// repairs per milestone, and no repair's milestone ever decreases,
+/// however many duplicates and re-dispatches the stream carries.
+#[test]
+fn ledgers_agree_and_never_move_backwards() {
+    check::forall(
+        "ledgers_agree_and_never_move_backwards",
+        &ledger_steps(),
+        |steps| {
+            let events: Vec<TraceEvent> = steps
+                .iter()
+                .enumerate()
+                .map(|(i, step)| ledger_event(i, step))
+                .collect();
+            assert_ledgers_agree_and_advance(&events);
+            Outcome::Pass
+        },
+    );
+}
+
+/// The shrunk counterexample from when replay and the health monitor
+/// kept their own stage ledgers: a duplicate report after the dispatch
+/// moved the repair back to `report_delivered` (`[0, 0, 1, 0]`).
+#[test]
+fn a_duplicate_report_after_dispatch_keeps_the_repair_dispatched() {
+    let steps = [(0, 0), (1, 0), (2, 0), (3, 0), (2, 0)];
+    let events: Vec<TraceEvent> = steps
+        .iter()
+        .enumerate()
+        .map(|(i, step)| ledger_event(i, step))
+        .collect();
+    assert_ledgers_agree_and_advance(&events);
+    let mut monitor = HealthMonitor::new();
+    for ev in &events {
+        monitor.ingest(ev);
+    }
+    assert_eq!(monitor.ledger().stage_counts(), [0, 0, 0, 1]);
 }
 
 /// Splitting any observation stream across any number of per-cell

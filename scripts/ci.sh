@@ -121,6 +121,31 @@ stage_test() {
 artifact_dir="$PWD/target/ci-artifacts"
 release_dir="$PWD/target/release"
 
+# `robonet stats` over a trace must answer like the `run` that wrote
+# it: the counts and the Figure 2/3 averages verbatim (bit-exact by
+# construction), and the repair delay to the printed precision (the
+# run subtracts nanosecond timestamps, stats second-valued ones).
+stats_agrees_with_run() {
+    local run_out="$1" stats_out="$2"
+    local key a b
+    for key in "failures:" "replacements:" "travel per failure:" "report hops:"; do
+        a=$(grep -F "$key" "$run_out")
+        b=$(grep -F "$key" "$stats_out")
+        if [ "$a" != "$b" ]; then
+            echo "stats disagrees with run on \`$key\` ($stats_out):" >&2
+            echo "  run:   $a" >&2
+            echo "  stats: $b" >&2
+            exit 1
+        fi
+    done
+    a=$(awk '/^repair delay:/ {print $3}' "$run_out")
+    b=$(awk '/^repair delay:/ {print $3}' "$stats_out")
+    if [ -z "$a" ] || [ "$a" != "$b" ]; then
+        echo "stats disagrees with run on the repair delay ($stats_out): run $a s, stats $b s" >&2
+        exit 1
+    fi
+}
+
 stage_golden_trace() {
     mkdir -p "$artifact_dir"
     local trace="$artifact_dir/golden.jsonl"
@@ -137,19 +162,15 @@ stage_golden_trace() {
         exit 1
     fi
     robonet stats "$trace" > "$stats_out"
-    # The offline aggregate must reproduce the run's own headline
-    # figures verbatim (travel and hops are bit-exact by construction).
-    local key a b
-    for key in "failures:" "replacements:" "travel per failure:" "report hops:"; do
-        a=$(grep -F "$key" "$run_out")
-        b=$(grep -F "$key" "$stats_out")
-        if [ "$a" != "$b" ]; then
-            echo "stats disagrees with run on \`$key\`:" >&2
-            echo "  run:   $a" >&2
-            echo "  stats: $b" >&2
-            exit 1
-        fi
-    done
+    stats_agrees_with_run "$run_out" "$stats_out"
+    # A lossy run re-dispatches stalled repairs; the fault-free golden
+    # trace carries no redispatch, so it cannot catch a stats fold that
+    # mispairs dispatches with replacements.
+    local lossy="$artifact_dir/lossy.jsonl"
+    robonet run --alg centralized --k 2 --scale 64 --seed 1 --loss 0.2 \
+        --trace-out "$lossy" > "$artifact_dir/lossy.run.txt"
+    robonet stats "$lossy" > "$artifact_dir/lossy.stats.txt"
+    stats_agrees_with_run "$artifact_dir/lossy.run.txt" "$artifact_dir/lossy.stats.txt"
 }
 
 stage_golden_spans() {

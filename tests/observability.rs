@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use robonet::prelude::*;
 use robonet_core::obs::TraceAggregate;
-use robonet_core::JsonlSink;
+use robonet_core::{FaultPlan, JsonlSink};
 
 /// An `io::Write` the test can keep a handle to after the simulation
 /// takes ownership of the sink.
@@ -37,14 +37,25 @@ fn small(alg: Algorithm) -> ScenarioConfig {
 
 #[test]
 fn jsonl_artifact_reproduces_summary_exactly() {
-    for alg in [
-        Algorithm::Centralized,
-        Algorithm::Fixed(PartitionKind::Square),
-        Algorithm::Dynamic,
-    ] {
+    // A lossy run re-dispatches stalled repairs, so the trace carries
+    // dispatches no replacement follows — the case that pairing by
+    // sensor alone got wrong. Faults go in before scaling, as `robonet
+    // run --loss` does, so the recovery timers compress too.
+    let lossy = ScenarioConfig::paper(2, Algorithm::Centralized)
+        .with_seed(77)
+        .with_faults(FaultPlan::message_loss(0.2))
+        .scaled(32.0);
+    let configs = [
+        small(Algorithm::Centralized),
+        small(Algorithm::Fixed(PartitionKind::Square)),
+        small(Algorithm::Dynamic),
+        lossy,
+    ];
+    for cfg in configs {
+        let alg = cfg.algorithm;
         let buf = SharedBuf::default();
         let sink = JsonlSink::new(buf.clone());
-        let outcome = Simulation::with_sink(small(alg), Box::new(sink)).run_to_completion();
+        let outcome = Simulation::with_sink(cfg, Box::new(sink)).run_to_completion();
         let summary = outcome.metrics.summary();
 
         let text = buf.contents();
@@ -70,6 +81,15 @@ fn jsonl_artifact_reproduces_summary_exactly() {
             agg.drops.total(),
             summary.packets_dropped.total(),
             "{alg}: drop counts drifted"
+        );
+        // The delay is rebuilt from second-valued timestamps, the run's
+        // from nanosecond ones: one sample per replacement, same mean.
+        assert_eq!(agg.repair_delay.len() as u64, summary.replacements, "{alg}");
+        assert!(
+            (agg.avg_repair_delay() - summary.avg_repair_delay).abs() < 1e-6,
+            "{alg}: repair delay {} vs run {}",
+            agg.avg_repair_delay(),
+            summary.avg_repair_delay
         );
     }
 }

@@ -168,6 +168,41 @@ fn sampled_gauges_are_internally_consistent() {
     }
 }
 
+/// On a lossy run (duplicate reports, redispatches) every sample's
+/// `open_*` gauges equal the open repairs per milestone that span
+/// assembly of the same trace holds at that point.
+#[test]
+fn open_gauges_match_span_assembly_on_a_lossy_run() {
+    use robonet_core::obs::for_each_event_line;
+    use robonet_core::trace::TraceEvent;
+    use robonet_core::{FaultPlan, SpanAssembler};
+
+    let mut cfg = ScenarioConfig::paper(2, Algorithm::Centralized)
+        .with_seed(1)
+        .with_faults(FaultPlan::message_loss(0.2))
+        .scaled(16.0);
+    cfg.sample_every = Some(SimDuration::from_secs(100.0));
+    let (_, text) = traced_run(cfg);
+    let mut spans = SpanAssembler::new();
+    let mut samples = 0;
+    for_each_event_line(&text, |ev| {
+        if let TraceEvent::TelemetrySample { t, sample } = ev {
+            let gauges = [
+                sample.open_failure,
+                sample.open_detected,
+                sample.open_reported,
+                sample.open_dispatched,
+            ];
+            assert_eq!(gauges, spans.ledger().stage_counts(), "t={t}");
+            samples += 1;
+        }
+        spans.ingest(ev);
+    })
+    .expect("trace parses");
+    assert!(samples > 0);
+    assert!(spans.finish().redispatches > 0, "the run re-dispatches");
+}
+
 /// The flow-level fast path samples too (when sinked): same record
 /// kinds, same conservation, zero violations.
 #[test]
