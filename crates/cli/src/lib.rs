@@ -454,15 +454,7 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
     );
     let _ = writeln!(out, "repair delay:         {:.1} s", s.avg_repair_delay);
     let _ = writeln!(out, "fleet travel:         {:.0} m", s.total_travel);
-    let d = &s.packets_dropped;
-    let _ = writeln!(
-        out,
-        "dropped packets:      {} (ttl {}, no-neighbor {}, mac {})",
-        d.total(),
-        d.ttl_expired,
-        d.no_neighbors,
-        d.mac_give_up
-    );
+    let _ = writeln!(out, "dropped packets:      {}", s.packets_dropped);
     // Fault/recovery lines appear only for runs with a live fault plan,
     // keeping fault-free output byte-identical to earlier releases.
     if outcome
@@ -644,15 +636,7 @@ fn cmd_stats(args: &[String]) -> Result<String, String> {
         agg.avg_repair_delay()
     );
     let _ = writeln!(out, "fleet travel:         {:.0} m", agg.total_travel());
-    let d = &agg.drops;
-    let _ = writeln!(
-        out,
-        "dropped packets:      {} (ttl {}, no-neighbor {}, mac {})",
-        d.total(),
-        d.ttl_expired,
-        d.no_neighbors,
-        d.mac_give_up
-    );
+    let _ = writeln!(out, "dropped packets:      {}", agg.drops);
     let _ = writeln!(out, "loc-update floods:    {}", agg.loc_update_floods);
     let _ = writeln!(
         out,

@@ -28,8 +28,7 @@ use robonet_robot::{ReplacementTask, RobotState};
 use crate::config::ScenarioConfig;
 use crate::coord::{self, Coordinator, FlowCtx};
 use crate::fault::{FaultInjector, FaultKind, TimedFault};
-use crate::obs::timeline::{Checkpoint, HealthMonitor};
-use crate::obs::{EventSink, NullSink};
+use crate::obs::{EventSink, NullSink, Observer, SpanReport};
 use crate::trace::TraceEvent;
 use crate::world::{FaultHooks, Gauges, World};
 
@@ -79,9 +78,8 @@ enum Event {
     Arrive {
         robot: u32,
     },
-    /// Periodic telemetry sample (only with a live sink and
-    /// [`ScenarioConfig::sample_every`] set — samples exist solely as
-    /// trace events at flow level).
+    /// Periodic telemetry sample (only with
+    /// [`ScenarioConfig::sample_every`] set).
     Sample,
     /// A scheduled fault-timeline event fires (index into
     /// [`crate::fault::FaultPlan::timeline`]).
@@ -144,7 +142,10 @@ pub fn run(cfg: &ScenarioConfig) -> FastSummary {
 }
 
 /// Runs the flow-level model and assembles per-failure repair-lifecycle
-/// spans alongside the summary. The flow model emits no `Detected` /
+/// spans alongside the summary: the run's observer feeds its span
+/// assembler the event stream [`run_with_sink`] would write, so the
+/// report equals [`SpanAssembler::from_jsonl`](crate::obs::SpanAssembler::from_jsonl)
+/// over that trace. The flow model emits no `Detected` /
 /// `ReportDelivered` events, so the detection, report-transit and
 /// dispatch-decision stages of each span are `None`; travel and install
 /// are populated from the robot leg events.
@@ -153,10 +154,9 @@ pub fn run(cfg: &ScenarioConfig) -> FastSummary {
 ///
 /// Panics if the configuration is invalid or its fault timeline holds
 /// an event the flow model cannot execute (see [`run_with_sink`]).
-pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, crate::obs::SpanReport) {
-    let mut sink = crate::obs::SpanSink::new();
-    let summary = run_with_sink(cfg, &mut sink);
-    (summary, sink.into_report())
+pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, SpanReport) {
+    let (summary, spans) = run_observed(cfg, &mut NullSink, true);
+    (summary, spans.expect("span assembly was enabled"))
 }
 
 /// Runs the flow-level model, streaming coarse-grained trace events
@@ -164,6 +164,12 @@ pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, crate::obs::SpanRep
 /// into `sink`. Packet-level events (`Detected`, `ReportDelivered`,
 /// `PacketDropped`, `LocUpdateFlooded`) never appear — the flow model
 /// has no packets.
+///
+/// With [`ScenarioConfig::sample_every`] set, the run samples
+/// telemetry by the packet simulator's rule, sink or no sink: each
+/// sample is a `TelemetrySample` event followed by one
+/// `InvariantViolated` per failed health check (span balance
+/// included). Sampling never changes the summary or the other events.
 ///
 /// Fault support is deliberately minimal at flow level: an active
 /// [`crate::fault::FaultPlan`] applies its report/dispatch loss
@@ -193,9 +199,20 @@ pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, crate::obs::SpanRep
 ///
 /// Panics if the configuration is invalid or uses such an event.
 pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSummary {
+    run_observed(cfg, sink, false).0
+}
+
+/// Runs the flow-level model observed by `sink`, assembling spans when
+/// asked to; returns the summary and the spans.
+fn run_observed(
+    cfg: &ScenarioConfig,
+    sink: &mut dyn EventSink,
+    spans: bool,
+) -> (FastSummary, Option<SpanReport>) {
     if let Err(e) = validate(cfg) {
         panic!("invalid scenario: {e}");
     }
+    let observer = Observer::new(Box::new(sink), cfg.sample_every.is_some(), spans);
     let mut world = World::new(cfg);
     let mut subarea_population = vec![0f64; world.field.partition.as_ref().map_or(0, |p| p.len())];
     for &sub in world.sensor_subarea.iter().filter(|&&sub| sub != u32::MAX) {
@@ -218,11 +235,7 @@ pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSumm
     };
 
     let mut sched = Scheduler::with_horizon(SimTime::ZERO + cfg.sim_time);
-    // Flow-level telemetry samples exist only as trace events, so with
-    // no sink there is nowhere for them to go and the sampler never
-    // schedules (summaries are unaffected either way).
-    let sampling = cfg.sample_every.filter(|_| sink.is_enabled());
-    if let Some(every) = sampling {
+    if let Some(every) = cfg.sample_every {
         sched.schedule_at(SimTime::ZERO + every, Event::Sample);
     }
     for i in 0..n_sensors {
@@ -246,9 +259,7 @@ pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSumm
         robots: world.fleet(cfg.robot_speed),
         world,
         flow,
-        sink_enabled: sink.is_enabled(),
-        sink,
-        monitor: sampling.map(|_| HealthMonitor::new()),
+        observer,
         sched,
         detect_rng: rng::stream(cfg.seed, "detect"),
         incarnation: vec![0; n_sensors],
@@ -291,10 +302,8 @@ struct FlowRun<'a> {
     coordinator: &'static dyn Coordinator,
     world: World,
     flow: FlowCtx<'a>,
-    sink: &'a mut dyn EventSink,
-    sink_enabled: bool,
-    /// Event-ledger health monitor, present exactly when sampling.
-    monitor: Option<HealthMonitor>,
+    /// The sink, span assembly and health monitor.
+    observer: Observer<'a>,
     sched: Scheduler<Event>,
     detect_rng: rng::Xoshiro256,
     robots: Vec<RobotState>,
@@ -304,15 +313,6 @@ struct FlowRun<'a> {
 }
 
 impl FlowRun<'_> {
-    /// Records `ev` into the sink, teeing it through the telemetry
-    /// health ledger when sampling is active.
-    fn observe(&mut self, ev: &TraceEvent) {
-        if let Some(m) = self.monitor.as_mut() {
-            m.ingest(ev);
-        }
-        self.sink.record(ev);
-    }
-
     fn on_fail(&mut self, now: SimTime, sensor: u32, inc: u32) {
         let s = sensor as usize;
         if self.incarnation[s] != inc || !self.alive[s] {
@@ -320,12 +320,10 @@ impl FlowRun<'_> {
         }
         self.alive[s] = false;
         self.tally.failures += 1;
-        if self.sink_enabled {
-            self.observe(&TraceEvent::Failure {
-                t: now.as_secs_f64(),
-                sensor: NodeId::new(sensor),
-            });
-        }
+        self.observer.emit(|| TraceEvent::Failure {
+            t: now.as_secs_f64(),
+            sensor: NodeId::new(sensor),
+        });
         // Detection: timeout + residual beacon phase.
         let detect_delay = self.cfg.failure_timeout()
             + sampler::uniform_duration(&mut self.detect_rng, self.cfg.beacon_period);
@@ -382,14 +380,12 @@ impl FlowRun<'_> {
             dispatched_at: now,
         };
         let leg = self.robots[r].enqueue(task, now);
-        if self.sink_enabled {
-            self.observe(&TraceEvent::Dispatched {
-                t: now.as_secs_f64(),
-                robot: self.robots[r].id,
-                failed: NodeId::new(sensor),
-                departed: leg.is_some(),
-            });
-        }
+        self.observer.emit(|| TraceEvent::Dispatched {
+            t: now.as_secs_f64(),
+            robot: self.robots[r].id,
+            failed: NodeId::new(sensor),
+            departed: leg.is_some(),
+        });
         if let Some(leg) = leg {
             self.start_leg(r, leg);
         }
@@ -398,18 +394,16 @@ impl FlowRun<'_> {
     /// Robot `r` departs on `leg` towards its current task: the leg's
     /// location updates are priced and its arrival scheduled.
     fn start_leg(&mut self, r: usize, leg: Leg) {
-        if self.sink_enabled {
-            self.sink.record(&TraceEvent::RobotLegStarted {
-                t: leg.start().as_secs_f64(),
-                robot: self.robots[r].id,
-                failed: self.robots[r]
-                    .current_task()
-                    .expect("departing robot has a task")
-                    .failed,
-                from: leg.from(),
-                to: leg.to(),
-            });
-        }
+        self.observer.emit(|| TraceEvent::RobotLegStarted {
+            t: leg.start().as_secs_f64(),
+            robot: self.robots[r].id,
+            failed: self.robots[r]
+                .current_task()
+                .expect("departing robot has a task")
+                .failed,
+            from: leg.from(),
+            to: leg.to(),
+        });
         let updates = (leg.distance() / self.cfg.update_threshold).floor() + 1.0; // + arrival
         self.tally.update_tx += updates
             * self
@@ -426,19 +420,16 @@ impl FlowRun<'_> {
             .expect("arriving robot has a leg")
             .distance();
         let (task, next) = self.robots[r].arrive(now);
-        if self.sink_enabled {
-            let robot = self.robots[r].id;
-            let t = now.as_secs_f64();
-            self.sink
-                .record(&TraceEvent::RobotLegEnded { t, robot, travel });
-            self.observe(&TraceEvent::Replaced {
-                t,
-                robot,
-                sensor: task.failed,
-                travel,
-                loc: task.loc,
-            });
-        }
+        let (robot, t) = (self.robots[r].id, now.as_secs_f64());
+        self.observer
+            .emit(|| TraceEvent::RobotLegEnded { t, robot, travel });
+        self.observer.emit(|| TraceEvent::Replaced {
+            t,
+            robot,
+            sensor: task.failed,
+            travel,
+            loc: task.loc,
+        });
         let s = task.failed.index();
         self.alive[s] = true;
         self.incarnation[s] += 1;
@@ -468,26 +459,18 @@ impl FlowRun<'_> {
             robots: &self.robots,
             in_flight: 0,
             sched_queue: self.sched.pending() as u32,
-            checkpoint: Checkpoint {
-                failures: self.tally.failures,
-                replacements: self.tally.replacements,
-                open_spans: None,
-                robots_down: 0,
-            },
+            failures: self.tally.failures,
+            replacements: self.tally.replacements,
+            robots_down: 0,
         };
-        let monitor = self.monitor.as_ref().expect("sampling implies a monitor");
-        let (sample, violations) = self.world.telemetry(t, monitor, &gauges);
-        self.sink.record(&TraceEvent::TelemetrySample { t, sample });
-        for violation in violations {
-            self.sink.record(&violation);
-        }
+        self.observer.sample(&self.world, t, &gauges);
     }
 
-    fn finish(self) -> FastSummary {
-        self.sink.finish();
+    fn finish(self) -> (FastSummary, Option<SpanReport>) {
+        let (spans, _) = self.observer.finish();
         let t = self.tally;
         let replaced = t.replacements.max(1) as f64;
-        FastSummary {
+        let summary = FastSummary {
             failures: t.failures,
             replacements: t.replacements,
             avg_travel_per_failure: t.travel / replaced,
@@ -499,7 +482,8 @@ impl FlowRun<'_> {
             loc_update_tx_per_failure: t.update_tx / replaced,
             avg_repair_delay: t.repair_delay / replaced,
             report_orphans: t.report_orphans,
-        }
+        };
+        (summary, spans)
     }
 }
 
@@ -676,6 +660,30 @@ mod tests {
         // Legs in flight when the horizon closes never arrive.
         assert!(legs_started >= legs_ended, "{legs_started} < {legs_ended}");
         assert_eq!(legs_ended, replaced, "flow legs end at a replacement");
+
+        // Sampling is inert too: with a blackout on a sample time, the
+        // sampled trace minus its telemetry lines is the unsampled trace
+        // byte for byte, and every health check passes, span balance
+        // included.
+        use robonet_des::SimDuration;
+        let mut cfg = with_timeline_event(|side| TimedFault::Blackout {
+            at: SimDuration::from_secs(2_000.0),
+            region: quadrant(side),
+        });
+        let unsampled = flow_jsonl(&cfg);
+        cfg.sample_every = Some(SimDuration::from_secs(100.0));
+        let sampled = flow_jsonl(&cfg);
+        let (telemetry, protocol): (Vec<&str>, Vec<&str>) = sampled.lines().partition(|line| {
+            line.contains(r#""ev":"telemetry_sample""#)
+                || line.contains(r#""ev":"invariant_violated""#)
+        });
+        assert_eq!(protocol.join("\n") + "\n", unsampled);
+        let samples = (cfg.sim_time.as_secs_f64() / 100.0) as usize;
+        assert_eq!(
+            telemetry.len(),
+            samples,
+            "one sample per cadence and no violation"
+        );
     }
 
     #[test]
@@ -702,12 +710,32 @@ mod tests {
             report.orphans.len() as u64,
             summary.failures - summary.replacements
         );
+        // The live assembly is the offline fold of the run's own trace.
+        let offline = crate::obs::SpanAssembler::from_jsonl(&flow_jsonl(&cfg)).unwrap();
+        assert_eq!(report, offline);
+    }
+
+    /// The run's JSONL trace, header line included.
+    fn flow_jsonl(cfg: &ScenarioConfig) -> String {
+        let mut sink = crate::obs::JsonlSink::new(Vec::new());
+        run_with_sink(cfg, &mut sink);
+        String::from_utf8(sink.into_inner()).unwrap()
+    }
+
+    /// The lower-left quadrant of a `side`-metre square field.
+    fn quadrant(side: f64) -> ConvexPolygon {
+        ConvexPolygon::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(side / 2.0, 0.0),
+            Point::new(side / 2.0, side / 2.0),
+            Point::new(0.0, side / 2.0),
+        ])
+        .unwrap()
     }
 
     #[test]
     fn blackout_timeline_fires_at_flow_level() {
         use robonet_des::SimDuration;
-        use robonet_geom::Point;
         let mut cfg = ScenarioConfig::paper(2, Algorithm::Dynamic)
             .with_seed(5)
             .scaled(16.0);
@@ -715,18 +743,10 @@ mod tests {
         // not fleet throughput.
         cfg.mean_lifetime = SimDuration::from_secs(2.0 * cfg.sim_time.as_secs_f64());
         let base = run(&cfg);
-        let side = cfg.side();
-        let quadrant = robonet_geom::ConvexPolygon::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(side / 2.0, 0.0),
-            Point::new(side / 2.0, side / 2.0),
-            Point::new(0.0, side / 2.0),
-        ])
-        .unwrap();
         cfg.faults = Some(FaultPlan {
             timeline: vec![TimedFault::Blackout {
                 at: SimDuration::from_secs(cfg.sim_time.as_secs_f64() / 2.0),
-                region: quadrant,
+                region: quadrant(cfg.side()),
             }],
             ..FaultPlan::default()
         });

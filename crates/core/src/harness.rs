@@ -40,8 +40,7 @@ use crate::coord::{self, Announcement, Coordinator, FleetView};
 use crate::fault::{FaultInjector, FaultKind};
 use crate::metrics::Metrics;
 use crate::msg::AppMsg;
-use crate::obs::timeline::{Checkpoint, HealthMonitor};
-use crate::obs::{EventSink, NullSink, RingSink, SpanAssembler, SpanReport};
+use crate::obs::{EventSink, NullSink, Observer, RingSink, SpanReport};
 use crate::trace::{DropReason, TraceEvent};
 use crate::world::{FaultHooks, Gauges, World};
 
@@ -57,7 +56,9 @@ pub struct Outcome {
     /// was attached.
     pub trace: RingSink,
     /// Per-failure latency decomposition, assembled online from the
-    /// same event stream the sinks see (`None` for unobserved runs).
+    /// event stream the sink sees whenever the run is observed (an
+    /// enabled sink, telemetry sampling or
+    /// [`Simulation::enable_progress`]); `None` for unobserved runs.
     pub spans: Option<SpanReport>,
     /// Total events the kernel delivered (simulation cost indicator).
     pub events_processed: u64,
@@ -171,18 +172,8 @@ pub struct Simulation {
     /// flow engine).
     world: World,
     metrics: Metrics,
-    sink: Box<dyn EventSink>,
-    /// Cached `sink.is_enabled()` — the sink half of the [`emit`] gate.
-    sink_enabled: bool,
-    /// Whether anything (sink or span assembler) is listening — checked
-    /// before constructing any event so unobserved runs pay nothing.
-    observing: bool,
-    /// Assembles repair-lifecycle spans from the live event stream,
-    /// active whenever the run is observed.
-    spans: Option<SpanAssembler>,
-    /// Event-ledger health monitor, active only when telemetry sampling
-    /// is on (its invariants are checked at each sample).
-    health: Option<HealthMonitor>,
+    /// The sink, span assembly and health monitor.
+    observer: Observer<'static>,
     /// Per-subsystem wall-clock attribution, accumulated by the
     /// dispatch loop when [`Simulation::enable_subsystem_profile`] was
     /// called (zeros otherwise — default runs never read the clock).
@@ -349,11 +340,9 @@ impl Simulation {
         }
 
         let cfg_seed = cfg.seed;
-        let sink_enabled = sink.is_enabled();
-        // Telemetry sampling needs the event stream (the health
-        // monitor's ledger is built from it), so sampling forces
-        // observation on even without a sink — like `--progress` does.
-        let sampling = cfg.sample_every.is_some();
+        // `Outcome::spans` holds spans whenever the run is observed.
+        let spans = sink.is_enabled();
+        let observer = Observer::new(sink, cfg.sample_every.is_some(), spans);
         Simulation {
             cfg,
             coord: coordinator,
@@ -367,11 +356,7 @@ impl Simulation {
             manager,
             world,
             metrics: Metrics::default(),
-            sink,
-            sink_enabled,
-            observing: sink_enabled || sampling,
-            spans: (sink_enabled || sampling).then(SpanAssembler::new),
-            health: sampling.then(HealthMonitor::new),
+            observer,
             subsystems: robonet_des::SubsystemTimes::default(),
             profile_subsystems: false,
             progress: None,
@@ -398,26 +383,7 @@ impl Simulation {
     /// live; simulation results are unaffected.
     pub fn enable_progress(&mut self, every: std::time::Duration) {
         self.progress = Some(robonet_des::Heartbeat::new(every));
-        if self.spans.is_none() {
-            self.spans = Some(SpanAssembler::new());
-            self.observing = true;
-        }
-    }
-
-    /// Records one event into every listener: the health monitor, the
-    /// span assembler and (when enabled) the sink. Emission sites gate
-    /// on `self.observing` before constructing the event, so unobserved
-    /// runs never even build it.
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(monitor) = self.health.as_mut() {
-            monitor.ingest(&event);
-        }
-        if let Some(assembler) = self.spans.as_mut() {
-            assembler.ingest(&event);
-        }
-        if self.sink_enabled {
-            self.sink.record(&event);
-        }
+        self.observer.enable_spans();
     }
 
     /// Enables per-subsystem wall-clock attribution in the dispatch
@@ -445,7 +411,7 @@ impl Simulation {
             if let Some(hb) = self.progress.as_mut() {
                 if hb.due() {
                     let p = self.sched.profile();
-                    let open = self.spans.as_ref().map_or(0, |a| a.ledger().open_count());
+                    let open = self.observer.open_spans();
                     eprintln!(
                         "[progress] sim {:.0} s | wall {:.1} s | {} events | {} open spans",
                         p.sim_seconds, p.wall_seconds, p.events_dispatched, open
@@ -462,12 +428,10 @@ impl Simulation {
         self.metrics.myrobot_accuracy = self.myrobot_accuracy();
         self.metrics.tx = self.radio.stats().clone();
         self.snapshot_registry();
-        let spans = self.spans.take().map(SpanAssembler::finish);
+        let (spans, trace) = self.observer.finish();
         if let Some(report) = &spans {
             report.snapshot_into(&mut self.metrics.counters);
         }
-        self.sink.finish();
-        let trace = self.sink.take_trace().unwrap_or_default();
         let mut profile = self.sched.profile();
         profile.subsystems = self.subsystems;
         Outcome {
@@ -692,11 +656,10 @@ impl Simulation {
         });
     }
 
-    /// Fires the telemetry sampler: capture a
-    /// [`TelemetrySnapshot`](crate::TelemetrySnapshot) of live gauges,
-    /// emit it as a trace event, and run the health monitor's
-    /// conservation checks. Everything read here sits on the sim-time
-    /// event axis, so same-seed runs sample identical values.
+    /// Fires the telemetry sampler: the observer snapshots the live
+    /// gauges, checks the health monitor against them and emits both.
+    /// Everything read here sits on the sim-time event axis, so
+    /// same-seed runs sample identical values.
     fn on_telemetry_sample(&mut self, now: SimTime) {
         let every = self.cfg.sample_every.expect("samples imply a cadence");
         self.sched.schedule_after(every, Event::TelemetrySample);
@@ -707,21 +670,13 @@ impl Simulation {
             robots: &self.robots,
             in_flight: self.radio.in_flight() as u32,
             sched_queue: self.sched.pending() as u32,
-            checkpoint: Checkpoint {
-                failures: self.metrics.failures_occurred,
-                replacements: self.metrics.replacements,
-                open_spans: self.spans.as_ref().map(|a| a.ledger().open_count() as u64),
-                robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
-            },
+            failures: self.metrics.failures_occurred,
+            replacements: self.metrics.replacements,
+            robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
         };
-        let health = self.health.as_ref().expect("sampling implies a monitor");
-        let (sample, violations) = self.world.telemetry(t, health, &gauges);
-        self.metrics.telemetry_timeline.push((t, sample.clone()));
-        self.emit(TraceEvent::TelemetrySample { t, sample });
-        for violation in violations {
-            self.metrics.invariant_violations += 1;
-            self.emit(violation);
-        }
+        let (sample, violations) = self.observer.sample(&self.world, t, &gauges);
+        self.metrics.telemetry_timeline.push((t, sample));
+        self.metrics.invariant_violations += violations;
     }
 
     // --- Periodic node duties ----------------------------------------------
@@ -885,12 +840,10 @@ impl Simulation {
         self.sensors[s].alive = false;
         self.radio.set_alive(self.sensors[s].id, false);
         self.metrics.failures_occurred += 1;
-        if self.observing {
-            self.emit(TraceEvent::Failure {
-                t: now.as_secs_f64(),
-                sensor: self.sensors[s].id,
-            });
-        }
+        self.observer.emit(|| TraceEvent::Failure {
+            t: now.as_secs_f64(),
+            sensor: self.sensors[s].id,
+        });
     }
 
     /// A sensor whose `myrobot` keeps ignoring reports drops it from
@@ -913,22 +866,23 @@ impl Simulation {
             self.metrics.faults.report_retries += 1;
         }
         let origin = self.sensors[guardian].id;
-        if self.observing {
+        self.observer.emit(|| {
+            let t = now.as_secs_f64();
             if attempt <= 1 {
-                self.emit(TraceEvent::Detected {
-                    t: now.as_secs_f64(),
+                TraceEvent::Detected {
+                    t,
                     guardian: origin,
                     failed,
-                });
+                }
             } else {
-                self.emit(TraceEvent::ReportRetried {
-                    t: now.as_secs_f64(),
+                TraceEvent::ReportRetried {
+                    t,
                     guardian: origin,
                     failed,
                     attempt,
-                });
+                }
             }
-        }
+        });
         // Injected link loss: the report leaves the guardian but dies
         // en route; the retry machinery re-drives it.
         if self.message_lost(now, FaultKind::ReportLoss, origin) {
@@ -1002,13 +956,11 @@ impl Simulation {
             RouteDecision::Drop(why) => {
                 let reason = DropReason::from(why);
                 self.metrics.packets_dropped.record(reason);
-                if self.observing {
-                    self.emit(TraceEvent::PacketDropped {
-                        t: now.as_secs_f64(),
-                        at,
-                        reason,
-                    });
-                }
+                self.observer.emit(|| TraceEvent::PacketDropped {
+                    t: now.as_secs_f64(),
+                    at,
+                    reason,
+                });
             }
         }
     }
@@ -1249,14 +1201,12 @@ impl Simulation {
             } => {
                 self.metrics.reports_delivered += 1;
                 self.metrics.report_hops.push(geo.hops);
-                if self.observing {
-                    self.emit(TraceEvent::ReportDelivered {
-                        t: now.as_secs_f64(),
-                        manager: at,
-                        failed,
-                        hops: geo.hops,
-                    });
-                }
+                self.observer.emit(|| TraceEvent::ReportDelivered {
+                    t: now.as_secs_f64(),
+                    manager: at,
+                    failed,
+                    hops: geo.hops,
+                });
                 if self.coord.dispatch_via_manager() {
                     self.manager_dispatch(now, failed, failed_loc);
                 } else if let Some(r) = self.robot_index(at) {
@@ -1387,13 +1337,11 @@ impl Simulation {
             m.outstanding.remove(&failed);
             m.suspect[od.robot] = true;
             self.metrics.faults.dispatch_timeouts += 1;
-            if self.observing {
-                self.emit(TraceEvent::DispatchTimedOut {
-                    t: now.as_secs_f64(),
-                    failed: NodeId::new(failed),
-                    attempt: od.attempts,
-                });
-            }
+            self.observer.emit(|| TraceEvent::DispatchTimedOut {
+                t: now.as_secs_f64(),
+                failed: NodeId::new(failed),
+                attempt: od.attempts,
+            });
             if od.attempts >= max_attempts {
                 self.metrics.faults.dispatches_abandoned += 1;
             } else {
@@ -1412,14 +1360,12 @@ impl Simulation {
             dispatched_at: now,
         };
         let leg = self.robots[r].enqueue(task, now);
-        if self.observing {
-            self.emit(TraceEvent::Dispatched {
-                t: now.as_secs_f64(),
-                robot: self.robots[r].id,
-                failed,
-                departed: leg.is_some(),
-            });
-        }
+        self.observer.emit(|| TraceEvent::Dispatched {
+            t: now.as_secs_f64(),
+            robot: self.robots[r].id,
+            failed,
+            departed: leg.is_some(),
+        });
         if let Some(leg) = leg {
             self.start_leg(r, leg);
         }
@@ -1428,18 +1374,16 @@ impl Simulation {
     fn start_leg(&mut self, r: usize, leg: robonet_robot::motion::Leg) {
         self.robot_leg_seq[r] += 1;
         let seq = self.robot_leg_seq[r];
-        if self.observing {
-            self.emit(TraceEvent::RobotLegStarted {
-                t: leg.start().as_secs_f64(),
-                robot: self.robots[r].id,
-                failed: self.robots[r]
-                    .current_task()
-                    .expect("departing robot has a task")
-                    .failed,
-                from: leg.from(),
-                to: leg.to(),
-            });
-        }
+        self.observer.emit(|| TraceEvent::RobotLegStarted {
+            t: leg.start().as_secs_f64(),
+            robot: self.robots[r].id,
+            failed: self.robots[r]
+                .current_task()
+                .expect("departing robot has a task")
+                .failed,
+            from: leg.from(),
+            to: leg.to(),
+        });
         self.sched.schedule_at(
             leg.arrival(),
             Event::RobotArrive {
@@ -1483,13 +1427,11 @@ impl Simulation {
         if let Some(m) = self.manager.as_mut() {
             m.outstanding.remove(&task.failed.as_u32());
         }
-        if self.observing {
-            self.emit(TraceEvent::RobotLegEnded {
-                t: now.as_secs_f64(),
-                robot: robot_node,
-                travel,
-            });
-        }
+        self.observer.emit(|| TraceEvent::RobotLegEnded {
+            t: now.as_secs_f64(),
+            robot: robot_node,
+            travel,
+        });
 
         let s = task.failed.index();
         if self.sensors[s].alive {
@@ -1525,15 +1467,13 @@ impl Simulation {
             self.metrics.replacements += 1;
             self.robot_tasks_done[r] += 1;
             self.metrics.travel_per_task.push(travel);
-            if self.observing {
-                self.emit(TraceEvent::Replaced {
-                    t: now.as_secs_f64(),
-                    robot: robot_node,
-                    sensor: task.failed,
-                    travel,
-                    loc: task.loc,
-                });
-            }
+            self.observer.emit(|| TraceEvent::Replaced {
+                t: now.as_secs_f64(),
+                robot: robot_node,
+                sensor: task.failed,
+                travel,
+                loc: task.loc,
+            });
             self.metrics
                 .repair_delay
                 .push(now.duration_since(task.dispatched_at).as_secs_f64());
@@ -1578,13 +1518,11 @@ impl Simulation {
                 FaultKind::DispatchLoss => stats.dispatch_drops += 1,
                 _ => stats.update_drops += 1,
             }
-            if self.observing {
-                self.emit(TraceEvent::FaultInjected {
-                    t: now.as_secs_f64(),
-                    kind,
-                    node,
-                });
-            }
+            self.observer.emit(|| TraceEvent::FaultInjected {
+                t: now.as_secs_f64(),
+                kind,
+                node,
+            });
         }
         lost
     }
@@ -1606,13 +1544,11 @@ impl Simulation {
             self.robot_slowed[r] = true;
             let factor = self.world.injector().plan.slow_factor;
             self.replan_at_speed(now, r, self.cfg.robot_speed * factor);
-            if self.observing {
-                self.emit(TraceEvent::FaultInjected {
-                    t: now.as_secs_f64(),
-                    kind: FaultKind::Slowdown,
-                    node: robot_node,
-                });
-            }
+            self.observer.emit(|| TraceEvent::FaultInjected {
+                t: now.as_secs_f64(),
+                kind: FaultKind::Slowdown,
+                node: robot_node,
+            });
             // A slowed robot keeps breaking down on the same clock.
             self.schedule_next_breakdown(r);
         } else {
@@ -1641,12 +1577,10 @@ impl Simulation {
         self.metrics.faults.robot_repairs += 1;
         let robot_node = self.robots[r].id;
         self.radio.set_alive(robot_node, true);
-        if self.observing {
-            self.emit(TraceEvent::RobotRepaired {
-                t: now.as_secs_f64(),
-                robot: robot_node,
-            });
-        }
+        self.observer.emit(|| TraceEvent::RobotRepaired {
+            t: now.as_secs_f64(),
+            robot: robot_node,
+        });
         // Re-announce so sensors (and the manager) re-adopt the robot.
         self.do_location_update(now, r, TrafficClass::LocationUpdate);
         if let Some(leg) = self.robots[r].resume(now) {
@@ -1714,14 +1648,12 @@ impl Simulation {
             let dead = self.robots[p].id;
             let robot_node = self.robots[r].id;
             let loc = self.robots[r].position_at(now);
-            if self.observing {
-                self.emit(TraceEvent::TakeoverAssumed {
-                    t: now.as_secs_f64(),
-                    robot: robot_node,
-                    dead,
-                    subarea,
-                });
-            }
+            self.observer.emit(|| TraceEvent::TakeoverAssumed {
+                t: now.as_secs_f64(),
+                robot: robot_node,
+                dead,
+                subarea,
+            });
             let seq = self.robots[r].next_seq();
             let msg = AppMsg::RobotFlood {
                 robot: robot_node,
@@ -1793,8 +1725,8 @@ impl Simulation {
                 );
             }
             Announcement::Flood { subarea } => {
-                if self.observing && class == TrafficClass::LocationUpdate {
-                    self.emit(TraceEvent::LocUpdateFlooded {
+                if class == TrafficClass::LocationUpdate {
+                    self.observer.emit(|| TraceEvent::LocUpdateFlooded {
                         t: now.as_secs_f64(),
                         robot: robot_node,
                         seq: u64::from(seq),
@@ -1838,13 +1770,11 @@ impl Simulation {
         }
         if !self.radio.medium().is_alive(src) {
             self.metrics.packets_dropped.record(DropReason::MacGiveUp);
-            if self.observing {
-                self.emit(TraceEvent::PacketDropped {
-                    t: now.as_secs_f64(),
-                    at: src,
-                    reason: DropReason::MacGiveUp,
-                });
-            }
+            self.observer.emit(|| TraceEvent::PacketDropped {
+                t: now.as_secs_f64(),
+                at: src,
+                reason: DropReason::MacGiveUp,
+            });
             return;
         }
         self.route_and_send(now, src, frame.payload.clone(), frame.class, None);
@@ -1883,12 +1813,10 @@ impl FaultHooks for Simulation {
         let loc = self.robots[r].position_at(now);
         self.radio.set_position(robot_node, loc);
         self.radio.set_alive(robot_node, false);
-        if self.observing {
-            self.emit(TraceEvent::RobotDied {
-                t: now.as_secs_f64(),
-                robot: robot_node,
-            });
-        }
+        self.observer.emit(|| TraceEvent::RobotDied {
+            t: now.as_secs_f64(),
+            robot: robot_node,
+        });
     }
 
     fn install_partition(&mut self, until: SimTime, a: ConvexPolygon, b: ConvexPolygon) {

@@ -61,8 +61,8 @@ pub use harness::{Outcome, Simulation};
 pub use metrics::{DropBreakdown, Metrics, Summary};
 pub use obs::{
     EventSink, HealthMonitor, Invariant, JsonlSink, MetricsRegistry, NullSink, QuantileSketch,
-    RepairSpan, RingSink, SpanAssembler, SpanReport, SpanSink, Stage, TeeSink, TelemetrySnapshot,
-    Timeline, TraceAggregate,
+    RepairSpan, RingSink, SpanAssembler, SpanReport, Stage, TeeSink, TelemetrySnapshot, Timeline,
+    TraceAggregate,
 };
 pub use scenario::{
     compile as compile_scenario, Compiled, Overrides, ScenarioError, ScenarioErrorKind,

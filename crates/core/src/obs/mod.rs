@@ -43,6 +43,7 @@
 pub mod detsum;
 pub mod json;
 pub mod ledger;
+mod observer;
 pub mod quantile;
 pub mod registry;
 pub mod replay;
@@ -53,6 +54,7 @@ pub mod timeline;
 
 pub use detsum::DetSum;
 pub use ledger::{Milestone, OpenRepair, RepairLedger};
+pub(crate) use observer::Observer;
 pub use quantile::{QuantileSketch, RELATIVE_ERROR, ZERO_THRESHOLD};
 pub use registry::{Log2Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use replay::{Film, LegRecord, OutageRecord, ReplaySetup, ReplayState, Replayer, SensorPhase};
@@ -60,8 +62,8 @@ pub use sink::{
     event_from_jsonl, event_to_jsonl, for_each_event_line, trace_header, EventSink, JsonlSink,
     LineCursor, NullSink, RingSink, TeeSink, TruncatedTail, TRACE_SCHEMA_VERSION,
 };
-pub use span::{OrphanSpan, RepairSpan, SpanAssembler, SpanReport, SpanSink, Stage, StageRow};
-pub use stats::{DropCounts, TraceAggregate};
+pub use span::{OrphanSpan, RepairSpan, SpanAssembler, SpanReport, Stage, StageRow};
+pub use stats::TraceAggregate;
 pub use timeline::{Checkpoint, HealthMonitor, Invariant, TelemetrySnapshot, Timeline};
 
 pub use crate::trace::DropReason;

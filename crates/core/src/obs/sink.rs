@@ -239,6 +239,23 @@ pub trait EventSink {
     }
 }
 
+/// A borrowed sink: forwards events and `finish` to the owner's sink,
+/// so an engine can box a sink it does not own. The owner keeps its
+/// trace — `take_trace` stays `None`.
+impl<S: EventSink + ?Sized> EventSink for &mut S {
+    fn is_enabled(&self) -> bool {
+        (**self).is_enabled()
+    }
+
+    fn record(&mut self, event: &TraceEvent) {
+        (**self).record(event);
+    }
+
+    fn finish(&mut self) {
+        (**self).finish();
+    }
+}
+
 /// Discards everything; `is_enabled` is `false`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;

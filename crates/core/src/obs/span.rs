@@ -21,11 +21,12 @@
 //! `detected`/`report_delivered` events, so its spans carry only the
 //! stages its event stream supports.
 //!
-//! The [`SpanAssembler`] is usable **online** (tee the live event
-//! stream through a [`SpanSink`], or let the harness feed its internal
-//! assembler) and **offline** ([`SpanAssembler::from_jsonl`] over a
-//! trace artifact); both paths share one `ingest` and produce
-//! byte-identical tables for the same events. Anomalies — failures
+//! The [`SpanAssembler`] is usable **online** (each engine's observer
+//! feeds one from the live event stream: `Outcome::spans` and
+//! [`fastsim::run_with_spans`](crate::fastsim::run_with_spans)) and
+//! **offline** ([`SpanAssembler::from_jsonl`] over a trace artifact);
+//! both paths share one `ingest` and produce byte-identical tables for
+//! the same events. Anomalies — failures
 //! never repaired, events that match no open span, out-of-order
 //! timestamps — are flagged on the [`SpanReport`], never panicked on.
 
@@ -146,8 +147,7 @@ pub struct OrphanSpan {
 
 /// Correlates a stream of [`TraceEvent`]s into [`RepairSpan`]s.
 ///
-/// Feed it events in trace order via [`ingest`](Self::ingest) (or use
-/// it as an [`EventSink`](super::EventSink) through [`SpanSink`]), then
+/// Feed it events in trace order via [`ingest`](Self::ingest), then
 /// call [`finish`](Self::finish) for the [`SpanReport`]. Every output
 /// ordering is deterministic: closed spans appear in replacement
 /// order, orphans sorted by `(failed_at, sensor)` — hash-map iteration
@@ -408,33 +408,6 @@ fn sketch_row(stage: &'static str, sketch: &QuantileSketch) -> Option<StageRow> 
         p99_s: sketch.quantile(0.99).unwrap_or(0.0),
         max_s: sketch.max().unwrap_or(0.0),
     })
-}
-
-/// An [`EventSink`](super::EventSink) adapter: tee the live event
-/// stream into span assembly during a run. The flow-level simulator's
-/// `run_with_spans` uses it; the packet-level harness keeps its own
-/// assembler so spans work even when only a ring sink is attached.
-#[derive(Debug, Default)]
-pub struct SpanSink {
-    assembler: SpanAssembler,
-}
-
-impl SpanSink {
-    /// Creates a sink with an empty assembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes assembly and yields the report.
-    pub fn into_report(self) -> SpanReport {
-        self.assembler.finish()
-    }
-}
-
-impl super::EventSink for SpanSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.assembler.ingest(event);
-    }
 }
 
 #[cfg(test)]
@@ -733,19 +706,6 @@ mod tests {
         assert_eq!(report.failures, 0);
         assert_eq!(report.unmatched_events, 0);
         assert!(report.stage_rows().is_empty());
-    }
-
-    #[test]
-    fn span_sink_assembles_while_recording() {
-        use crate::obs::EventSink;
-        let mut sink = SpanSink::new();
-        assert!(sink.is_enabled());
-        for ev in full_story(3, 0.0) {
-            sink.record(&ev);
-        }
-        let report = sink.into_report();
-        assert_eq!(report.replacements(), 1);
-        assert_eq!(report.spans[0].sensor, NodeId::new(3));
     }
 
     #[test]

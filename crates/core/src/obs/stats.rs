@@ -12,37 +12,10 @@ use std::collections::HashMap;
 
 use robonet_des::NodeId;
 
-use crate::metrics::{mean_f64, mean_u32};
-use crate::trace::{DropReason, TraceEvent};
+use crate::metrics::{mean_f64, mean_u32, DropBreakdown};
+use crate::trace::TraceEvent;
 
 use super::sink::{for_each_event_line, TruncatedTail};
-
-/// Per-reason drop tallies reconstructed from `packet_dropped` events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropCounts {
-    /// Hop budget exhausted.
-    pub ttl_expired: u64,
-    /// No usable neighbour on the path.
-    pub no_neighbors: u64,
-    /// MAC retries exhausted.
-    pub mac_give_up: u64,
-}
-
-impl DropCounts {
-    /// Sum over all reasons.
-    pub fn total(&self) -> u64 {
-        self.ttl_expired + self.no_neighbors + self.mac_give_up
-    }
-
-    /// Increments the tally for `reason`.
-    pub fn record(&mut self, reason: DropReason) {
-        match reason {
-            DropReason::TtlExpired => self.ttl_expired += 1,
-            DropReason::NoNeighbors => self.no_neighbors += 1,
-            DropReason::MacGiveUp => self.mac_give_up += 1,
-        }
-    }
-}
 
 /// Everything `robonet stats` reconstructs from one JSONL artifact.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -71,14 +44,17 @@ pub struct TraceAggregate {
     /// itself measures from. Matches the in-process samples to within
     /// float rounding (the run subtracts nanosecond timestamps).
     pub repair_delay: Vec<f64>,
-    /// Packet drops by reason.
-    pub drops: DropCounts,
+    /// Packet drops by reason, from `packet_dropped` events.
+    pub drops: DropBreakdown,
     /// `loc_update_flooded` events seen.
     pub loc_update_floods: u64,
     /// `robot_leg_started` events seen.
     pub legs_started: u64,
     /// `robot_leg_ended` events seen.
     pub legs_ended: u64,
+    /// Metres driven on every ended leg, whether or not the leg ended
+    /// in a replacement.
+    pub leg_travel: f64,
     /// `fault_injected` events seen.
     pub faults_injected: u64,
     /// `report_retried` events seen.
@@ -149,7 +125,10 @@ impl TraceAggregate {
             TraceEvent::PacketDropped { reason, .. } => self.drops.record(*reason),
             TraceEvent::LocUpdateFlooded { .. } => self.loc_update_floods += 1,
             TraceEvent::RobotLegStarted { .. } => self.legs_started += 1,
-            TraceEvent::RobotLegEnded { .. } => self.legs_ended += 1,
+            TraceEvent::RobotLegEnded { travel, .. } => {
+                self.legs_ended += 1;
+                self.leg_travel += travel;
+            }
             TraceEvent::FaultInjected { .. } => self.faults_injected += 1,
             TraceEvent::ReportRetried { .. } => self.report_retries += 1,
             TraceEvent::DispatchTimedOut { .. } => self.dispatch_timeouts += 1,
@@ -183,9 +162,13 @@ impl TraceAggregate {
         mean_f64(&self.repair_delay).unwrap_or(0.0)
     }
 
-    /// Total metres of completed legs.
+    /// Fleet travel: the metres of every ended leg, the run's `fleet
+    /// travel` (the sum of the robot odometers) when every leg ends.
+    /// A leg cut short by a breakdown, a slowdown or attrition emits no
+    /// `robot_leg_ended`, so on such runs this falls short of the
+    /// odometers by the interrupted legs' travel.
     pub fn total_travel(&self) -> f64 {
-        self.travel_per_task.iter().sum()
+        self.leg_travel
     }
 }
 
@@ -193,6 +176,7 @@ impl TraceAggregate {
 mod tests {
     use super::*;
     use crate::obs::sink::event_to_jsonl;
+    use crate::trace::DropReason;
     use robonet_geom::Point;
 
     fn jsonl(events: &[TraceEvent]) -> String {
@@ -234,6 +218,11 @@ mod tests {
                 failed: NodeId::new(6),
                 hops: 5,
             },
+            TraceEvent::RobotLegEnded {
+                t: 62.5,
+                robot: NodeId::new(200),
+                travel: 100.0,
+            },
             TraceEvent::Replaced {
                 t: 62.5,
                 robot: NodeId::new(200),
@@ -253,7 +242,7 @@ mod tests {
             },
         ];
         let agg = TraceAggregate::from_jsonl(&jsonl(&events)).unwrap();
-        assert_eq!(agg.events, 8);
+        assert_eq!(agg.events, 9);
         assert_eq!(agg.failures, 1);
         assert_eq!(agg.detections, 1);
         assert_eq!(agg.reports_delivered, 2);
@@ -310,6 +299,37 @@ mod tests {
         ];
         let agg = TraceAggregate::from_jsonl(&jsonl(&events)).unwrap();
         assert_eq!(agg.repair_delay, vec![5.0, 8.0]);
+    }
+
+    #[test]
+    fn fleet_travel_counts_legs_that_end_in_no_replacement() {
+        // A stalled order is redispatched: robot 201 drives a leg and
+        // turns back without installing, robot 200 does the repair.
+        // Fleet travel is every metre driven; Figure 2's samples are
+        // the replacements' legs only.
+        let events = vec![
+            TraceEvent::RobotLegEnded {
+                t: 20.0,
+                robot: NodeId::new(201),
+                travel: 30.0,
+            },
+            TraceEvent::RobotLegEnded {
+                t: 40.0,
+                robot: NodeId::new(200),
+                travel: 12.5,
+            },
+            TraceEvent::Replaced {
+                t: 40.0,
+                robot: NodeId::new(200),
+                sensor: NodeId::new(5),
+                travel: 12.5,
+                loc: Point::new(0.0, 0.0),
+            },
+        ];
+        let agg = TraceAggregate::from_jsonl(&jsonl(&events)).unwrap();
+        assert_eq!(agg.legs_ended, 2);
+        assert_eq!(agg.total_travel(), 42.5);
+        assert_eq!(agg.avg_travel_per_failure(), 12.5);
     }
 
     #[test]

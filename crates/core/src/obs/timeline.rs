@@ -300,8 +300,8 @@ pub struct Checkpoint {
     pub failures: u64,
     /// Replacements the simulation has counted.
     pub replacements: u64,
-    /// Open spans in the live span assembler, if one is running.
-    pub open_spans: Option<u64>,
+    /// Open spans in the live span assembler.
+    pub open_spans: u64,
     /// Robots the simulation currently holds down.
     pub robots_down: u64,
 }
@@ -365,9 +365,7 @@ impl HealthMonitor {
             checkpoint.replacements + open,
             checkpoint.failures,
         );
-        if let Some(spans) = checkpoint.open_spans {
-            verify(Invariant::SpanBalance, open, spans);
-        }
+        verify(Invariant::SpanBalance, open, checkpoint.open_spans);
         verify(
             Invariant::FleetLiveness,
             self.robot_deaths.saturating_sub(self.robot_repairs),
@@ -504,7 +502,7 @@ mod tests {
             &Checkpoint {
                 failures: 1,
                 replacements: 0,
-                open_spans: Some(1),
+                open_spans: 1,
                 robots_down: 0,
             },
         );
@@ -517,7 +515,7 @@ mod tests {
             &Checkpoint {
                 failures: 2,
                 replacements: 0,
-                open_spans: Some(0),
+                open_spans: 0,
                 robots_down: 1,
             },
         );

@@ -18,8 +18,8 @@ use robonet_wsn::failure::FailureProcess;
 use crate::config::{DeployRegion, ScenarioConfig};
 use crate::coord::{self, CoordCtx};
 use crate::fault::{FaultInjector, TimedFault};
-use crate::obs::timeline::{Checkpoint, HealthMonitor, TelemetrySnapshot};
-use crate::trace::TraceEvent;
+use crate::obs::timeline::TelemetrySnapshot;
+use crate::obs::RepairLedger;
 
 /// The initial world geometry of a scenario: everything derivable from
 /// the configuration alone, before the first protocol event.
@@ -290,26 +290,20 @@ impl World {
         }
     }
 
-    /// One firing of either engine's telemetry sampler: the snapshot of
-    /// `gauges`, the field's coverage and `health`'s open-repair stages,
-    /// plus the violations `health` finds against `gauges.checkpoint`.
-    /// A robot's queue depth counts every task dispatched to it and not
-    /// yet installed, the one it is driving to included.
-    pub fn telemetry(
-        &self,
-        t: f64,
-        health: &HealthMonitor,
-        gauges: &Gauges<'_>,
-    ) -> (TelemetrySnapshot, Vec<TraceEvent>) {
+    /// The snapshot one firing of the telemetry sampler takes: the
+    /// engine's `gauges`, the field's coverage and the open repairs in
+    /// `ledger` by milestone. A robot's queue depth counts every task
+    /// dispatched to it and not yet installed, the one it is driving to
+    /// included.
+    pub fn telemetry(&self, ledger: &RepairLedger, gauges: &Gauges<'_>) -> TelemetrySnapshot {
         let robots = gauges.robots;
         let alive = gauges.alive.iter().filter(|&&a| a).count();
-        let [open_failure, open_detected, open_reported, open_dispatched] =
-            health.ledger().stage_counts();
-        let sample = TelemetrySnapshot {
+        let [open_failure, open_detected, open_reported, open_dispatched] = ledger.stage_counts();
+        TelemetrySnapshot {
             alive: alive as u32,
             down: (gauges.alive.len() - alive) as u32,
-            failures: gauges.checkpoint.failures,
-            replaced: gauges.checkpoint.replacements,
+            failures: gauges.failures,
+            replaced: gauges.replacements,
             coverage: coverage_fraction(
                 &self.field.bounds,
                 &self.field.sensor_pos,
@@ -328,21 +322,22 @@ impl World {
             robot_busy: robots.iter().map(|r| r.current_leg().is_some()).collect(),
             in_flight: gauges.in_flight,
             sched_queue: gauges.sched_queue,
-        };
-        (sample, health.check(t, &gauges.checkpoint))
+        }
     }
 }
 
 /// The engine-side state one telemetry sample reads: per-sensor
 /// liveness, the fleet, frames in flight (0 at flow level), pending
-/// scheduler events, and the counters the health ledger is checked
-/// against.
+/// scheduler events, and the failure, replacement and down-robot
+/// counts the health ledger is checked against.
 pub(crate) struct Gauges<'a> {
     pub alive: &'a [bool],
     pub robots: &'a [RobotState],
     pub in_flight: u32,
     pub sched_queue: u32,
-    pub checkpoint: Checkpoint,
+    pub failures: u64,
+    pub replacements: u64,
+    pub robots_down: u64,
 }
 
 /// How an engine carries out the faults [`World::fire_timeline`]

@@ -123,12 +123,15 @@ release_dir="$PWD/target/release"
 
 # `robonet stats` over a trace must answer like the `run` that wrote
 # it: the counts and the Figure 2/3 averages verbatim (bit-exact by
-# construction), and the repair delay to the printed precision (the
-# run subtracts nanosecond timestamps, stats second-valued ones).
+# construction), fleet travel to the printed metre (stats sums the
+# ended legs, run the robot odometers), and the repair delay to the
+# printed precision (the run subtracts nanosecond timestamps, stats
+# second-valued ones).
 stats_agrees_with_run() {
     local run_out="$1" stats_out="$2"
     local key a b
-    for key in "failures:" "replacements:" "travel per failure:" "report hops:"; do
+    for key in "failures:" "replacements:" "travel per failure:" "report hops:" \
+               "fleet travel:"; do
         a=$(grep -F "$key" "$run_out")
         b=$(grep -F "$key" "$stats_out")
         if [ "$a" != "$b" ]; then
