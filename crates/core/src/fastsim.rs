@@ -257,6 +257,7 @@ fn run_observed(
         cfg,
         coordinator: coord::coordinator_for(cfg.algorithm),
         robots: world.fleet(cfg.robot_speed),
+        robot_locs: Vec::new(),
         world,
         flow,
         observer,
@@ -307,6 +308,9 @@ struct FlowRun<'a> {
     sched: Scheduler<Event>,
     detect_rng: rng::Xoshiro256,
     robots: Vec<RobotState>,
+    /// Every robot's position at the report being handled; refilled on
+    /// each report, so reports allocate nothing.
+    robot_locs: Vec<Point>,
     incarnation: Vec<u32>,
     alive: Vec<bool>,
     tally: Tally,
@@ -361,12 +365,14 @@ impl FlowRun<'_> {
 
         // Report + dispatch (instant at flow level): the coordinator
         // selects the robot and prices the report (and request) legs.
-        let locs: Vec<Point> = self.robots.iter().map(|rb| rb.position_at(now)).collect();
+        self.robot_locs.clear();
+        self.robot_locs
+            .extend(self.robots.iter().map(|rb| rb.position_at(now)));
         let fd = self.coordinator.flow_report(
             &self.flow,
             failed_loc,
             self.world.sensor_subarea[s],
-            &locs,
+            &self.robot_locs,
         );
         self.tally.report_hops += fd.report_hops;
         if let Some(rq) = fd.request_hops {

@@ -25,6 +25,16 @@
 //! overflow entries are promoted into the lanes as the cursor approaches
 //! them, so every event is touched a bounded number of times.
 //!
+//! Each lane keeps an occupancy bitmap, one bit per bucket (32 words
+//! for lane 0, 8 for lane 1), set while the bucket is nonempty
+//! (tombstones included). Advancing the cursor finds the next occupied
+//! lane-0 tick and the next occupied lane-1 boundary with
+//! `trailing_zeros` instead of testing buckets one by one, so a sparse
+//! wheel — events hundreds of ticks apart — costs a few word scans per
+//! pop rather than hundreds of empty-bucket tests. It visits the same
+//! buckets in the same order, and cascades at the same boundaries, as a
+//! tick-by-tick scan would.
+//!
 //! # Cancellation
 //!
 //! Events live in a slab of generation-counted slots; an [`EventKey`] is
@@ -50,6 +60,45 @@ const LANE1_BUCKETS: u64 = 512;
 
 fn tick_of(time: SimTime) -> u64 {
     time.as_nanos() >> TICK_SHIFT
+}
+
+/// One bit per lane bucket, set while the bucket is nonempty.
+#[derive(Clone, Copy)]
+struct Occupancy<const WORDS: usize>([u64; WORDS]);
+
+impl<const WORDS: usize> Occupancy<WORDS> {
+    const EMPTY: Self = Occupancy([0; WORDS]);
+
+    fn set(&mut self, bucket: usize) {
+        self.0[bucket / 64] |= 1 << (bucket % 64);
+    }
+
+    fn clear(&mut self, bucket: usize) {
+        self.0[bucket / 64] &= !(1 << (bucket % 64));
+    }
+
+    /// Circular distance from bucket `from` to the first occupied bucket
+    /// at or after it (wrapping past the last bucket), or `None` when
+    /// every bucket is empty.
+    fn distance_to_next(&self, from: usize) -> Option<u64> {
+        let buckets = WORDS * 64;
+        let (w0, b0) = (from / 64, from % 64);
+        // The start word's bits at or after `from`, then the following
+        // words, then — last — the start word's bits before `from`.
+        for k in 0..=WORDS {
+            let w = (w0 + k) % WORDS;
+            let word = match k {
+                0 => self.0[w] & (!0 << b0),
+                _ if k == WORDS => self.0[w] & !(!0 << b0),
+                _ => self.0[w],
+            };
+            if word != 0 {
+                let bucket = w * 64 + word.trailing_zeros() as usize;
+                return Some(((bucket + buckets - from) % buckets) as u64);
+            }
+        }
+        None
+    }
 }
 
 /// Handle returned by [`EventQueue::schedule`], usable to cancel the event
@@ -150,6 +199,9 @@ pub struct EventQueue<E> {
     front: VecDeque<EntryRef>,
     lane0: Vec<Vec<EntryRef>>,
     lane1: Vec<Vec<EntryRef>>,
+    /// Which lane-0 / lane-1 buckets are nonempty.
+    lane0_occ: Occupancy<{ LANE0_BUCKETS as usize / 64 }>,
+    lane1_occ: Occupancy<{ LANE1_BUCKETS as usize / 64 }>,
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
     /// Current tick `C`; lane and overflow entries all have `tick > C`.
     cursor: u64,
@@ -184,6 +236,8 @@ impl<E> EventQueue<E> {
             front: VecDeque::new(),
             lane0: (0..LANE0_BUCKETS).map(|_| Vec::new()).collect(),
             lane1: (0..LANE1_BUCKETS).map(|_| Vec::new()).collect(),
+            lane0_occ: Occupancy::EMPTY,
+            lane1_occ: Occupancy::EMPTY,
             overflow: BinaryHeap::new(),
             cursor: 0,
             lane0_len: 0,
@@ -328,13 +382,14 @@ impl<E> EventQueue<E> {
                 self.stats.front_high_water = self.front.len();
             }
         } else if tick - self.cursor <= LANE0_BUCKETS {
-            self.lane0[(tick & (LANE0_BUCKETS - 1)) as usize].push(e);
-            self.lane0_len += 1;
+            self.push_lane0(tick, e);
             if self.lane0_len > self.stats.lane0_high_water {
                 self.stats.lane0_high_water = self.lane0_len;
             }
         } else if (tick >> COARSE_SHIFT) - (self.cursor >> COARSE_SHIFT) <= LANE1_BUCKETS {
-            self.lane1[((tick >> COARSE_SHIFT) & (LANE1_BUCKETS - 1)) as usize].push(e);
+            let b = ((tick >> COARSE_SHIFT) & (LANE1_BUCKETS - 1)) as usize;
+            self.lane1[b].push(e);
+            self.lane1_occ.set(b);
             self.lane1_len += 1;
             if self.lane1_len > self.stats.lane1_high_water {
                 self.stats.lane1_high_water = self.lane1_len;
@@ -346,6 +401,28 @@ impl<E> EventQueue<E> {
                 self.stats.overflow_high_water = self.overflow.len();
             }
         }
+    }
+
+    /// Files `e`, whose tick is `tick`, into its lane-0 bucket.
+    fn push_lane0(&mut self, tick: u64, e: EntryRef) {
+        let b = (tick & (LANE0_BUCKETS - 1)) as usize;
+        self.lane0[b].push(e);
+        self.lane0_occ.set(b);
+        self.lane0_len += 1;
+    }
+
+    /// The earliest tick at or after `t` whose lane-0 bucket is nonempty
+    /// (at most one span ahead), or `None` when lane 0 is empty.
+    fn next_lane0_tick(&self, t: u64) -> Option<u64> {
+        let from = (t & (LANE0_BUCKETS - 1)) as usize;
+        self.lane0_occ.distance_to_next(from).map(|d| t + d)
+    }
+
+    /// The earliest coarse tick at or after `ct` whose lane-1 bucket is
+    /// nonempty, or `None` when lane 1 is empty.
+    fn next_lane1_coarse(&self, ct: u64) -> Option<u64> {
+        let from = (ct & (LANE1_BUCKETS - 1)) as usize;
+        self.lane1_occ.distance_to_next(from).map(|d| ct + d)
     }
 
     fn is_live(slots: &[Slot<E>], e: &EntryRef) -> bool {
@@ -386,17 +463,14 @@ impl<E> EventQueue<E> {
     /// [`refill_front`](Self::refill_front) partitions by tick to cope.
     fn cascade_lane1(&mut self, ct: u64) {
         let b = (ct & (LANE1_BUCKETS - 1)) as usize;
-        if self.lane1[b].is_empty() {
-            return;
-        }
         let mut bucket = std::mem::take(&mut self.lane1[b]);
+        self.lane1_occ.clear(b);
         self.lane1_len -= bucket.len();
         for e in bucket.drain(..) {
             if Self::is_live(&self.slots, &e) {
                 let tick = tick_of(e.time);
                 debug_assert_eq!(tick >> COARSE_SHIFT, ct, "lane-1 bucket mixed coarse ticks");
-                self.lane0[(tick & (LANE0_BUCKETS - 1)) as usize].push(e);
-                self.lane0_len += 1;
+                self.push_lane0(tick, e);
             }
         }
         if self.lane0_len > self.stats.lane0_high_water {
@@ -420,20 +494,33 @@ impl<E> EventQueue<E> {
             // can never be outrun by the cursor chasing a later lane entry.
             self.promote_overflow();
             if self.lane0_len > 0 || self.lane1_len > 0 {
-                let mut t = self.cursor;
-                for _ in 0..LANE0_BUCKETS {
-                    t += 1;
-                    if t & COARSE_MASK == 0 {
-                        // Entering a new coarse bucket: cascade its lane-1
-                        // entries before looking at any tick inside it.
-                        self.cascade_lane1(t >> COARSE_SHIFT);
-                    }
-                    let b = (t & (LANE0_BUCKETS - 1)) as usize;
-                    if self.lane0[b].is_empty() {
-                        continue;
-                    }
+                // Visit, in tick order over the span (C, C + 2048], each
+                // nonempty lane-0 bucket and each coarse boundary whose
+                // lane-1 bucket is nonempty; a boundary cascades before
+                // any tick inside it is looked at.
+                let span_end = self.cursor + LANE0_BUCKETS;
+                let mut t = self.cursor + 1;
+                loop {
+                    let tick = self.next_lane0_tick(t).filter(|&x| x <= span_end);
+                    let boundary = self
+                        .next_lane1_coarse((t + COARSE_MASK) >> COARSE_SHIFT)
+                        .map(|ct| ct << COARSE_SHIFT)
+                        .filter(|&b| b <= span_end);
+                    t = match (tick, boundary) {
+                        (None, None) => break,
+                        (Some(x), Some(b)) if x < b => x,
+                        (_, Some(b)) => {
+                            // Entering a new coarse bucket: cascade its
+                            // lane-1 entries, then look at its ticks.
+                            self.cascade_lane1(b >> COARSE_SHIFT);
+                            t = b;
+                            continue;
+                        }
+                        (Some(x), None) => x,
+                    };
                     // Move this tick's entries to the front; a later round
                     // sharing the bucket (tick ≡ t mod 2048) stays behind.
+                    let b = (t & (LANE0_BUCKETS - 1)) as usize;
                     let mut bucket = std::mem::take(&mut self.lane0[b]);
                     self.lane0_len -= bucket.len();
                     let front = &mut self.front;
@@ -448,6 +535,9 @@ impl<E> EventQueue<E> {
                         false
                     });
                     self.lane0_len += bucket.len();
+                    if bucket.is_empty() {
+                        self.lane0_occ.clear(b);
+                    }
                     self.lane0[b] = bucket;
                     self.cursor = t;
                     if self.front.is_empty() {
@@ -470,21 +560,14 @@ impl<E> EventQueue<E> {
                 // Only lane 1 remains: fall through to the coarse scan.
             }
             if self.lane1_len > 0 {
-                let cc = self.cursor >> COARSE_SHIFT;
-                let mut ct = cc;
-                for _ in 0..LANE1_BUCKETS {
-                    ct += 1;
-                    let b = (ct & (LANE1_BUCKETS - 1)) as usize;
-                    if self.lane1[b].is_empty() {
-                        continue;
-                    }
-                    // Park the cursor just before this coarse bucket and
-                    // cascade it into lane 0.
-                    self.cursor = (ct << COARSE_SHIFT) - 1;
-                    self.cascade_lane1(ct);
-                    continue 'scan;
-                }
-                unreachable!("lane 1 occupied but no bucket within the wheel span");
+                // Park the cursor just before the first nonempty coarse
+                // bucket and cascade it into lane 0.
+                let ct = self
+                    .next_lane1_coarse((self.cursor >> COARSE_SHIFT) + 1)
+                    .expect("lane 1 occupied but its bitmap is empty");
+                self.cursor = (ct << COARSE_SHIFT) - 1;
+                self.cascade_lane1(ct);
+                continue 'scan;
             }
             // Both lanes empty: jump to the earliest live overflow entry.
             while let Some(Reverse((time, seq, slot, generation))) = self.overflow.pop() {

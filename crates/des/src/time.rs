@@ -136,7 +136,23 @@ fn secs_to_nanos(secs: f64) -> u64 {
         nanos <= u64::MAX as f64,
         "time in seconds too large to represent: {secs}"
     );
-    nanos.round() as u64
+    round_nanos(nanos)
+}
+
+/// `nanos.round() as u64` for `nanos` in `[0, 2^64]` (and `-0.0`),
+/// without the software `round` call baseline x86-64 makes.
+///
+/// Exact: for `nanos >= 1` the truncation `w` lies in
+/// `[nanos / 2, nanos]`, so `nanos - w` is exact (Sterbenz), and inputs
+/// at or above `2^52` are already integers. Halves round away from
+/// zero, as `f64::round` does.
+fn round_nanos(nanos: f64) -> u64 {
+    let w = nanos as u64;
+    if nanos - w as f64 >= 0.5 {
+        w + 1
+    } else {
+        w
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -268,6 +284,59 @@ mod tests {
     fn display_formats_seconds() {
         assert_eq!(SimTime::from_millis(1500).to_string(), "1.500000s");
         assert_eq!(SimDuration::from_micros(250).to_string(), "0.000250s");
+    }
+
+    /// `round_nanos` equals `f64::round() as u64` on random bit patterns
+    /// in `[0, 2^64]`, on every `k + 0.5` and the double just below it,
+    /// on values at or above `2^52`, and on the edge values.
+    #[test]
+    fn round_nanos_matches_libm_round() {
+        use crate::check::{self, Outcome};
+        const TWO_52: f64 = 4_503_599_627_370_496.0;
+        const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+        let edges = [
+            -0.0,
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            TWO_52 - 0.5,
+            TWO_52,
+            TWO_52 + 1.0,
+            2.0 * TWO_52,
+            TWO_64,
+        ];
+        for x in edges {
+            assert_eq!(round_nanos(x), x.round() as u64, "edge {x:?}");
+        }
+        check::forall_cases(
+            "round_nanos_matches_libm_round",
+            4096,
+            &check::pair(check::u64s(0..4), check::u64_any()),
+            |&(kind, bits)| {
+                let x = match kind {
+                    // Any bit pattern with the sign cleared.
+                    0 => f64::from_bits(bits >> 1),
+                    // k + 0.5, exact for every k < 2^52.
+                    1 => (bits >> 12) as f64 + 0.5,
+                    // The double just below k + 0.5.
+                    2 => f64::from_bits(((bits >> 12) as f64 + 0.5).to_bits() - 1),
+                    // [2^52, 2^64): exponent 52..=63, any mantissa.
+                    _ => f64::from_bits(((1075 + (bits >> 60) % 12) << 52) | (bits >> 12)),
+                };
+                if x.is_nan() || x > TWO_64 {
+                    return Outcome::Discard;
+                }
+                assert_eq!(
+                    round_nanos(x),
+                    x.round() as u64,
+                    "{x:?} ({:#x})",
+                    x.to_bits()
+                );
+                Outcome::Pass
+            },
+        );
     }
 
     #[test]

@@ -146,6 +146,92 @@ fn wheel_lanes_preserve_order() {
     );
 }
 
+/// One tick of the timer wheel, in nanoseconds.
+const TICK_NS: u64 = 1 << 20;
+/// Span of lane 0 (2048 ticks) and of lane 1 (512 x 256 ticks).
+const LANE0_SPAN_NS: u64 = 2048 * TICK_NS;
+const LANE1_SPAN_NS: u64 = 512 * 256 * TICK_NS;
+
+/// An event time ahead of `now` drawn from `class`: inside one tick,
+/// inside lane 0, inside lane 1, into the overflow heap, several lane-0
+/// spans ahead, or exactly on a lane-1 (256-tick) boundary, where the
+/// wheel cascades.
+fn event_time_ns(now: u64, class: u64, raw: u64) -> u64 {
+    const COARSE_NS: u64 = 256 * TICK_NS;
+    match class {
+        0 => now + raw % TICK_NS,
+        1 => now + raw % LANE0_SPAN_NS,
+        2 => now + LANE0_SPAN_NS + raw % (LANE1_SPAN_NS - LANE0_SPAN_NS),
+        3 => now + LANE1_SPAN_NS + raw % (3 * LANE1_SPAN_NS),
+        4 => now + (1 + raw % 6) * LANE0_SPAN_NS + (raw >> 32) % (300 * TICK_NS),
+        _ => (now / COARSE_NS + raw % 80) * COARSE_NS,
+    }
+}
+
+/// Model check: random interleavings of schedule, cancel and pop agree
+/// with a `BTreeMap<(time, seq), id>` reference. Every pop is the
+/// reference minimum and `len` matches after every step, so a wheel
+/// that skips a bucket or a cascade, or pops a tombstone, shows up as
+/// the first divergent pop.
+#[test]
+fn queue_matches_ordered_map_model() {
+    use std::collections::BTreeMap;
+    check::forall_cases(
+        "queue_matches_ordered_map_model",
+        256,
+        &check::vec_of(
+            check::triple(check::u64s(0..10), check::u64s(0..6), check::u64_any()),
+            1..400,
+        ),
+        |ops| {
+            let mut q = EventQueue::new();
+            let mut model: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+            // Per scheduled id: its key and its model entry.
+            let mut scheduled = Vec::new();
+            let mut now = 0u64;
+            for &(op, class, raw) in ops {
+                match op {
+                    // Schedule (half of all steps).
+                    0..=4 => {
+                        let t = event_time_ns(now, class, raw);
+                        let id = scheduled.len();
+                        let key = q.schedule(SimTime::from_nanos(t), id);
+                        model.insert((t, id as u64), id);
+                        scheduled.push((key, (t, id as u64)));
+                    }
+                    // Cancel any id ever scheduled: live, fired or
+                    // already cancelled.
+                    5 | 6 if !scheduled.is_empty() => {
+                        let (key, entry) = scheduled[(raw % scheduled.len() as u64) as usize];
+                        let pending = model.remove(&entry).is_some();
+                        assert_eq!(q.cancel(key), pending, "cancel of {entry:?}");
+                    }
+                    _ => {
+                        let expected = model.pop_first().map(|((t, _), id)| (t, id));
+                        let got = q.pop().map(|(t, id)| (t.as_nanos(), id));
+                        assert_eq!(got, expected, "pop diverged from the model");
+                        if let Some((t, _)) = got {
+                            now = t;
+                        }
+                    }
+                }
+                assert_eq!(q.len(), model.len(), "len diverged from the model");
+                assert_eq!(
+                    q.peek_time().map(SimTime::as_nanos),
+                    model.keys().next().map(|&(t, _)| t),
+                    "peek diverged from the model"
+                );
+            }
+            // Drain what is left.
+            while let Some(((t, _), id)) = model.pop_first() {
+                assert_eq!(q.pop().map(|(t, id)| (t.as_nanos(), id)), Some((t, id)));
+            }
+            assert_eq!(q.pop().map(|(t, _)| t), None);
+            Outcome::Pass
+        },
+    );
+}
+
 /// The scheduler clock is monotone for any interleaving of
 /// schedule_after and next_event.
 #[test]

@@ -5,12 +5,18 @@ use robonet_geom::Point;
 
 /// One straight-line movement from a start point to a target at constant
 /// speed, beginning at a known time.
+///
+/// The length and the arrival instant are computed once, when the leg is
+/// made: robot positions are read on every report, and each read would
+/// otherwise redo a square root, a division and a rounding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Leg {
     from: Point,
     to: Point,
     start: SimTime,
     speed: f64,
+    distance: f64,
+    arrival: SimTime,
 }
 
 impl Leg {
@@ -19,14 +25,18 @@ impl Leg {
     ///
     /// # Panics
     ///
-    /// Panics if `speed` is not finite and positive.
+    /// Panics if `speed` is not finite and positive, or if the arrival
+    /// instant is not representable as a [`SimTime`].
     pub fn new(from: Point, to: Point, start: SimTime, speed: f64) -> Self {
         assert!(speed.is_finite() && speed > 0.0, "speed must be positive");
+        let distance = from.distance(to);
         Leg {
             from,
             to,
             start,
             speed,
+            distance,
+            arrival: start + SimDuration::from_secs(distance / speed),
         }
     }
 
@@ -52,17 +62,17 @@ impl Leg {
 
     /// Total length in metres.
     pub fn distance(&self) -> f64 {
-        self.from.distance(self.to)
+        self.distance
     }
 
     /// Travel time for the whole leg.
     pub fn duration(&self) -> SimDuration {
-        SimDuration::from_secs(self.distance() / self.speed)
+        self.arrival - self.start
     }
 
     /// Arrival time at the target.
     pub fn arrival(&self) -> SimTime {
-        self.start + self.duration()
+        self.arrival
     }
 
     /// Position at time `t`, clamped to the endpoints outside the
@@ -74,10 +84,10 @@ impl Leg {
         // Snap exactly at (or past) arrival: the arrival instant is
         // rounded to nanoseconds, so the interpolation below could land
         // a hair short of the target.
-        if t >= self.arrival() {
+        if t >= self.arrival {
             return self.to;
         }
-        let total = self.distance();
+        let total = self.distance;
         if total <= f64::EPSILON {
             return self.to;
         }
@@ -102,7 +112,7 @@ impl Leg {
             threshold.is_finite() && threshold > 0.0,
             "threshold must be positive"
         );
-        let total = self.distance();
+        let total = self.distance;
         let mut out = Vec::new();
         let mut d = threshold;
         while d < total - 1e-9 {

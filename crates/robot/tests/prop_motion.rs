@@ -2,7 +2,7 @@
 
 use robonet_des::check::{self, Gen, Outcome};
 
-use robonet_des::{NodeId, SimTime};
+use robonet_des::{NodeId, SimDuration, SimTime};
 use robonet_geom::Point;
 use robonet_robot::motion::Leg;
 use robonet_robot::{ReplacementTask, RobotState};
@@ -53,6 +53,82 @@ fn leg_position_monotone_regression_long_slow_leg() {
         Point::new(810.0964138170168, 0.0),
         Point::new(0.0, 0.0),
         0.1,
+    );
+}
+
+/// `Leg::position_at` computed from the leg's endpoints alone, with
+/// nothing cached: the reference the cached leg must reproduce bit for
+/// bit.
+fn position_from_scratch(from: Point, to: Point, start: SimTime, speed: f64, t: SimTime) -> Point {
+    if t <= start {
+        return from;
+    }
+    let total = from.distance(to);
+    if t >= start + SimDuration::from_secs(total / speed) {
+        return to;
+    }
+    if total <= f64::EPSILON {
+        return to;
+    }
+    let travelled = t.duration_since(start).as_secs_f64() * speed;
+    if travelled >= total {
+        to
+    } else {
+        from.lerp(to, travelled / total)
+    }
+}
+
+/// The leg's cached length and arrival equal the from-scratch formulas,
+/// and `position_at` equals the from-scratch position at random
+/// instants, at the start and at the arrival — zero-length legs
+/// included.
+#[test]
+fn leg_cache_matches_from_scratch() {
+    check::forall(
+        "leg_cache_matches_from_scratch",
+        &check::quad(
+            check::pair(point(), check::bools()),
+            point(),
+            check::pair(
+                check::u64s(0..1_000_000_000_000_000),
+                check::f64s(0.1..50.0),
+            ),
+            check::vec_of(check::f64s(0.0..1.2), 0..16),
+        ),
+        |&((from, zero_length), to, (start_ns, speed), ref fractions)| {
+            let to = if zero_length { from } else { to };
+            let start = SimTime::from_nanos(start_ns);
+            let leg = Leg::new(from, to, start, speed);
+            let d = from.distance(to);
+            let duration = SimDuration::from_secs(d / speed);
+            assert_eq!(leg.distance(), d);
+            assert_eq!(leg.duration(), duration);
+            assert_eq!(leg.arrival(), start + duration);
+            let arrival = start + duration;
+            let mut instants = vec![
+                SimTime::ZERO,
+                start,
+                start + SimDuration::from_nanos(1),
+                arrival,
+                arrival + SimDuration::from_nanos(1),
+            ];
+            if arrival > start {
+                instants.push(arrival - SimDuration::from_nanos(1));
+            }
+            instants.extend(
+                fractions
+                    .iter()
+                    .map(|&f| start + SimDuration::from_secs(f * duration.as_secs_f64())),
+            );
+            for t in instants {
+                assert_eq!(
+                    leg.position_at(t),
+                    position_from_scratch(from, to, start, speed, t),
+                    "at {t}"
+                );
+            }
+            Outcome::Pass
+        },
     );
 }
 
