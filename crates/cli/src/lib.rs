@@ -640,7 +640,7 @@ fn cmd_stats(args: &[String]) -> Result<String, String> {
     let _ = writeln!(out, "loc-update floods:    {}", agg.loc_update_floods);
     let _ = writeln!(
         out,
-        "robot legs:           {} started, {} completed",
+        "robot legs:           {} started, {} ended",
         agg.legs_started, agg.legs_ended
     );
     if let Some(tail) = agg.truncated {

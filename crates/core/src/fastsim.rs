@@ -23,14 +23,12 @@
 use robonet_des::{rng, sampler, NodeId, Scheduler, SimTime};
 use robonet_geom::{ConvexPolygon, Point};
 use robonet_robot::motion::Leg;
-use robonet_robot::{ReplacementTask, RobotState};
 
 use crate::config::ScenarioConfig;
 use crate::coord::{self, Coordinator, FlowCtx};
 use crate::fault::{FaultInjector, FaultKind, TimedFault};
 use crate::obs::{EventSink, NullSink, Observer, SpanReport};
-use crate::trace::TraceEvent;
-use crate::world::{FaultHooks, Gauges, World};
+use crate::world::{Expiry, FaultHooks, Gauges, LegRef, World};
 
 /// Greedy geographic routing makes roughly this fraction of the radio
 /// range of forward progress per hop at the paper's deployment density
@@ -62,30 +60,33 @@ pub struct FastSummary {
 
 #[derive(Debug)]
 enum Event {
-    Fail {
-        sensor: u32,
-        incarnation: u32,
-    },
+    /// A sensor's lifetime expired.
+    Fail(Expiry),
     /// The failure has been detected and the report reaches a manager.
     /// `attempt` is 1-based; retries only occur under an active fault
     /// plan.
-    Report {
-        sensor: u32,
-        attempt: u32,
-    },
+    Report { sensor: u32, attempt: u32 },
     /// A robot reaches the failure it drives to. Flow-level robots
     /// never break down, so every scheduled arrival happens.
-    Arrive {
-        robot: u32,
-    },
+    Arrive(LegRef),
     /// Periodic telemetry sample (only with
     /// [`ScenarioConfig::sample_every`] set).
     Sample,
     /// A scheduled fault-timeline event fires (index into
     /// [`crate::fault::FaultPlan::timeline`]).
-    Timeline {
-        index: u32,
-    },
+    Timeline { index: u32 },
+}
+
+impl From<Expiry> for Event {
+    fn from(e: Expiry) -> Self {
+        Event::Fail(e)
+    }
+}
+
+impl From<LegRef> for Event {
+    fn from(leg: LegRef) -> Self {
+        Event::Arrive(leg)
+    }
 }
 
 /// Checks that the flow model can execute `cfg`: it must pass
@@ -238,16 +239,8 @@ fn run_observed(
     if let Some(every) = cfg.sample_every {
         sched.schedule_at(SimTime::ZERO + every, Event::Sample);
     }
-    for i in 0..n_sensors {
-        if let Some(at) = world.next_failure(SimTime::ZERO, i) {
-            sched.schedule_at(
-                at,
-                Event::Fail {
-                    sensor: i as u32,
-                    incarnation: 0,
-                },
-            );
-        }
+    for s in 0..n_sensors {
+        world.arm(SimTime::ZERO, s, &mut sched);
     }
     for (at, index) in world.timeline() {
         sched.schedule_at(at, Event::Timeline { index });
@@ -256,26 +249,20 @@ fn run_observed(
     let mut run = FlowRun {
         cfg,
         coordinator: coord::coordinator_for(cfg.algorithm),
-        robots: world.fleet(cfg.robot_speed),
         robot_locs: Vec::new(),
         world,
         flow,
         observer,
         sched,
         detect_rng: rng::stream(cfg.seed, "detect"),
-        incarnation: vec![0; n_sensors],
-        alive: vec![true; n_sensors],
         tally: Tally::default(),
     };
     while let Some(ev) = run.sched.next_event() {
         let now = run.sched.now();
         match ev {
-            Event::Fail {
-                sensor,
-                incarnation,
-            } => run.on_fail(now, sensor, incarnation),
+            Event::Fail(e) => run.on_fail(now, e),
             Event::Report { sensor, attempt } => run.on_report(now, sensor, attempt),
-            Event::Arrive { robot } => run.on_arrive(now, robot as usize),
+            Event::Arrive(leg) => run.on_arrive(now, leg),
             Event::Timeline { index } => World::fire_timeline(now, index, &mut run),
             Event::Sample => run.on_sample(now),
         }
@@ -307,32 +294,26 @@ struct FlowRun<'a> {
     observer: Observer<'a>,
     sched: Scheduler<Event>,
     detect_rng: rng::Xoshiro256,
-    robots: Vec<RobotState>,
     /// Every robot's position at the report being handled; refilled on
     /// each report, so reports allocate nothing.
     robot_locs: Vec<Point>,
-    incarnation: Vec<u32>,
-    alive: Vec<bool>,
     tally: Tally,
 }
 
 impl FlowRun<'_> {
-    fn on_fail(&mut self, now: SimTime, sensor: u32, inc: u32) {
-        let s = sensor as usize;
-        if self.incarnation[s] != inc || !self.alive[s] {
+    fn on_fail(&mut self, now: SimTime, e: Expiry) {
+        let Some(sensor) = self.world.expire(now, e, &mut self.observer) else {
             return;
-        }
-        self.alive[s] = false;
+        };
         self.tally.failures += 1;
-        self.observer.emit(|| TraceEvent::Failure {
-            t: now.as_secs_f64(),
-            sensor: NodeId::new(sensor),
-        });
         // Detection: timeout + residual beacon phase.
         let detect_delay = self.cfg.failure_timeout()
             + sampler::uniform_duration(&mut self.detect_rng, self.cfg.beacon_period);
-        self.sched
-            .schedule_at(now + detect_delay, Event::Report { sensor, attempt: 1 });
+        let report = Event::Report {
+            sensor: sensor.as_u32(),
+            attempt: 1,
+        };
+        self.sched.schedule_at(now + detect_delay, report);
     }
 
     fn on_report(&mut self, now: SimTime, sensor: u32, attempt: u32) {
@@ -367,7 +348,7 @@ impl FlowRun<'_> {
         // selects the robot and prices the report (and request) legs.
         self.robot_locs.clear();
         self.robot_locs
-            .extend(self.robots.iter().map(|rb| rb.position_at(now)));
+            .extend(self.world.robots.iter().map(|rb| rb.position_at(now)));
         let fd = self.coordinator.flow_report(
             &self.flow,
             failed_loc,
@@ -380,19 +361,8 @@ impl FlowRun<'_> {
             self.tally.requests += 1;
         }
         let r = fd.robot;
-        let task = ReplacementTask {
-            failed: NodeId::new(sensor),
-            loc: failed_loc,
-            dispatched_at: now,
-        };
-        let leg = self.robots[r].enqueue(task, now);
-        self.observer.emit(|| TraceEvent::Dispatched {
-            t: now.as_secs_f64(),
-            robot: self.robots[r].id,
-            failed: NodeId::new(sensor),
-            departed: leg.is_some(),
-        });
-        if let Some(leg) = leg {
+        let failed = NodeId::new(sensor);
+        if let Some(leg) = self.world.dispatch(now, r, failed, &mut self.observer) {
             self.start_leg(r, leg);
         }
     }
@@ -400,59 +370,30 @@ impl FlowRun<'_> {
     /// Robot `r` departs on `leg` towards its current task: the leg's
     /// location updates are priced and its arrival scheduled.
     fn start_leg(&mut self, r: usize, leg: Leg) {
-        self.observer.emit(|| TraceEvent::RobotLegStarted {
-            t: leg.start().as_secs_f64(),
-            robot: self.robots[r].id,
-            failed: self.robots[r]
-                .current_task()
-                .expect("departing robot has a task")
-                .failed,
-            from: leg.from(),
-            to: leg.to(),
-        });
+        self.world
+            .start_leg(r, &leg, &mut self.observer, &mut self.sched);
+        let robot = &mut self.world.robots[r];
         let updates = (leg.distance() / self.cfg.update_threshold).floor() + 1.0; // + arrival
         self.tally.update_tx += updates
             * self
                 .coordinator
-                .flow_update_cost(&self.flow, r, self.robots[r].last_update_loc);
-        self.robots[r].last_update_loc = leg.to();
-        self.sched
-            .schedule_at(leg.arrival(), Event::Arrive { robot: r as u32 });
+                .flow_update_cost(&self.flow, r, robot.last_update_loc);
+        robot.last_update_loc = leg.to();
     }
 
-    fn on_arrive(&mut self, now: SimTime, r: usize) {
-        let travel = self.robots[r]
-            .current_leg()
-            .expect("arriving robot has a leg")
-            .distance();
-        let (task, next) = self.robots[r].arrive(now);
-        let (robot, t) = (self.robots[r].id, now.as_secs_f64());
-        self.observer
-            .emit(|| TraceEvent::RobotLegEnded { t, robot, travel });
-        self.observer.emit(|| TraceEvent::Replaced {
-            t,
-            robot,
-            sensor: task.failed,
-            travel,
-            loc: task.loc,
-        });
-        let s = task.failed.index();
-        self.alive[s] = true;
-        self.incarnation[s] += 1;
+    /// Every flow-level arrival installs: flow robots never break down,
+    /// and a sensor is reported only after it failed.
+    fn on_arrive(&mut self, now: SimTime, leg: LegRef) {
+        let arrival = self
+            .world
+            .arrive(now, leg, &mut self.observer, &mut self.sched)
+            .expect("flow legs are never cut");
+        debug_assert!(arrival.installed, "flow robots serve failed sensors only");
         self.tally.replacements += 1;
-        self.tally.travel += travel;
-        self.tally.repair_delay += now.duration_since(task.dispatched_at).as_secs_f64();
-        if let Some(at) = self.world.next_failure(now, s) {
-            self.sched.schedule_at(
-                at,
-                Event::Fail {
-                    sensor: s as u32,
-                    incarnation: self.incarnation[s],
-                },
-            );
-        }
-        if let Some(next_leg) = next {
-            self.start_leg(r, next_leg);
+        self.tally.travel += arrival.travel;
+        self.tally.repair_delay += now.duration_since(arrival.task.dispatched_at).as_secs_f64();
+        if let Some(next_leg) = arrival.next {
+            self.start_leg(leg.robot(), next_leg);
         }
     }
 
@@ -461,8 +402,6 @@ impl FlowRun<'_> {
         self.sched.schedule_after(every, Event::Sample);
         let t = now.as_secs_f64();
         let gauges = Gauges {
-            alive: &self.alive,
-            robots: &self.robots,
             in_flight: 0,
             sched_queue: self.sched.pending() as u32,
             failures: self.tally.failures,
@@ -503,18 +442,9 @@ impl FaultHooks for FlowRun<'_> {
         &mut self.world
     }
 
-    fn sensor_alive(&self, s: usize) -> bool {
-        self.alive[s]
-    }
-
     fn fail_sensor(&mut self, now: SimTime, s: usize) {
-        self.sched.schedule_at(
-            now,
-            Event::Fail {
-                sensor: s as u32,
-                incarnation: self.incarnation[s],
-            },
-        );
+        self.sched
+            .schedule_at(now, Event::Fail(self.world.expiry(s)));
     }
 
     fn robot_in_service(&self, _: usize) -> bool {
@@ -535,6 +465,7 @@ mod tests {
     use super::*;
     use crate::config::{Algorithm, PartitionKind};
     use crate::fault::{FaultPlan, TimedFault};
+    use crate::trace::TraceEvent;
 
     #[test]
     fn inert_fault_plan_matches_fault_free_exactly() {

@@ -32,7 +32,7 @@ use robonet_net::{route_with, GeoHeader, NeighborTable, RouteDecision, RouteScra
 use robonet_radio::engine::{RadioEvent, UpcallBuf, UpcallEntry};
 use robonet_radio::medium::{Medium, NodeClass};
 use robonet_radio::{Frame, RadioEngine, TrafficClass};
-use robonet_robot::{ReplacementTask, RobotState};
+use robonet_robot::RobotState;
 use robonet_wsn::{GuardianEvent, SensorState};
 
 use crate::config::ScenarioConfig;
@@ -42,7 +42,7 @@ use crate::metrics::Metrics;
 use crate::msg::AppMsg;
 use crate::obs::{EventSink, NullSink, Observer, RingSink, SpanReport};
 use crate::trace::{DropReason, TraceEvent};
-use crate::world::{FaultHooks, Gauges, World};
+use crate::world::{Expiry, FaultHooks, Gauges, LegRef, World};
 
 /// Result of a completed run.
 #[derive(Debug)]
@@ -79,20 +79,11 @@ enum Event {
         node: u32,
     },
     /// A sensor's exponential lifetime expired.
-    Fail {
-        sensor: u32,
-        incarnation: u32,
-    },
+    Fail(Expiry),
     /// A robot reached the failure it was driving to.
-    RobotArrive {
-        robot: u32,
-        leg: u64,
-    },
+    RobotArrive(LegRef),
     /// A moving robot crossed a 20 m update-threshold point.
-    RobotUpdatePoint {
-        robot: u32,
-        leg: u64,
-    },
+    RobotUpdatePoint(LegRef),
     /// Initial robot location announcement (counted as Init traffic).
     InitAnnounce {
         robot: u32,
@@ -119,6 +110,18 @@ enum Event {
     TimelineFault {
         index: u32,
     },
+}
+
+impl From<Expiry> for Event {
+    fn from(e: Expiry) -> Self {
+        Event::Fail(e)
+    }
+}
+
+impl From<LegRef> for Event {
+    fn from(leg: LegRef) -> Self {
+        Event::RobotArrive(leg)
+    }
 }
 
 struct ManagerView {
@@ -163,13 +166,10 @@ pub struct Simulation {
     sched: Scheduler<Event>,
     radio: RadioEngine<AppMsg>,
     sensors: Vec<SensorState>,
-    incarnation: Vec<u32>,
-    robots: Vec<RobotState>,
-    robot_leg_seq: Vec<u64>,
     robot_tasks_done: Vec<u64>,
     manager: Option<ManagerView>,
-    /// Deployment, failure schedule and fault plan (shared with the
-    /// flow engine).
+    /// Deployment, fleet, failure schedule, fault plan and the repair
+    /// lifecycle (shared with the flow engine).
     world: World,
     metrics: Metrics,
     /// The sink, span assembly and health monitor.
@@ -265,7 +265,6 @@ impl Simulation {
             coordinator.seed_initial_role(s, world.sensor_subarea[i], &field.robot_pos, &seed_ctx);
         }
 
-        let robots = world.fleet(cfg.robot_speed);
         let manager = field.manager.map(|_| ManagerView {
             robot_locs: field.robot_pos.clone(),
             robot_queues: vec![0; n_robots],
@@ -287,15 +286,7 @@ impl Simulation {
                 SimTime::ZERO + phase,
                 Event::SensorTick { sensor: i as u32 },
             );
-            if let Some(fail_at) = world.next_failure(SimTime::ZERO, i) {
-                sched.schedule_at(
-                    fail_at,
-                    Event::Fail {
-                        sensor: i as u32,
-                        incarnation: 0,
-                    },
-                );
-            }
+            world.arm(SimTime::ZERO, i, &mut sched);
         }
         for r in 0..n_robots {
             let phase = sampler::uniform_duration(&mut phase_rng, cfg.beacon_period);
@@ -348,10 +339,7 @@ impl Simulation {
             coord: coordinator,
             sched,
             radio,
-            incarnation: vec![0; n_sensors],
             sensors,
-            robots,
-            robot_leg_seq: vec![0; n_robots],
             robot_tasks_done: vec![0; n_robots],
             manager,
             world,
@@ -423,7 +411,7 @@ impl Simulation {
     }
 
     fn finalize(mut self) -> Outcome {
-        self.metrics.robot_odometers = self.robots.iter().map(RobotState::odometer).collect();
+        self.metrics.robot_odometers = self.world.robots.iter().map(RobotState::odometer).collect();
         self.metrics.tasks_per_robot = self.robot_tasks_done.clone();
         self.metrics.myrobot_accuracy = self.myrobot_accuracy();
         self.metrics.tx = self.radio.stats().clone();
@@ -535,11 +523,16 @@ impl Simulation {
             return 1.0;
         }
         let now = self.sched.now();
-        let robot_locs: Vec<Point> = self.robots.iter().map(|r| r.position_at(now)).collect();
+        let robot_locs: Vec<Point> = self
+            .world
+            .robots
+            .iter()
+            .map(|r| r.position_at(now))
+            .collect();
         let mut correct = 0usize;
         let mut total = 0usize;
         for s in &self.sensors {
-            if !s.alive {
+            if !self.world.is_alive(s.id.index()) {
                 continue;
             }
             total += 1;
@@ -588,14 +581,9 @@ impl Simulation {
             Event::Radio(rev) => self.on_radio(now, rev),
             Event::SensorTick { sensor } => self.on_sensor_tick(now, sensor as usize),
             Event::AgentTick { node } => self.on_agent_tick(now, node),
-            Event::Fail {
-                sensor,
-                incarnation,
-            } => self.on_fail(now, sensor as usize, incarnation),
-            Event::RobotArrive { robot, leg } => self.on_robot_arrive(now, robot as usize, leg),
-            Event::RobotUpdatePoint { robot, leg } => {
-                self.on_robot_update_point(now, robot as usize, leg)
-            }
+            Event::Fail(e) => self.on_fail(now, e),
+            Event::RobotArrive(leg) => self.on_robot_arrive(now, leg),
+            Event::RobotUpdatePoint(leg) => self.on_robot_update_point(now, leg),
             Event::InitAnnounce { robot } => {
                 self.do_location_update(now, robot as usize, TrafficClass::Init)
             }
@@ -664,10 +652,7 @@ impl Simulation {
         let every = self.cfg.sample_every.expect("samples imply a cadence");
         self.sched.schedule_after(every, Event::TelemetrySample);
         let t = now.as_secs_f64();
-        let alive: Vec<bool> = self.sensors.iter().map(|s| s.alive).collect();
         let gauges = Gauges {
-            alive: &alive,
-            robots: &self.robots,
             in_flight: self.radio.in_flight() as u32,
             sched_queue: self.sched.pending() as u32,
             failures: self.metrics.failures_occurred,
@@ -686,7 +671,7 @@ impl Simulation {
             self.cfg.beacon_period,
             Event::SensorTick { sensor: s as u32 },
         );
-        if !self.sensors[s].alive {
+        if !self.world.is_alive(s) {
             return;
         }
         let loc = self.sensors[s].loc;
@@ -820,7 +805,7 @@ impl Simulation {
 
     fn agent_position(&self, now: SimTime, id: NodeId) -> Point {
         match self.robot_index(id) {
-            Some(r) => self.robots[r].position_at(now),
+            Some(r) => self.world.robots[r].position_at(now),
             None => {
                 self.world
                     .field
@@ -833,17 +818,11 @@ impl Simulation {
 
     // --- Failures -----------------------------------------------------------
 
-    fn on_fail(&mut self, now: SimTime, s: usize, incarnation: u32) {
-        if self.incarnation[s] != incarnation || !self.sensors[s].alive {
-            return;
+    fn on_fail(&mut self, now: SimTime, e: Expiry) {
+        if let Some(sensor) = self.world.expire(now, e, &mut self.observer) {
+            self.radio.set_alive(sensor, false);
+            self.metrics.failures_occurred += 1;
         }
-        self.sensors[s].alive = false;
-        self.radio.set_alive(self.sensors[s].id, false);
-        self.metrics.failures_occurred += 1;
-        self.observer.emit(|| TraceEvent::Failure {
-            t: now.as_secs_f64(),
-            sensor: self.sensors[s].id,
-        });
     }
 
     /// A sensor whose `myrobot` keeps ignoring reports drops it from
@@ -992,7 +971,7 @@ impl Simulation {
     fn robot_index(&self, id: NodeId) -> Option<usize> {
         let i = id.index();
         let n = self.sensors.len();
-        (i >= n && i < n + self.robots.len()).then(|| i - n)
+        (i >= n && i < n + self.world.robots.len()).then(|| i - n)
     }
 
     // --- Application-layer message handling ----------------------------------
@@ -1020,7 +999,7 @@ impl Simulation {
                 self.hear_guarded(now, to, frame.src, loc)
             }
             AppMsg::GuardianConfirm => {
-                if to.index() < self.sensors.len() && self.sensors[to.index()].alive {
+                if to.index() < self.sensors.len() && self.world.is_alive(to.index()) {
                     self.sensors[to.index()].add_guardee(frame.src, now);
                 }
             }
@@ -1061,7 +1040,7 @@ impl Simulation {
         if to.index() >= self.sensors.len() {
             return; // robots and the manager use the location service
         }
-        if !self.sensors[to.index()].alive {
+        if !self.world.is_alive(to.index()) {
             return;
         }
         // Robots move up to one update threshold between announcements;
@@ -1094,7 +1073,7 @@ impl Simulation {
             return;
         }
         self.hear_guarded(now, to, src, loc);
-        if !self.sensors[to.index()].alive {
+        if !self.world.is_alive(to.index()) {
             return;
         }
         let ctx = self.world.coord_ctx(self.cfg.update_threshold);
@@ -1114,7 +1093,7 @@ impl Simulation {
         subarea: u32,
         defunct: Option<NodeId>,
     ) {
-        if to.index() >= self.sensors.len() || !self.sensors[to.index()].alive {
+        if to.index() >= self.sensors.len() || !self.world.is_alive(to.index()) {
             return;
         }
         // Hearing the robot itself also refreshes the routing table.
@@ -1210,18 +1189,14 @@ impl Simulation {
                 if self.coord.dispatch_via_manager() {
                     self.manager_dispatch(now, failed, failed_loc);
                 } else if let Some(r) = self.robot_index(at) {
-                    self.robot_enqueue(now, r, failed, failed_loc);
+                    self.robot_enqueue(now, r, failed);
                 }
             }
-            AppMsg::Request {
-                failed,
-                failed_loc,
-                geo,
-            } => {
+            AppMsg::Request { failed, geo, .. } => {
                 self.metrics.requests_delivered += 1;
                 self.metrics.request_hops.push(geo.hops);
                 if let Some(r) = self.robot_index(at) {
-                    self.robot_enqueue(now, r, failed, failed_loc);
+                    self.robot_enqueue(now, r, failed);
                 }
             }
             AppMsg::RobotToManagerUpdate {
@@ -1289,7 +1264,7 @@ impl Simulation {
                 },
             );
         }
-        let robot_node = self.robots[best_robot].id;
+        let robot_node = self.world.robots[best_robot].id;
         let robot_loc = manager.robot_locs[best_robot];
         let (manager_id, _) = self
             .world
@@ -1350,95 +1325,55 @@ impl Simulation {
         }
     }
 
-    fn robot_enqueue(&mut self, now: SimTime, r: usize, failed: NodeId, failed_loc: Point) {
-        if self.robots[r].has_task(failed) {
-            return; // duplicate report for a queued failure
-        }
-        let task = ReplacementTask {
-            failed,
-            loc: failed_loc,
-            dispatched_at: now,
-        };
-        let leg = self.robots[r].enqueue(task, now);
-        self.observer.emit(|| TraceEvent::Dispatched {
-            t: now.as_secs_f64(),
-            robot: self.robots[r].id,
-            failed,
-            departed: leg.is_some(),
-        });
-        if let Some(leg) = leg {
+    fn robot_enqueue(&mut self, now: SimTime, r: usize, failed: NodeId) {
+        if let Some(leg) = self.world.dispatch(now, r, failed, &mut self.observer) {
             self.start_leg(r, leg);
         }
     }
 
+    /// Robot `r` departs on `leg`: the world schedules its arrival, and
+    /// the robot announces itself at every update-threshold point.
     fn start_leg(&mut self, r: usize, leg: robonet_robot::motion::Leg) {
-        self.robot_leg_seq[r] += 1;
-        let seq = self.robot_leg_seq[r];
-        self.observer.emit(|| TraceEvent::RobotLegStarted {
-            t: leg.start().as_secs_f64(),
-            robot: self.robots[r].id,
-            failed: self.robots[r]
-                .current_task()
-                .expect("departing robot has a task")
-                .failed,
-            from: leg.from(),
-            to: leg.to(),
-        });
-        self.sched.schedule_at(
-            leg.arrival(),
-            Event::RobotArrive {
-                robot: r as u32,
-                leg: seq,
-            },
-        );
+        let id = self
+            .world
+            .start_leg(r, &leg, &mut self.observer, &mut self.sched);
         for t in leg.update_times(self.cfg.update_threshold) {
-            self.sched.schedule_at(
-                t,
-                Event::RobotUpdatePoint {
-                    robot: r as u32,
-                    leg: seq,
-                },
-            );
+            self.sched.schedule_at(t, Event::RobotUpdatePoint(id));
         }
     }
 
-    fn on_robot_update_point(&mut self, now: SimTime, r: usize, leg: u64) {
-        if self.robot_leg_seq[r] != leg {
+    fn on_robot_update_point(&mut self, now: SimTime, leg: LegRef) {
+        if !self.world.leg_is_current(leg) {
             return; // stale (robot re-planned)
         }
-        let loc = self.robots[r].position_at(now);
-        self.radio.set_position(self.robots[r].id, loc);
+        let r = leg.robot();
+        let loc = self.world.robots[r].position_at(now);
+        self.radio.set_position(self.world.robots[r].id, loc);
         self.do_location_update(now, r, TrafficClass::LocationUpdate);
     }
 
-    fn on_robot_arrive(&mut self, now: SimTime, r: usize, leg: u64) {
-        if self.robot_leg_seq[r] != leg {
+    fn on_robot_arrive(&mut self, now: SimTime, leg: LegRef) {
+        let Some(arrival) = self
+            .world
+            .arrive(now, leg, &mut self.observer, &mut self.sched)
+        else {
             return;
-        }
-        let travel = self.robots[r]
-            .current_leg()
-            .expect("arriving robot has a leg")
-            .distance();
-        let (task, next_leg) = self.robots[r].arrive(now);
-        let robot_node = self.robots[r].id;
+        };
+        let (r, task, travel) = (leg.robot(), arrival.task, arrival.travel);
+        let robot_node = self.world.robots[r].id;
         self.radio.set_position(robot_node, task.loc);
         // The repair completed: the manager's dispatch watchdog (if
         // any) stops waiting on it.
         if let Some(m) = self.manager.as_mut() {
             m.outstanding.remove(&task.failed.as_u32());
         }
-        self.observer.emit(|| TraceEvent::RobotLegEnded {
-            t: now.as_secs_f64(),
-            robot: robot_node,
-            travel,
-        });
 
         let s = task.failed.index();
-        if self.sensors[s].alive {
+        if !arrival.installed {
             self.metrics.spurious_replacements += 1;
         } else {
-            // Install the replacement: same identity and location, fresh
-            // protocol state, fresh exponential lifetime (§2(a), §2(d)).
+            // The world installed the replacement; the new node starts
+            // with fresh protocol state.
             self.sensors[s].reset_for_replacement();
             let ctx = self.world.coord_ctx(self.cfg.update_threshold);
             self.coord.seed_replacement(&mut self.sensors[s], &ctx);
@@ -1454,26 +1389,9 @@ impl Simulation {
                 self.sensors[s].myrobot = Some((robot_node, task.loc));
             }
             self.radio.set_alive(task.failed, true);
-            self.incarnation[s] += 1;
-            if let Some(fail_at) = self.world.next_failure(now, s) {
-                self.sched.schedule_at(
-                    fail_at,
-                    Event::Fail {
-                        sensor: s as u32,
-                        incarnation: self.incarnation[s],
-                    },
-                );
-            }
             self.metrics.replacements += 1;
             self.robot_tasks_done[r] += 1;
             self.metrics.travel_per_task.push(travel);
-            self.observer.emit(|| TraceEvent::Replaced {
-                t: now.as_secs_f64(),
-                robot: robot_node,
-                sensor: task.failed,
-                travel,
-                loc: task.loc,
-            });
             self.metrics
                 .repair_delay
                 .push(now.duration_since(task.dispatched_at).as_secs_f64());
@@ -1498,7 +1416,7 @@ impl Simulation {
         // introduce the robot (and the manager) to the neighbourhood.
         self.do_location_update(now, r, TrafficClass::LocationUpdate);
 
-        if let Some(leg) = next_leg {
+        if let Some(leg) = arrival.next {
             self.start_leg(r, leg);
         }
     }
@@ -1538,7 +1456,7 @@ impl Simulation {
             return;
         }
         let slowdown = self.world.injector().breakdown_is_slowdown();
-        let robot_node = self.robots[r].id;
+        let robot_node = self.world.robots[r].id;
         if slowdown {
             self.metrics.faults.robot_slowdowns += 1;
             self.robot_slowed[r] = true;
@@ -1575,7 +1493,7 @@ impl Simulation {
             table[r] = None;
         }
         self.metrics.faults.robot_repairs += 1;
-        let robot_node = self.robots[r].id;
+        let robot_node = self.world.robots[r].id;
         self.radio.set_alive(robot_node, true);
         self.observer.emit(|| TraceEvent::RobotRepaired {
             t: now.as_secs_f64(),
@@ -1583,7 +1501,7 @@ impl Simulation {
         });
         // Re-announce so sensors (and the manager) re-adopt the robot.
         self.do_location_update(now, r, TrafficClass::LocationUpdate);
-        if let Some(leg) = self.robots[r].resume(now) {
+        if let Some(leg) = self.world.robots[r].resume(now) {
             self.start_leg(r, leg);
         }
         self.schedule_next_breakdown(r);
@@ -1605,13 +1523,13 @@ impl Simulation {
     /// replanned leg (new speed, partial travel credited) replaces the
     /// in-flight one.
     fn replan_at_speed(&mut self, now: SimTime, r: usize, speed: f64) {
-        let was_moving = self.robots[r].interrupt(now);
-        self.robots[r].set_speed(speed);
+        let was_moving = self.world.cut_leg(now, r, &mut self.observer);
+        self.world.robots[r].set_speed(speed);
         if was_moving {
-            let loc = self.robots[r].position_at(now);
-            self.radio.set_position(self.robots[r].id, loc);
-            if let Some(leg) = self.robots[r].resume(now) {
-                self.start_leg(r, leg); // bumps the leg seq: old events go stale
+            let loc = self.world.robots[r].position_at(now);
+            self.radio.set_position(self.world.robots[r].id, loc);
+            if let Some(leg) = self.world.robots[r].resume(now) {
+                self.start_leg(r, leg);
             }
         }
     }
@@ -1628,7 +1546,7 @@ impl Simulation {
         let periods = self.world.injector().plan.peer_timeout_periods;
         let timeout =
             SimDuration::from_secs(self.cfg.beacon_period.as_secs_f64() * f64::from(periods));
-        for p in 0..self.robots.len() {
+        for p in 0..self.world.robots.len() {
             if p == r || self.takeover_done[p] {
                 continue;
             }
@@ -1645,16 +1563,16 @@ impl Simulation {
             };
             self.takeover_done[p] = true;
             self.metrics.faults.takeovers += 1;
-            let dead = self.robots[p].id;
-            let robot_node = self.robots[r].id;
-            let loc = self.robots[r].position_at(now);
+            let dead = self.world.robots[p].id;
+            let robot_node = self.world.robots[r].id;
+            let loc = self.world.robots[r].position_at(now);
             self.observer.emit(|| TraceEvent::TakeoverAssumed {
                 t: now.as_secs_f64(),
                 robot: robot_node,
                 dead,
                 subarea,
             });
-            let seq = self.robots[r].next_seq();
+            let seq = self.world.robots[r].next_seq();
             let msg = AppMsg::RobotFlood {
                 robot: robot_node,
                 loc,
@@ -1680,8 +1598,8 @@ impl Simulation {
     /// (§3.1–3.3). `class` is `Init` for the initialization announcement
     /// and `LocationUpdate` during operation (the Figure 4 metric).
     fn do_location_update(&mut self, now: SimTime, r: usize, class: TrafficClass) {
-        let loc = self.robots[r].position_at(now);
-        let robot_node = self.robots[r].id;
+        let loc = self.world.robots[r].position_at(now);
+        let robot_node = self.world.robots[r].id;
         self.radio.set_position(robot_node, loc);
         // Injected loss on operational updates only (Init announcements
         // are part of the paper's assumed-reliable setup phase). The
@@ -1689,15 +1607,15 @@ impl Simulation {
         if class == TrafficClass::LocationUpdate
             && self.message_lost(now, FaultKind::UpdateLoss, robot_node)
         {
-            self.robots[r].last_update_loc = loc;
+            self.world.robots[r].last_update_loc = loc;
             return;
         }
-        let seq = self.robots[r].next_seq();
+        let seq = self.world.robots[r].next_seq();
         match self.coord.location_announcement(r) {
             Announcement::ManagerUnicast => {
                 let (m_id, m_loc) = self.world.field.manager.expect("manager exists");
                 // Unicast to the manager via geographic routing...
-                let queue_len = self.robots[r].outstanding_tasks() as u32;
+                let queue_len = self.world.robots[r].outstanding_tasks() as u32;
                 let msg = AppMsg::RobotToManagerUpdate {
                     robot: robot_node,
                     loc,
@@ -1752,7 +1670,7 @@ impl Simulation {
                 );
             }
         }
-        self.robots[r].last_update_loc = loc;
+        self.world.robots[r].last_update_loc = loc;
     }
 
     // --- MAC failure recovery -------------------------------------------------
@@ -1788,12 +1706,8 @@ impl FaultHooks for Simulation {
         &mut self.world
     }
 
-    fn sensor_alive(&self, s: usize) -> bool {
-        self.sensors[s].alive
-    }
-
     fn fail_sensor(&mut self, now: SimTime, s: usize) {
-        self.on_fail(now, s, self.incarnation[s]);
+        self.on_fail(now, self.world.expiry(s));
     }
 
     fn robot_in_service(&self, r: usize) -> bool {
@@ -1807,10 +1721,9 @@ impl FaultHooks for Simulation {
     fn kill_robot(&mut self, now: SimTime, r: usize) {
         self.metrics.faults.robot_breakdowns += 1;
         self.robot_down[r] = true;
-        self.robots[r].interrupt(now);
-        self.robot_leg_seq[r] += 1; // stale in-flight arrive/update events
-        let robot_node = self.robots[r].id;
-        let loc = self.robots[r].position_at(now);
+        self.world.cut_leg(now, r, &mut self.observer);
+        let robot_node = self.world.robots[r].id;
+        let loc = self.world.robots[r].position_at(now);
         self.radio.set_position(robot_node, loc);
         self.radio.set_alive(robot_node, false);
         self.observer.emit(|| TraceEvent::RobotDied {
@@ -1829,33 +1742,10 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("algorithm", &self.cfg.algorithm)
             .field("sensors", &self.sensors.len())
-            .field("robots", &self.robots.len())
+            .field("robots", &self.world.robots.len())
             .field("now", &self.sched.now())
             .finish()
     }
-}
-
-/// Runs several seeds of the same scenario and merges the summaries by
-/// averaging (used by the figure harness; the paper reports averages
-/// over its simulation runs).
-///
-/// Seeds fan across the work-stealing pool; outcomes come back in seed
-/// order and are identical to a sequential run (each seed is a pure
-/// function of its configuration).
-///
-/// # Panics
-///
-/// Panics if any seed's simulation panicked.
-pub fn run_seeds(cfg: &ScenarioConfig, seeds: &[u64]) -> Vec<Outcome> {
-    robonet_des::pool::scatter_map(seeds, robonet_des::pool::resolve_jobs(None), |_, &seed| {
-        Simulation::run(cfg.clone().with_seed(seed))
-    })
-    .into_iter()
-    .map(|r| match r {
-        Ok(outcome) => outcome,
-        Err(panic) => panic!("seed cell panicked: {panic}"),
-    })
-    .collect()
 }
 
 #[cfg(test)]

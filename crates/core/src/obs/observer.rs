@@ -96,12 +96,7 @@ impl<'s> Observer<'s> {
     /// # Panics
     ///
     /// Panics unless the observer was built with sampling on.
-    pub fn sample(
-        &mut self,
-        world: &World,
-        t: f64,
-        gauges: &Gauges<'_>,
-    ) -> (TelemetrySnapshot, u64) {
+    pub fn sample(&mut self, world: &World, t: f64, gauges: &Gauges) -> (TelemetrySnapshot, u64) {
         let health = self.health.as_ref().expect("sampling implies a monitor");
         let sample = world.telemetry(health.ledger(), gauges);
         let violations = health.check(

@@ -207,15 +207,15 @@ pub struct Leg {
 /// Everything replay knows about one robot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobotView {
-    /// Last settled position: home, or the end of the last completed
-    /// leg (`None` when replaying without a setup and no leg has
+    /// Last settled position: home, or where the last ended leg
+    /// stopped (`None` when replaying without a setup and no leg has
     /// revealed a position yet).
     pub loc: Option<Point>,
     /// The leg in progress, if the robot is driving.
     pub leg: Option<Leg>,
-    /// Completed legs.
+    /// Ended legs (arrived, or cut short by a fault).
     pub legs_done: u32,
-    /// Metres of completed legs.
+    /// Metres of ended legs.
     pub travel: f64,
     /// Replacements installed.
     pub installs: u32,
@@ -406,7 +406,7 @@ impl ReplayState {
             } => {
                 let r = self.robot(*robot);
                 if let Some(leg) = r.leg.take() {
-                    r.loc = Some(leg.to);
+                    r.loc = Some(leg_end(leg.from, leg.to, *travel));
                 }
                 r.legs_done += 1;
                 r.travel += travel;
@@ -674,12 +674,24 @@ pub struct LegRecord {
     pub robot: u32,
     /// Departure point.
     pub from: Point,
-    /// Destination.
+    /// Destination, or where a fault cut the leg short.
     pub to: Point,
     /// Departure time (s).
     pub start: f64,
-    /// Arrival time (s); `None` if the trace ended mid-leg.
+    /// Arrival (or cut) time (s); `None` if the trace ended mid-leg.
     pub end: Option<f64>,
+}
+
+/// Where a leg from `from` towards `to` ended after `travel` metres:
+/// `to` itself for a leg driven to the end, the cut point for one a
+/// robot fault interrupted.
+fn leg_end(from: Point, to: Point, travel: f64) -> Point {
+    let length = from.distance(to);
+    if travel >= length {
+        to
+    } else {
+        from.lerp(to, travel / length)
+    }
 }
 
 /// One sensor outage on the film timeline.
@@ -758,9 +770,10 @@ impl Film {
                         end: None,
                     });
                 }
-                TraceEvent::RobotLegEnded { t, robot, .. } => {
+                TraceEvent::RobotLegEnded { t, robot, travel } => {
                     if let Some(i) = open_leg.remove(&robot.as_u32()) {
                         legs[i].end = Some(*t);
+                        legs[i].to = leg_end(legs[i].from, legs[i].to, *travel);
                     }
                 }
                 _ => {}
@@ -957,5 +970,24 @@ mod tests {
         let film = Film::build(&events[..5], |_| None);
         assert_eq!(film.legs[0].end, None);
         assert_eq!(film.outages[0].end, None);
+    }
+
+    #[test]
+    fn a_cut_leg_leaves_the_robot_where_it_stopped() {
+        // The story's 50 m leg, cut by a breakdown 10 m out.
+        let mut events = story()[..5].to_vec();
+        events.push(TraceEvent::RobotLegEnded {
+            t: 51.0,
+            robot: NodeId::new(200),
+            travel: 10.0,
+        });
+        let cut = Point::new(6.0, 8.0);
+        let mut state = ReplayState::discovering();
+        events.iter().for_each(|e| state.apply(e));
+        let robot = state.robots().find(|(id, _)| *id == 200).unwrap().1;
+        assert_eq!(robot.loc, Some(cut));
+        assert_eq!(robot.travel, 10.0);
+        let film = Film::build(&events, |_| None);
+        assert_eq!((film.legs[0].to, film.legs[0].end), (cut, Some(51.0)));
     }
 }

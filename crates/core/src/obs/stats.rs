@@ -50,7 +50,7 @@ pub struct TraceAggregate {
     pub loc_update_floods: u64,
     /// `robot_leg_started` events seen.
     pub legs_started: u64,
-    /// `robot_leg_ended` events seen.
+    /// `robot_leg_ended` events seen (arrivals and cut legs).
     pub legs_ended: u64,
     /// Metres driven on every ended leg, whether or not the leg ended
     /// in a replacement.
@@ -163,10 +163,10 @@ impl TraceAggregate {
     }
 
     /// Fleet travel: the metres of every ended leg, the run's `fleet
-    /// travel` (the sum of the robot odometers) when every leg ends.
-    /// A leg cut short by a breakdown, a slowdown or attrition emits no
-    /// `robot_leg_ended`, so on such runs this falls short of the
-    /// odometers by the interrupted legs' travel.
+    /// travel` (the sum of the robot odometers). A leg a breakdown, a
+    /// slowdown or attrition cuts short ends too, with the metres
+    /// actually driven, as its odometer credit; only legs still under
+    /// way at the horizon are in neither figure.
     pub fn total_travel(&self) -> f64 {
         self.leg_travel
     }

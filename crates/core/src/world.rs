@@ -7,11 +7,25 @@
 //! lifetimes in a different order) and run a fault timeline through
 //! one executor, [`World::fire_timeline`], acting on its picks through
 //! [`FaultHooks`].
+//!
+//! The world also runs the repair lifecycle both engines share (paper
+//! §2(a), §2(d)): a sensor fails when its lifetime expires
+//! ([`World::expire`]), a robot is handed the task
+//! ([`World::dispatch`]), drives there ([`World::start_leg`]) and
+//! installs a replacement that draws a fresh lifetime
+//! ([`World::arrive`]); a robot fault can cut a leg short
+//! ([`World::cut_leg`]). The world owns sensor liveness, incarnations
+//! and the fleet, and emits `failure`, `dispatched`,
+//! `robot_leg_started`, `robot_leg_ended` and `replaced` through the
+//! engine's [`Observer`]. Each engine schedules the lifecycle's
+//! [`Expiry`] and [`LegRef`] events in its own queue and keeps what
+//! really differs: radio, detection, message pricing and its counters.
 
-use robonet_des::{rng, NodeId, SimDuration, SimTime};
+use robonet_des::{rng, NodeId, Scheduler, SimDuration, SimTime};
 use robonet_geom::partition::Partition;
 use robonet_geom::{deploy, Bounds, ConvexPolygon, Point};
-use robonet_robot::RobotState;
+use robonet_robot::motion::Leg;
+use robonet_robot::{ReplacementTask, RobotState};
 use robonet_wsn::coverage::{coverage_fraction, GRID_RESOLUTION, SENSING_RANGE};
 use robonet_wsn::failure::FailureProcess;
 
@@ -19,7 +33,8 @@ use crate::config::{DeployRegion, ScenarioConfig};
 use crate::coord::{self, CoordCtx};
 use crate::fault::{FaultInjector, TimedFault};
 use crate::obs::timeline::TelemetrySnapshot;
-use crate::obs::RepairLedger;
+use crate::obs::{Observer, RepairLedger};
+use crate::trace::TraceEvent;
 
 /// The initial world geometry of a scenario: everything derivable from
 /// the configuration alone, before the first protocol event.
@@ -167,6 +182,16 @@ pub(crate) struct World {
     pub faults: Option<FaultInjector>,
     /// Timeline events [`World::fire_timeline`] has executed.
     pub timeline_fired: u64,
+    /// The fleet; robot `r` is `NodeId(n_sensors + r)`.
+    pub robots: Vec<RobotState>,
+    /// Whether each sensor is functional.
+    alive: Vec<bool>,
+    /// Replacements installed in each sensor slot: an [`Expiry`] armed
+    /// for an earlier incarnation is stale.
+    incarnation: Vec<u32>,
+    /// Legs each robot has started or cut: a [`LegRef`] naming an
+    /// earlier leg is stale.
+    leg_seq: Vec<u32>,
     /// Sensor lifetimes: one `"lifetimes"` stream for every sensor.
     lifetimes: FailureProcess,
     /// Per-sensor lifetime multipliers (empty without region overrides).
@@ -176,8 +201,8 @@ pub(crate) struct World {
 }
 
 impl World {
-    /// Deploys the field for `cfg` and arms its failure schedule and
-    /// fault plan.
+    /// Deploys the field for `cfg`, parks the fleet at its initial
+    /// positions and sets up the failure schedule and fault plan.
     pub fn new(cfg: &ScenarioConfig) -> Self {
         let field = field_deployment(cfg);
         let pos = &field.sensor_pos;
@@ -185,8 +210,16 @@ impl World {
             Some(p) => pos.iter().map(|&s| p.subarea_of(s) as u32).collect(),
             None => vec![u32::MAX; pos.len()],
         };
+        let n_sensors = pos.len();
+        let robot = |(r, &loc): (usize, &Point)| {
+            RobotState::new(NodeId::new((n_sensors + r) as u32), loc, cfg.robot_speed)
+        };
         World {
             lifetime_factor: region_lifetime_factors(cfg, pos),
+            robots: field.robot_pos.iter().enumerate().map(robot).collect(),
+            alive: vec![true; n_sensors],
+            incarnation: vec![0; n_sensors],
+            leg_seq: vec![0; field.robot_pos.len()],
             field,
             sensor_subarea,
             faults: cfg
@@ -200,16 +233,184 @@ impl World {
         }
     }
 
-    /// When sensor `s`, born (or replaced) at `now`, fails: one draw
-    /// from the shared lifetime stream scaled by its region factor, or
-    /// `None` past the horizon (the draw is made either way).
-    pub fn next_failure(&mut self, now: SimTime, s: usize) -> Option<SimTime> {
+    /// Arms sensor `s`, born (or replaced) at `now`: one draw from the
+    /// shared lifetime stream, scaled by its region factor, and its
+    /// [`Expiry`] scheduled unless that falls past the horizon (the
+    /// draw is made either way).
+    pub fn arm<E: From<Expiry>>(&mut self, now: SimTime, s: usize, sched: &mut Scheduler<E>) {
         let at = scale_failure_time(
             now,
             self.lifetimes.sample_failure_at(now),
             self.lifetime_factor.get(s).copied().unwrap_or(1.0),
         );
-        (at <= self.horizon).then_some(at)
+        if at <= self.horizon {
+            sched.schedule_at(at, E::from(self.expiry(s)));
+        }
+    }
+
+    /// The expiry that ends sensor `s`'s current incarnation.
+    pub fn expiry(&self, s: usize) -> Expiry {
+        Expiry {
+            sensor: s as u32,
+            incarnation: self.incarnation[s],
+        }
+    }
+
+    /// Whether sensor `s` is functional.
+    pub fn is_alive(&self, s: usize) -> bool {
+        self.alive[s]
+    }
+
+    /// Lifetime expiry `e` fires at `now`: unless it is stale (the
+    /// sensor was replaced since it was armed, or is down already), the
+    /// sensor fails and `failure` is emitted. Returns the sensor that
+    /// failed.
+    pub fn expire(&mut self, now: SimTime, e: Expiry, obs: &mut Observer<'_>) -> Option<NodeId> {
+        let s = e.sensor as usize;
+        if self.incarnation[s] != e.incarnation || !self.alive[s] {
+            return None;
+        }
+        self.alive[s] = false;
+        let sensor = NodeId::new(e.sensor);
+        obs.emit(|| TraceEvent::Failure {
+            t: now.as_secs_f64(),
+            sensor,
+        });
+        Some(sensor)
+    }
+
+    /// Hands robot `r` the task of replacing `failed`, unless it holds
+    /// one for that sensor already, and emits `dispatched`. Returns the
+    /// leg an idle robot departs on, for the engine to start through
+    /// [`World::start_leg`].
+    pub fn dispatch(
+        &mut self,
+        now: SimTime,
+        r: usize,
+        failed: NodeId,
+        obs: &mut Observer<'_>,
+    ) -> Option<Leg> {
+        let robot = &mut self.robots[r];
+        if robot.has_task(failed) {
+            return None; // duplicate report for a queued failure
+        }
+        let task = ReplacementTask {
+            failed,
+            loc: self.field.sensor_pos[failed.index()],
+            dispatched_at: now,
+        };
+        let leg = robot.enqueue(task, now);
+        obs.emit(|| TraceEvent::Dispatched {
+            t: now.as_secs_f64(),
+            robot: robot.id,
+            failed,
+            departed: leg.is_some(),
+        });
+        leg
+    }
+
+    /// Robot `r` departs on `leg` towards its current task: emits
+    /// `robot_leg_started` and schedules the arrival. Returns the leg's
+    /// reference, stale once the leg is cut.
+    pub fn start_leg<E: From<LegRef>>(
+        &mut self,
+        r: usize,
+        leg: &Leg,
+        obs: &mut Observer<'_>,
+        sched: &mut Scheduler<E>,
+    ) -> LegRef {
+        self.leg_seq[r] += 1;
+        let robot = &self.robots[r];
+        obs.emit(|| TraceEvent::RobotLegStarted {
+            t: leg.start().as_secs_f64(),
+            robot: robot.id,
+            failed: robot
+                .current_task()
+                .expect("departing robot has a task")
+                .failed,
+            from: leg.from(),
+            to: leg.to(),
+        });
+        let id = LegRef {
+            robot: r as u32,
+            seq: self.leg_seq[r],
+        };
+        sched.schedule_at(leg.arrival(), E::from(id));
+        id
+    }
+
+    /// Whether `leg` is still under way (not cut, not arrived and
+    /// followed by another).
+    pub fn leg_is_current(&self, leg: LegRef) -> bool {
+        self.leg_seq[leg.robot()] == leg.seq
+    }
+
+    /// The robot on `leg` reaches its end at `now`, unless the leg is
+    /// stale: emits `robot_leg_ended` and, when the failed sensor is
+    /// still down, installs the replacement — same identity and
+    /// location, a new incarnation with a fresh lifetime — and emits
+    /// `replaced`. A task for a live sensor (a false alarm) installs
+    /// nothing.
+    pub fn arrive<E: From<Expiry>>(
+        &mut self,
+        now: SimTime,
+        leg: LegRef,
+        obs: &mut Observer<'_>,
+        sched: &mut Scheduler<E>,
+    ) -> Option<Arrival> {
+        if !self.leg_is_current(leg) {
+            return None;
+        }
+        let robot = &mut self.robots[leg.robot()];
+        let travel = robot
+            .current_leg()
+            .expect("arriving robot has a leg")
+            .distance();
+        let (task, next) = robot.arrive(now);
+        let (robot, t) = (robot.id, now.as_secs_f64());
+        obs.emit(|| TraceEvent::RobotLegEnded { t, robot, travel });
+        let s = task.failed.index();
+        let installed = !self.alive[s];
+        if installed {
+            self.alive[s] = true;
+            self.incarnation[s] += 1;
+            self.arm(now, s, sched);
+            obs.emit(|| TraceEvent::Replaced {
+                t,
+                robot,
+                sensor: task.failed,
+                travel,
+                loc: task.loc,
+            });
+        }
+        Some(Arrival {
+            task,
+            travel,
+            installed,
+            next,
+        })
+    }
+
+    /// A fault stops robot `r` at `now` (a breakdown, a slowdown or
+    /// attrition): a leg under way ends where the robot stands, with
+    /// `robot_leg_ended` carrying the metres driven; its task goes back
+    /// to the front of the queue and the leg goes stale. Returns
+    /// whether a leg was cut.
+    pub fn cut_leg(&mut self, now: SimTime, r: usize, obs: &mut Observer<'_>) -> bool {
+        let robot = &mut self.robots[r];
+        let Some(leg) = robot.current_leg() else {
+            return false;
+        };
+        // The metres `interrupt` credits the odometer with.
+        let travel = leg.from().distance(leg.position_at(now));
+        robot.interrupt(now);
+        self.leg_seq[r] += 1;
+        obs.emit(|| TraceEvent::RobotLegEnded {
+            t: now.as_secs_f64(),
+            robot: robot.id,
+            travel,
+        });
+        true
     }
 
     /// The fault timeline as `(fire time, index)` pairs in plan order
@@ -239,15 +440,6 @@ impl World {
         self.faults.as_mut().expect("an active fault plan")
     }
 
-    /// The fleet at its initial positions, moving at `speed`.
-    pub fn fleet(&self, speed: f64) -> Vec<RobotState> {
-        let n_sensors = self.field.sensor_pos.len();
-        let robot = |(r, &loc): (usize, &Point)| {
-            RobotState::new(NodeId::new((n_sensors + r) as u32), loc, speed)
-        };
-        self.field.robot_pos.iter().enumerate().map(robot).collect()
-    }
-
     /// Fires timeline event `index` at `now`: the one fault-timeline
     /// executor of both engines. It picks the victims (alive sensors
     /// inside a blackout region in index order; attrition victims drawn
@@ -260,8 +452,8 @@ impl World {
         match event {
             TimedFault::Blackout { region, .. } => {
                 for s in 0..engine.world().field.sensor_pos.len() {
-                    if engine.sensor_alive(s) && region.contains(engine.world().field.sensor_pos[s])
-                    {
+                    let world = engine.world();
+                    if world.alive[s] && region.contains(world.field.sensor_pos[s]) {
                         engine.fail_sensor(now, s);
                     }
                 }
@@ -290,24 +482,24 @@ impl World {
         }
     }
 
-    /// The snapshot one firing of the telemetry sampler takes: the
-    /// engine's `gauges`, the field's coverage and the open repairs in
-    /// `ledger` by milestone. A robot's queue depth counts every task
-    /// dispatched to it and not yet installed, the one it is driving to
-    /// included.
-    pub fn telemetry(&self, ledger: &RepairLedger, gauges: &Gauges<'_>) -> TelemetrySnapshot {
-        let robots = gauges.robots;
-        let alive = gauges.alive.iter().filter(|&&a| a).count();
+    /// The snapshot one firing of the telemetry sampler takes: sensor
+    /// liveness and the field's coverage, the fleet, the engine's
+    /// `gauges` and the open repairs in `ledger` by milestone. A
+    /// robot's queue depth counts every task dispatched to it and not
+    /// yet installed, the one it is driving to included.
+    pub fn telemetry(&self, ledger: &RepairLedger, gauges: &Gauges) -> TelemetrySnapshot {
+        let robots = &self.robots;
+        let alive = self.alive.iter().filter(|&&a| a).count();
         let [open_failure, open_detected, open_reported, open_dispatched] = ledger.stage_counts();
         TelemetrySnapshot {
             alive: alive as u32,
-            down: (gauges.alive.len() - alive) as u32,
+            down: (self.alive.len() - alive) as u32,
             failures: gauges.failures,
             replaced: gauges.replacements,
             coverage: coverage_fraction(
                 &self.field.bounds,
                 &self.field.sensor_pos,
-                gauges.alive,
+                &self.alive,
                 SENSING_RANGE,
                 GRID_RESOLUTION,
             ),
@@ -326,13 +518,11 @@ impl World {
     }
 }
 
-/// The engine-side state one telemetry sample reads: per-sensor
-/// liveness, the fleet, frames in flight (0 at flow level), pending
-/// scheduler events, and the failure, replacement and down-robot
-/// counts the health ledger is checked against.
-pub(crate) struct Gauges<'a> {
-    pub alive: &'a [bool],
-    pub robots: &'a [RobotState],
+/// The engine-side state one telemetry sample reads: frames in flight
+/// (0 at flow level), pending scheduler events, and the failure,
+/// replacement and down-robot counts the health ledger is checked
+/// against.
+pub(crate) struct Gauges {
     pub in_flight: u32,
     pub sched_queue: u32,
     pub failures: u64,
@@ -345,10 +535,8 @@ pub(crate) struct Gauges<'a> {
 pub(crate) trait FaultHooks {
     /// The engine's world.
     fn world(&mut self) -> &mut World;
-    /// Whether sensor `s` is alive now.
-    fn sensor_alive(&self, s: usize) -> bool;
-    /// Sensor `s` dies at `now` (a blackout victim), through the same
-    /// detection and replacement path a lifetime expiry takes.
+    /// Live sensor `s` dies at `now` (a blackout victim), through the
+    /// same detection and replacement path a lifetime expiry takes.
     fn fail_sensor(&mut self, now: SimTime, s: usize);
     /// Whether robot `r` is in service (an attrition candidate).
     fn robot_in_service(&self, r: usize) -> bool;
@@ -358,4 +546,40 @@ pub(crate) trait FaultHooks {
     fn kill_robot(&mut self, now: SimTime, r: usize);
     /// Drops frames crossing between `a` and `b` until `until`.
     fn install_partition(&mut self, until: SimTime, a: ConvexPolygon, b: ConvexPolygon);
+}
+
+/// The end of one sensor incarnation's lifetime: the failure event both
+/// engines schedule ([`World::arm`]) and hand back ([`World::expire`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Expiry {
+    sensor: u32,
+    incarnation: u32,
+}
+
+/// One robot leg, as its scheduled arrival names it
+/// ([`World::start_leg`], [`World::arrive`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LegRef {
+    robot: u32,
+    seq: u32,
+}
+
+impl LegRef {
+    /// The robot driving the leg.
+    pub fn robot(self) -> usize {
+        self.robot as usize
+    }
+}
+
+/// What [`World::arrive`] hands back to the engine.
+pub(crate) struct Arrival {
+    /// The task the robot finished.
+    pub task: ReplacementTask,
+    /// The metres of the leg that ended.
+    pub travel: f64,
+    /// Whether a replacement went in (`false`: the sensor was alive, a
+    /// false alarm).
+    pub installed: bool,
+    /// The leg towards the next queued task, for the engine to start.
+    pub next: Option<Leg>,
 }

@@ -30,8 +30,6 @@ pub struct SensorState {
     pub id: NodeId,
     /// Its (fixed) deployment location.
     pub loc: Point,
-    /// Whether the node is currently functional.
-    pub alive: bool,
     /// One-hop neighbours and their advertised locations.
     pub neighbors: NeighborTable,
     /// The neighbour this sensor chose to watch it.
@@ -65,12 +63,11 @@ pub struct SensorState {
 }
 
 impl SensorState {
-    /// Creates a fresh, alive sensor at `loc`.
+    /// Creates a fresh sensor at `loc`.
     pub fn new(id: NodeId, loc: Point) -> Self {
         SensorState {
             id,
             loc,
-            alive: true,
             neighbors: NeighborTable::new(),
             guardian: None,
             guardian_last_heard: None,
@@ -349,7 +346,6 @@ impl SensorState {
     /// the corresponding failed nodes", §2(d)). Identity and location
     /// are retained; everything learned is forgotten.
     pub fn reset_for_replacement(&mut self) {
-        self.alive = true;
         self.neighbors = NeighborTable::new();
         self.guardian = None;
         self.guardian_last_heard = None;
@@ -543,9 +539,7 @@ mod tests {
         s.pick_guardian(t(0.0), |_| true);
         s.add_guardee(n(1), t(0.0));
         s.consider_robot(n(100), p(10.0, 10.0));
-        s.alive = false;
         s.reset_for_replacement();
-        assert!(s.alive);
         assert!(s.neighbors.is_empty());
         assert!(s.guardian.is_none());
         assert!(s.guardees.is_empty());

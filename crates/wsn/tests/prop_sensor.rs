@@ -156,9 +156,7 @@ fn replacement_reset_is_complete() {
             s.pick_guardian(SimTime::from_secs(1.0), |_| true);
             s.add_guardee(NodeId::new(10), SimTime::from_secs(1.0));
             s.consider_robot(NodeId::new(200), Point::ZERO);
-            s.alive = false;
             s.reset_for_replacement();
-            assert!(s.alive);
             assert_eq!(s.id, NodeId::new(3));
             assert_eq!(s.loc, me);
             assert!(s.neighbors.is_empty());

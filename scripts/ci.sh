@@ -174,6 +174,20 @@ stage_golden_trace() {
         --trace-out "$lossy" > "$artifact_dir/lossy.run.txt"
     robonet stats "$lossy" > "$artifact_dir/lossy.stats.txt"
     stats_agrees_with_run "$artifact_dir/lossy.run.txt" "$artifact_dir/lossy.stats.txt"
+    # Breakdowns, slowdowns and attrition cut legs short; a cut leg
+    # must still end in the trace with the metres actually driven.
+    local cut="$artifact_dir/cut_legs.jsonl"
+    robonet run --alg dynamic --k 2 --scale 64 --seed 2 --loss 0.1 --breakdown 3000 \
+        --breakdown-repair 200 --slow-prob 0.5 --slow-factor 0.5 \
+        --trace-out "$cut" > "$artifact_dir/cut_legs.run.txt"
+    robonet stats "$cut" > "$artifact_dir/cut_legs.stats.txt"
+    stats_agrees_with_run "$artifact_dir/cut_legs.run.txt" "$artifact_dir/cut_legs.stats.txt"
+    local wave="$artifact_dir/attrition_wave.jsonl"
+    robonet run --scenario scenarios/attrition_wave.rjson --trace-out "$wave" \
+        > "$artifact_dir/attrition_wave.run.txt"
+    robonet stats "$wave" > "$artifact_dir/attrition_wave.stats.txt"
+    stats_agrees_with_run "$artifact_dir/attrition_wave.run.txt" \
+        "$artifact_dir/attrition_wave.stats.txt"
 }
 
 stage_golden_spans() {
