@@ -183,22 +183,19 @@ pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, SpanReport) {
 /// simulator to study those.
 ///
 /// Of the scheduled [`crate::fault::FaultPlan::timeline`], the flow
-/// model executes the subset its abstractions can express:
-/// [`TimedFault::Blackout`] (every live sensor inside the region fails
-/// at the scheduled time) and [`TimedFault::LossRate`] (the injector's
-/// loss probabilities switch). [`TimedFault::Partition`] and
-/// [`TimedFault::Attrition`] are rejected with an error naming the
-/// event kind — there are no per-hop frames to block and no modelled
-/// robot health; use the packet simulator for those. The field
-/// ([`crate::field_deployment`]), the failure schedule and the timeline
-/// executor are the packet simulator's own, so deployment regions apply
-/// in full (density weighting and per-region lifetimes), placement
-/// matches it draw for draw, and so do failures until either engine
-/// installs its first replacement.
+/// model executes [`TimedFault::Blackout`] (every live sensor inside
+/// the region fails at the scheduled time) and [`TimedFault::LossRate`]
+/// (the injector's loss probabilities switch); [`validate`] rejects the
+/// rest. The field ([`crate::field_deployment`]), the failure schedule,
+/// the timeline executor and the repair lifecycle are the packet
+/// simulator's own, so deployment regions apply in full (density
+/// weighting and per-region lifetimes), placement matches it draw for
+/// draw, and so do failures until either engine installs its first
+/// replacement.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid or uses such an event.
+/// Panics if the configuration fails [`validate`].
 pub fn run_with_sink(cfg: &ScenarioConfig, sink: &mut dyn EventSink) -> FastSummary {
     run_observed(cfg, sink, false).0
 }
@@ -270,11 +267,10 @@ fn run_observed(
     run.finish()
 }
 
-/// Running totals behind a [`FastSummary`].
+/// Running totals behind a [`FastSummary`] (the world counts failures
+/// and replacements).
 #[derive(Default)]
 struct Tally {
-    failures: u64,
-    replacements: u64,
     report_orphans: u64,
     travel: f64,
     report_hops: f64,
@@ -305,7 +301,6 @@ impl FlowRun<'_> {
         let Some(sensor) = self.world.expire(now, e, &mut self.observer) else {
             return;
         };
-        self.tally.failures += 1;
         // Detection: timeout + residual beacon phase.
         let detect_delay = self.cfg.failure_timeout()
             + sampler::uniform_duration(&mut self.detect_rng, self.cfg.beacon_period);
@@ -389,7 +384,6 @@ impl FlowRun<'_> {
             .arrive(now, leg, &mut self.observer, &mut self.sched)
             .expect("flow legs are never cut");
         debug_assert!(arrival.installed, "flow robots serve failed sensors only");
-        self.tally.replacements += 1;
         self.tally.travel += arrival.travel;
         self.tally.repair_delay += now.duration_since(arrival.task.dispatched_at).as_secs_f64();
         if let Some(next_leg) = arrival.next {
@@ -404,8 +398,6 @@ impl FlowRun<'_> {
         let gauges = Gauges {
             in_flight: 0,
             sched_queue: self.sched.pending() as u32,
-            failures: self.tally.failures,
-            replacements: self.tally.replacements,
             robots_down: 0,
         };
         self.observer.sample(&self.world, t, &gauges);
@@ -413,13 +405,14 @@ impl FlowRun<'_> {
 
     fn finish(self) -> (FastSummary, Option<SpanReport>) {
         let (spans, _) = self.observer.finish();
-        let t = self.tally;
-        let replaced = t.replacements.max(1) as f64;
+        let (t, failures, replacements) =
+            (self.tally, self.world.failures, self.world.replacements);
+        let replaced = replacements.max(1) as f64;
         let summary = FastSummary {
-            failures: t.failures,
-            replacements: t.replacements,
+            failures,
+            replacements,
             avg_travel_per_failure: t.travel / replaced,
-            avg_report_hops: t.report_hops / t.failures.max(1) as f64,
+            avg_report_hops: t.report_hops / failures.max(1) as f64,
             avg_request_hops: self
                 .coordinator
                 .uses_manager()

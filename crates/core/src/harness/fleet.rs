@@ -4,7 +4,7 @@
 use robonet_des::{NodeId, SimTime};
 use robonet_geom::Point;
 use robonet_net::GeoHeader;
-use robonet_radio::{Frame, TrafficClass};
+use robonet_radio::TrafficClass;
 
 use crate::coord::{Announcement, FleetView};
 use crate::fault::FaultKind;
@@ -27,17 +27,7 @@ impl Simulation {
         }
         let loc = self.agent_position(now, id);
         self.radio.set_position(id, loc);
-        let beacon = AppMsg::Beacon { loc };
-        self.radio_send(
-            now,
-            Frame {
-                src: id,
-                dst: None,
-                bytes: beacon.wire_bytes(),
-                class: TrafficClass::Beacon,
-                payload: beacon,
-            },
-        );
+        self.send(now, id, None, TrafficClass::Beacon, AppMsg::Beacon { loc });
         // Fault-tolerance duties ride on the beacon clock (both are
         // no-ops in fault-free runs).
         match r {
@@ -133,7 +123,7 @@ impl Simulation {
             failed_loc,
             geo: GeoHeader::new(robot_node, robot_loc),
         };
-        self.originate_geo(now, manager_id, msg, TrafficClass::RepairRequest);
+        self.route_and_send(now, manager_id, msg, TrafficClass::RepairRequest, None);
     }
 
     pub(super) fn robot_enqueue(&mut self, now: SimTime, r: usize, failed: NodeId) {
@@ -180,9 +170,7 @@ impl Simulation {
         }
 
         let s = task.failed.index();
-        if !arrival.installed {
-            self.metrics.spurious_replacements += 1;
-        } else {
+        if arrival.installed {
             // The world installed the replacement; the new node starts
             // with fresh protocol state.
             self.sensors[s].reset_for_replacement();
@@ -200,7 +188,6 @@ impl Simulation {
                 self.sensors[s].myrobot = Some((robot_node, task.loc));
             }
             self.radio.set_alive(task.failed, true);
-            self.metrics.replacements += 1;
             self.robot_tasks_done[r] += 1;
             self.metrics.travel_per_task.push(travel);
             self.metrics
@@ -211,16 +198,9 @@ impl Simulation {
             let hello = AppMsg::Beacon {
                 loc: self.sensors[s].loc,
             };
-            self.radio_send(
-                now,
-                Frame {
-                    src: task.failed,
-                    dst: None,
-                    bytes: hello.wire_bytes(),
-                    class: TrafficClass::Replacement,
-                    payload: hello,
-                },
-            );
+            self.send(now, task.failed, None, TrafficClass::Replacement, hello);
+        } else {
+            self.metrics.spurious_replacements += 1;
         }
 
         // Arrival is a moved-by-threshold point too: update location and
@@ -260,7 +240,7 @@ impl Simulation {
                     queue_len,
                     geo: GeoHeader::new(m_id, m_loc),
                 };
-                self.originate_geo(now, robot_node, msg, class);
+                self.route_and_send(now, robot_node, msg, class, None);
                 // ... plus a one-hop broadcast so nearby sensors can
                 // deliver chasing repair requests (§3.1).
                 let hello = AppMsg::RobotHello {
@@ -268,17 +248,7 @@ impl Simulation {
                     loc,
                     manager: Some((m_id, m_loc)),
                 };
-                let bytes = hello.wire_bytes();
-                self.radio_send(
-                    now,
-                    Frame {
-                        src: robot_node,
-                        dst: None,
-                        bytes,
-                        class,
-                        payload: hello,
-                    },
-                );
+                self.send(now, robot_node, None, class, hello);
             }
             Announcement::Flood { subarea } => {
                 if class == TrafficClass::LocationUpdate {
@@ -295,17 +265,7 @@ impl Simulation {
                     subarea,
                     defunct: None,
                 };
-                let bytes = msg.wire_bytes();
-                self.radio_send(
-                    now,
-                    Frame {
-                        src: robot_node,
-                        dst: None,
-                        bytes,
-                        class,
-                        payload: msg,
-                    },
-                );
+                self.send(now, robot_node, None, class, msg);
             }
         }
         self.world.robots[r].last_update_loc = loc;

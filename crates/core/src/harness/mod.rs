@@ -194,8 +194,6 @@ pub struct Simulation {
     jitter_rng: rng::Xoshiro256,
     /// Robots currently broken down (silent, not moving).
     robot_down: Vec<bool>,
-    /// Robots degraded to `slow_factor` speed.
-    robot_slowed: Vec<bool>,
     /// Whether a peer already declared this robot dead this down-period
     /// (first detector wins; cleared on repair).
     takeover_done: Vec<bool>,
@@ -356,7 +354,6 @@ impl Simulation {
             oracle_scratch: NeighborTable::new(),
             jitter_rng: rng::stream(cfg_seed, "jitter"),
             robot_down: vec![false; n_robots],
-            robot_slowed: vec![false; n_robots],
             takeover_done: vec![false; n_robots],
             peer_last_heard: if robot_faults {
                 vec![vec![None; n_robots]; n_robots]
@@ -414,6 +411,8 @@ impl Simulation {
     }
 
     fn finalize(mut self) -> Outcome {
+        self.metrics.failures_occurred = self.world.failures;
+        self.metrics.replacements = self.world.replacements;
         self.metrics.robot_odometers = self.world.robots.iter().map(RobotState::odometer).collect();
         self.metrics.tasks_per_robot = self.robot_tasks_done.clone();
         self.metrics.myrobot_accuracy = self.myrobot_accuracy();
@@ -607,8 +606,6 @@ impl Simulation {
         let gauges = Gauges {
             in_flight: self.radio.in_flight() as u32,
             sched_queue: self.sched.pending() as u32,
-            failures: self.metrics.failures_occurred,
-            replacements: self.metrics.replacements,
             robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
         };
         let (sample, violations) = self.observer.sample(&self.world, t, &gauges);

@@ -4,7 +4,7 @@
 
 use robonet_des::{NodeId, SimDuration, SimTime};
 use robonet_geom::ConvexPolygon;
-use robonet_radio::{Frame, TrafficClass};
+use robonet_radio::TrafficClass;
 
 use crate::coord::Announcement;
 use crate::fault::{FaultInjector, FaultKind};
@@ -88,7 +88,6 @@ impl Simulation {
         let robot_node = self.world.robots[r].id;
         if slowdown {
             self.metrics.faults.robot_slowdowns += 1;
-            self.robot_slowed[r] = true;
             let factor = self.world.injector().plan.slow_factor;
             self.replan_at_speed(now, r, self.cfg.robot_speed * factor);
             self.observer.emit(|| TraceEvent::FaultInjected {
@@ -209,17 +208,7 @@ impl Simulation {
                 subarea,
                 defunct: Some(dead),
             };
-            let bytes = msg.wire_bytes();
-            self.radio_send(
-                now,
-                Frame {
-                    src: robot_node,
-                    dst: None,
-                    bytes,
-                    class: TrafficClass::LocationUpdate,
-                    payload: msg,
-                },
-            );
+            self.send(now, robot_node, None, TrafficClass::LocationUpdate, msg);
         }
     }
 }

@@ -62,19 +62,29 @@ impl Simulation {
         });
     }
 
-    /// Routes a freshly created geo message from `origin` (first hop).
-    pub(super) fn originate_geo(
+    /// Sends `msg` from `src` to `dst` (to every hearer when `None`) as
+    /// one `class` frame.
+    pub(super) fn send(
         &mut self,
         now: SimTime,
-        origin: NodeId,
-        msg: AppMsg,
+        src: NodeId,
+        dst: Option<NodeId>,
         class: TrafficClass,
+        msg: AppMsg,
     ) {
-        self.route_and_send(now, origin, msg, class, None);
+        let frame = Frame {
+            src,
+            dst,
+            bytes: msg.wire_bytes(),
+            class,
+            payload: msg,
+        };
+        self.radio_send(now, frame);
     }
 
-    /// Forwards a geo message held by `at` (arrived from `prev`).
-    fn route_and_send(
+    /// Routes a geo message held by `at` one hop on; `prev_loc` is where
+    /// it came from (`None` where it originates).
+    pub(super) fn route_and_send(
         &mut self,
         now: SimTime,
         at: NodeId,
@@ -111,17 +121,7 @@ impl Simulation {
             RouteDecision::Deliver => self.handle_final(now, at, msg),
             RouteDecision::Forward(next) => {
                 *msg.geo_mut().expect("checked above") = hdr;
-                let bytes = msg.wire_bytes();
-                self.radio_send(
-                    now,
-                    Frame {
-                        src: at,
-                        dst: Some(next),
-                        bytes,
-                        class,
-                        payload: msg,
-                    },
-                );
+                self.send(now, at, Some(next), class, msg);
             }
             RouteDecision::Drop(why) => {
                 let reason = DropReason::from(why);

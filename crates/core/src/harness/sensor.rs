@@ -26,17 +26,7 @@ impl Simulation {
         let loc = self.sensors[s].loc;
         let src = self.sensors[s].id;
         // Beacon to one-hop neighbours.
-        let beacon = AppMsg::Beacon { loc };
-        self.radio_send(
-            now,
-            Frame {
-                src,
-                dst: None,
-                bytes: beacon.wire_bytes(),
-                class: TrafficClass::Beacon,
-                payload: beacon,
-            },
-        );
+        self.send(now, src, None, TrafficClass::Beacon, AppMsg::Beacon { loc });
 
         let timeout = self.cfg.failure_timeout();
 
@@ -108,23 +98,13 @@ impl Simulation {
         if let Some(g) = pick {
             let src = self.sensors[s].id;
             let msg = AppMsg::GuardianConfirm;
-            self.radio_send(
-                now,
-                Frame {
-                    src,
-                    dst: Some(g),
-                    bytes: msg.wire_bytes(),
-                    class: TrafficClass::Init,
-                    payload: msg,
-                },
-            );
+            self.send(now, src, Some(g), TrafficClass::Init, msg);
         }
     }
 
     pub(super) fn on_fail(&mut self, now: SimTime, e: Expiry) {
         if let Some(sensor) = self.world.expire(now, e, &mut self.observer) {
             self.radio.set_alive(sensor, false);
-            self.metrics.failures_occurred += 1;
         }
     }
 
@@ -175,7 +155,7 @@ impl Simulation {
             failed_loc,
             geo: GeoHeader::new(dst, dst_loc),
         };
-        self.originate_geo(now, origin, msg, TrafficClass::FailureReport);
+        self.route_and_send(now, origin, msg, TrafficClass::FailureReport, None);
     }
 
     /// A node heard a location-bearing frame directly from `from`; it

@@ -102,8 +102,8 @@ impl<'s> Observer<'s> {
         let violations = health.check(
             t,
             &Checkpoint {
-                failures: gauges.failures,
-                replacements: gauges.replacements,
+                failures: world.failures,
+                replacements: world.replacements,
                 open_spans: self.open_spans() as u64,
                 robots_down: gauges.robots_down,
             },

@@ -174,11 +174,6 @@ impl SpanAssembler {
         &self.ledger
     }
 
-    /// Number of spans closed so far.
-    pub fn closed_count(&self) -> usize {
-        self.closed.len()
-    }
-
     /// Consumes one event. Never panics on malformed streams: events
     /// that match no open span count as unmatched, negative stage
     /// intervals bump `out_of_order` and drop that stage to `None`.

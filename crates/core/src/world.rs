@@ -1,25 +1,20 @@
-//! The world both engines simulate: the deployed field, the sensors'
-//! failure schedule, the fault plan and timeline, and the telemetry
-//! snapshot. The packet harness ([`crate::Simulation`]) and the flow
-//! model ([`crate::fastsim`]) differ in how messages travel, not in
-//! what the world is: each builds one [`World`], so both place the same
-//! sensors, fail them at the same instants (until repair timing re-arms
-//! lifetimes in a different order) and run a fault timeline through
-//! one executor, [`World::fire_timeline`], acting on its picks through
-//! [`FaultHooks`].
-//!
-//! The world also runs the repair lifecycle both engines share (paper
-//! §2(a), §2(d)): a sensor fails when its lifetime expires
+//! The world both engines simulate: the deployed field and fleet, the
+//! sensors' failure schedule, the fault plan and timeline, the repair
+//! lifecycle and the telemetry snapshot. The packet harness
+//! ([`crate::Simulation`]) and the flow model ([`crate::fastsim`])
+//! differ in how messages travel, not in what the world is: each builds
+//! one [`World`], so both place the same sensors, fail them at the same
+//! instants (until repair timing re-arms lifetimes in a different
+//! order), run a fault timeline through one executor,
+//! [`World::fire_timeline`], acting on its picks through [`FaultHooks`],
+//! and run one repair loop (paper §2(a), §2(d)): a lifetime expires
 //! ([`World::expire`]), a robot is handed the task
-//! ([`World::dispatch`]), drives there ([`World::start_leg`]) and
-//! installs a replacement that draws a fresh lifetime
-//! ([`World::arrive`]); a robot fault can cut a leg short
-//! ([`World::cut_leg`]). The world owns sensor liveness, incarnations
-//! and the fleet, and emits `failure`, `dispatched`,
-//! `robot_leg_started`, `robot_leg_ended` and `replaced` through the
-//! engine's [`Observer`]. Each engine schedules the lifecycle's
-//! [`Expiry`] and [`LegRef`] events in its own queue and keeps what
-//! really differs: radio, detection, message pricing and its counters.
+//! ([`World::dispatch`]), drives there ([`World::start_leg`]; a fault
+//! may [`World::cut_leg`]) and installs a replacement with a fresh
+//! lifetime ([`World::arrive`]). The world owns sensor liveness and
+//! incarnations and emits those five trace events through the engine's
+//! [`Observer`]; each engine schedules the [`Expiry`] and [`LegRef`]
+//! events in its own queue and keeps radio, detection and pricing.
 
 use robonet_des::{rng, NodeId, Scheduler, SimDuration, SimTime};
 use robonet_geom::partition::Partition;
@@ -184,6 +179,10 @@ pub(crate) struct World {
     pub timeline_fired: u64,
     /// The fleet; robot `r` is `NodeId(n_sensors + r)`.
     pub robots: Vec<RobotState>,
+    /// Sensor failures so far.
+    pub failures: u64,
+    /// Replacements installed so far.
+    pub replacements: u64,
     /// Whether each sensor is functional.
     alive: Vec<bool>,
     /// Replacements installed in each sensor slot: an [`Expiry`] armed
@@ -217,6 +216,8 @@ impl World {
         World {
             lifetime_factor: region_lifetime_factors(cfg, pos),
             robots: field.robot_pos.iter().enumerate().map(robot).collect(),
+            failures: 0,
+            replacements: 0,
             alive: vec![true; n_sensors],
             incarnation: vec![0; n_sensors],
             leg_seq: vec![0; field.robot_pos.len()],
@@ -271,6 +272,7 @@ impl World {
             return None;
         }
         self.alive[s] = false;
+        self.failures += 1;
         let sensor = NodeId::new(e.sensor);
         obs.emit(|| TraceEvent::Failure {
             t: now.as_secs_f64(),
@@ -374,6 +376,7 @@ impl World {
         if installed {
             self.alive[s] = true;
             self.incarnation[s] += 1;
+            self.replacements += 1;
             self.arm(now, s, sched);
             obs.emit(|| TraceEvent::Replaced {
                 t,
@@ -494,8 +497,8 @@ impl World {
         TelemetrySnapshot {
             alive: alive as u32,
             down: (self.alive.len() - alive) as u32,
-            failures: gauges.failures,
-            replaced: gauges.replacements,
+            failures: self.failures,
+            replaced: self.replacements,
             coverage: coverage_fraction(
                 &self.field.bounds,
                 &self.field.sensor_pos,
@@ -519,14 +522,11 @@ impl World {
 }
 
 /// The engine-side state one telemetry sample reads: frames in flight
-/// (0 at flow level), pending scheduler events, and the failure,
-/// replacement and down-robot counts the health ledger is checked
-/// against.
+/// (0 at flow level), pending scheduler events, and the down-robot
+/// count the health ledger is checked against.
 pub(crate) struct Gauges {
     pub in_flight: u32,
     pub sched_queue: u32,
-    pub failures: u64,
-    pub replacements: u64,
     pub robots_down: u64,
 }
 

@@ -7,63 +7,25 @@
 //!     cargo run --release --example hole_recovery
 
 use robonet::des::rng::Xoshiro256;
-
-use robonet::des::{NodeId, SimTime};
+use robonet::des::NodeId;
 use robonet::geom::graph::UnitDiskGraph;
 use robonet::geom::{deploy, Bounds, Point};
-use robonet::net::{route, GeoHeader, NeighborTable, RouteDecision, RouteMode};
+use robonet::net::trace::{tables_from_positions, trace_route, RouteTrace};
 
-/// Builds each node's neighbour table from the unit-disk graph (what
-/// beaconing would establish).
-fn tables(g: &UnitDiskGraph) -> Vec<NeighborTable> {
-    (0..g.len())
-        .map(|i| {
-            let mut t = NeighborTable::new();
-            for &j in g.neighbors(i) {
-                t.update(NodeId::new(j), g.position(j as usize), SimTime::ZERO);
-            }
-            t
-        })
-        .collect()
-}
-
-fn trace_route(g: &UnitDiskGraph, tables: &[NeighborTable], src: usize, dst: usize) {
-    let mut header = GeoHeader::new(NodeId::new(dst as u32), g.position(dst));
-    let mut cur = src;
-    let mut prev: Option<Point> = None;
-    let mut perimeter_hops = 0u32;
-    print!("  route: {src}");
-    loop {
-        match route(
-            NodeId::new(cur as u32),
-            g.position(cur),
-            &tables[cur],
-            &mut header,
-            prev,
-        ) {
-            RouteDecision::Deliver => {
-                println!("  -> delivered");
-                break;
-            }
-            RouteDecision::Forward(next) => {
-                if matches!(header.mode, RouteMode::Perimeter { .. }) {
-                    perimeter_hops += 1;
-                    print!(" ~{next}");
-                } else {
-                    print!(" ->{next}");
-                }
-                prev = Some(g.position(cur));
-                cur = next.index();
-            }
-            RouteDecision::Drop(reason) => {
-                println!("  -> DROPPED ({reason:?})");
-                break;
-            }
-        }
-    }
+/// Prints a traced route: the hops taken and how many of them were in
+/// perimeter (recovery) mode.
+fn show(trace: &RouteTrace) {
+    let path: Vec<String> = trace.path.iter().map(|n| n.to_string()).collect();
+    let outcome = if trace.delivered {
+        "delivered"
+    } else {
+        "DROPPED"
+    };
+    println!("  route: {}  -> {outcome}", path.join(" -> "));
     println!(
         "  {} hops total, {} in perimeter (recovery) mode",
-        header.hops, perimeter_hops
+        trace.hops(),
+        trace.perimeter_hops
     );
 }
 
@@ -84,7 +46,12 @@ fn main() {
         g.len(),
         g.is_connected()
     );
-    let t = tables(&g);
+    // The neighbour tables beaconing would establish.
+    let tables = tables_from_positions(&positions, 46.0);
+    let route = |src: usize, dst: usize| {
+        let (src, dst) = (NodeId::new(src as u32), NodeId::new(dst as u32));
+        trace_route(&tables, |id| positions[id.index()], src, dst)
+    };
 
     // Pick a west-side source and an east-side destination so the
     // straight line crosses the void.
@@ -114,7 +81,7 @@ fn main() {
         dst,
         g.position(dst)
     );
-    trace_route(&g, &t, src, dst);
+    show(&route(src, dst));
 
     // And a control route that does not cross the hole.
     let dst2 = (0..g.len())
@@ -127,5 +94,5 @@ fn main() {
         })
         .expect("a north-west node exists");
     println!("control route along the west edge: {src} -> {dst2}");
-    trace_route(&g, &t, src, dst2);
+    show(&route(src, dst2));
 }

@@ -219,36 +219,94 @@ fn fastsim_emits_parseable_samples() {
 }
 
 /// Queue depth means the same on both engines: tasks dispatched but
-/// not yet installed, including the one a busy robot is driving to. In
-/// a fault-free run every dispatched open repair therefore sits in
-/// exactly one robot's queue, and a busy robot's queue is never empty.
+/// not yet installed, including the one a busy robot is driving to, so
+/// a busy robot's queue is never empty. In a fault-free run each task
+/// is either a repair the ledger holds open at `dispatched` or a false
+/// alarm: a `dispatched` for a sensor with no open failure (a guardian
+/// declared a live sensor failed). The robot
+/// queues a false alarm like any task and installs nothing when it
+/// gets there, but the ledger never opens it, so it sits in the queue
+/// gauges outside `open_dispatched` until that robot's leg for it
+/// ends. Folded from each engine's trace over seeds 1–20, the gauges
+/// must add up exactly.
 #[test]
 fn robot_queues_count_every_dispatched_task_on_both_engines() {
     use robonet_core::fastsim;
-    for alg in ALGS {
-        let mut cfg = ScenarioConfig::paper(2, alg).with_seed(3).scaled(16.0);
-        cfg.sample_every = Some(SimDuration::from_secs(50.0));
-        let packet = Simulation::run(cfg.clone()).metrics.telemetry_timeline;
-        let buf = SharedBuf::default();
-        fastsim::run_with_sink(&cfg, &mut JsonlSink::new(buf.clone()));
-        let (flow, _) = Timeline::from_jsonl(&buf.contents()).expect("flow artifact parses");
-        for (engine, samples) in [("packet", &packet), ("flow", &flow.samples)] {
-            assert!(!samples.is_empty(), "{alg} {engine}: the sampler must fire");
-            for (t, s) in samples {
-                assert_eq!(
-                    s.queued_total(),
-                    s.open_dispatched,
-                    "{alg} {engine} t={t}: queues must hold every dispatched repair"
-                );
-                for (r, (&q, &busy)) in s.robot_queues.iter().zip(&s.robot_busy).enumerate() {
-                    assert!(
-                        q >= u32::from(busy),
-                        "{alg} {engine} t={t}: robot {r} is busy with an empty queue"
-                    );
-                }
+    let seeds: Vec<u64> = (1..=20).collect();
+    let jobs = robonet_des::pool::resolve_jobs(Some(2));
+    let cells = robonet_des::pool::scatter_map(&seeds, jobs, |_, &seed| {
+        for alg in ALGS {
+            let mut cfg = ScenarioConfig::paper(2, alg).with_seed(seed).scaled(16.0);
+            cfg.sample_every = Some(SimDuration::from_secs(50.0));
+            let (_, packet) = traced_run(cfg.clone());
+            let flow = SharedBuf::default();
+            fastsim::run_with_sink(&cfg, &mut JsonlSink::new(flow.clone()));
+            for (engine, trace) in [("packet", packet), ("flow", flow.contents())] {
+                check_queue_gauges(&format!("{alg} seed {seed} {engine}"), &trace);
             }
         }
+    });
+    for cell in cells {
+        if let Err(panic) = cell {
+            panic!("{panic}");
+        }
     }
+}
+
+/// Checks every telemetry sample in `trace` against the false alarms
+/// folded from the events before it.
+fn check_queue_gauges(run: &str, trace: &str) {
+    use robonet_core::obs::for_each_event_line;
+    use robonet_core::trace::TraceEvent;
+    use std::collections::{HashMap, HashSet};
+    // Open failures per sensor, each robot's false-alarm tasks, and the
+    // sensor each robot's current leg drives to.
+    let mut open: HashMap<NodeId, u32> = HashMap::new();
+    let mut false_alarms: HashMap<NodeId, HashSet<NodeId>> = HashMap::new();
+    let mut heading: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut samples = 0;
+    for_each_event_line(trace, |event| match event {
+        TraceEvent::Failure { sensor, .. } => *open.entry(*sensor).or_default() += 1,
+        TraceEvent::Replaced { sensor, .. } => *open.entry(*sensor).or_default() -= 1,
+        TraceEvent::Dispatched { robot, failed, .. }
+            if open.get(failed).copied().unwrap_or(0) == 0 =>
+        {
+            false_alarms.entry(*robot).or_default().insert(*failed);
+        }
+        TraceEvent::RobotLegStarted { robot, failed, .. } => {
+            heading.insert(*robot, *failed);
+        }
+        TraceEvent::RobotLegEnded { robot, .. } => {
+            if let (Some(failed), Some(alarms)) =
+                (heading.remove(robot), false_alarms.get_mut(robot))
+            {
+                alarms.remove(&failed);
+            }
+        }
+        TraceEvent::TelemetrySample { t, sample } => {
+            samples += 1;
+            let queued_false: usize = false_alarms.values().map(HashSet::len).sum();
+            assert_eq!(
+                u64::from(sample.queued_total()),
+                u64::from(sample.open_dispatched) + queued_false as u64,
+                "{run} t={t}: queues must hold every dispatched repair and false alarm"
+            );
+            for (r, (&q, &busy)) in sample
+                .robot_queues
+                .iter()
+                .zip(&sample.robot_busy)
+                .enumerate()
+            {
+                assert!(
+                    q >= u32::from(busy),
+                    "{run} t={t}: robot {r} is busy with an empty queue"
+                );
+            }
+        }
+        _ => {}
+    })
+    .expect("trace parses");
+    assert!(samples > 0, "{run}: the sampler must fire");
 }
 
 /// The seed-pinned configuration behind the golden timeline CSVs —
