@@ -121,6 +121,7 @@ impl From<Expiry> for Event {
     }
 }
 
+/// The event [`World::start_leg`] schedules at a leg's arrival.
 impl From<LegRef> for Event {
     fn from(leg: LegRef) -> Self {
         Event::RobotArrive(leg)
