@@ -4,18 +4,22 @@
 //! invariants over randomized well-formed repair workloads, the one
 //! repair ledger behind span assembly, replay and the health monitor
 //! over duplicate-ridden lifecycles, and the trace-line decoder against
-//! the event writer and `json::parse`.
+//! the event writer and `json::parse`: adversarial values, reordered,
+//! duplicated, padded and unknown keys, every proper prefix of a line,
+//! and a trace whose last line is cut.
 
 use std::collections::BTreeMap;
 
 use robonet_core::metrics::percentile;
 use robonet_core::obs::json::{self, JsonValue};
 use robonet_core::obs::{
-    event_from_jsonl, event_to_jsonl, HealthMonitor, Milestone, QuantileSketch, RepairLedger,
-    ReplayState, SpanAssembler, RELATIVE_ERROR, ZERO_THRESHOLD,
+    event_from_jsonl, event_to_jsonl, for_each_event_line, trace_header, HealthMonitor, Milestone,
+    QuantileSketch, RepairLedger, ReplayState, SpanAssembler, TruncatedTail, RELATIVE_ERROR,
+    ZERO_THRESHOLD,
 };
 use robonet_core::trace::TraceEvent;
 use robonet_des::check::{self, Outcome};
+use robonet_des::rng::{Rng, Xoshiro256};
 use robonet_des::NodeId;
 use robonet_geom::Point;
 
@@ -460,15 +464,53 @@ fn event_seeds() -> check::Gen<EventSeed> {
 }
 
 /// An `f64` from raw bits: every finite bit pattern (subnormals and
-/// `-0.0` included) as well as ordinary fractions and whole numbers.
+/// `-0.0` included), ordinary fractions and whole numbers, and the
+/// awkward values shortest-round-trip printing must get right.
 fn real(bits: u64) -> f64 {
-    match bits % 3 {
+    const AWKWARD: [f64; 8] = [
+        -0.0,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -2.225073858507201e-308,
+        0.30000000000000004,
+        9007199254740993.0,
+    ];
+    match bits % 4 {
         0 => Some(f64::from_bits(bits))
             .filter(|v| v.is_finite())
             .unwrap_or(0.5),
         1 => (bits >> 20) as f64 / 1024.0,
-        _ => (bits >> 40) as f64,
+        2 => (bits >> 40) as f64,
+        _ => AWKWARD[(bits >> 2) as usize % AWKWARD.len()],
     }
+}
+
+/// `bits`, one time in four replaced by a boundary value: ids reach
+/// `u32::MAX` and counters such as `seq`, `expected` and `actual`
+/// reach `u64::MAX`.
+fn adversarial_word(bits: u64) -> u64 {
+    const EDGES: [u64; 7] = [
+        0,
+        u32::MAX as u64,
+        u32::MAX as u64 + 1,
+        1 << 53,
+        (1 << 53) + 1,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    match bits % 4 {
+        0 => EDGES[(bits >> 2) as usize % EDGES.len()],
+        _ => bits,
+    }
+}
+
+/// The event [`event_of`] builds from `words` put through
+/// [`adversarial_word`].
+fn adversarial_event((kind, words): &EventSeed) -> TraceEvent {
+    let words: Vec<u64> = words.iter().map(|&w| adversarial_word(w)).collect();
+    event_of(*kind, &words)
 }
 
 /// The event of kind `kind % EVENT_KINDS` whose fields are drawn from
@@ -740,9 +782,11 @@ fn trace_decoder_is_no_laxer_than_json_parse() {
                 }
             }
             match json::parse(&line) {
-                Err(_) => assert!(
-                    event_from_jsonl(&line).is_err(),
-                    "decoder accepted a line json::parse rejects: {line}"
+                Err(e) => assert_eq!(
+                    event_from_jsonl(&line),
+                    Err(e.to_string()),
+                    "the decoder must reject a line json::parse rejects, \
+                     with the same error: {line}"
                 ),
                 Ok(value) => {
                     let mut resolved = String::new();
@@ -797,6 +841,193 @@ fn trace_decoder_takes_the_later_duplicate() {
                 as_parsed(event_from_jsonl(&doubled)),
                 as_parsed(event_from_jsonl(&expected_line)),
                 "{doubled}"
+            );
+            Outcome::Pass
+        },
+    );
+}
+
+/// Asserts that `text` decodes to `ev`, each `f64` bit for bit.
+fn assert_decodes_to(text: &str, ev: &TraceEvent) {
+    let back = event_from_jsonl(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+    assert_eq!(&back, ev, "line was: {text:?}");
+    let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(event_reals(&back)),
+        bits(event_reals(ev)),
+        "f64 bits of {text:?}"
+    );
+}
+
+/// The `(key, value)` texts of a flat trace line, in source order and
+/// exactly as written.
+fn field_texts(line: &str) -> Vec<(String, String)> {
+    let inner = line
+        .strip_prefix('{')
+        .and_then(|l| l.strip_suffix('}'))
+        .expect("trace lines are flat objects");
+    let mut fields = Vec::new();
+    let mut push = |field: &str| {
+        let colon = field.find("\":").expect("a key string, then ':'") + 1;
+        fields.push((field[..colon].to_string(), field[colon + 1..].to_string()));
+    };
+    let (mut start, mut in_string, mut escaped) = (0, false, false);
+    for (i, c) in inner.char_indices() {
+        match (in_string, escaped, c) {
+            (true, true, _) => escaped = false,
+            (true, false, '\\') => escaped = true,
+            (_, false, '"') => in_string = !in_string,
+            (false, _, ',') => {
+                push(&inner[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    push(&inner[start..]);
+    fields
+}
+
+/// `fields` written back as one object, with `ws()` between every two
+/// tokens and around the object.
+fn object_text(fields: &[(String, String)], mut ws: impl FnMut() -> &'static str) -> String {
+    let mut out = String::from(ws());
+    out.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push_str(ws());
+            out.push(',');
+        }
+        for token in [key.as_str(), ":", value] {
+            out.push_str(ws());
+            out.push_str(token);
+        }
+    }
+    out.push_str(ws());
+    out.push('}');
+    out.push_str(ws());
+    out
+}
+
+/// A uniform index below `n`.
+fn pick(rng: &mut Xoshiro256, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
+}
+
+/// Every event kind, with boundary ids and counters and awkward
+/// floats, decodes bit for bit from its written line, and still does
+/// after the line's keys are shuffled, after a key is repeated at the
+/// end (the later value wins over an odd earlier one), after an
+/// unknown key is inserted, after JSON whitespace is put between its
+/// tokens, and after all four at once.
+#[test]
+fn trace_codec_survives_reordering_duplicates_noise_and_whitespace() {
+    const WHITESPACE: [&str; 7] = ["", " ", "\t", "\r", "\n", "\r\n", " \t\r\n "];
+    const UNKNOWN_KEYS: [&str; 6] = [
+        "\"\"",
+        "\"e\"",
+        "\"tt\"",
+        "\"sensors\"",
+        "\"ev \"",
+        "\"\\u0074x\"",
+    ];
+    const ODD_VALUES: [&str; 10] = [
+        "0",
+        "-1.5e-3",
+        "18446744073709551616",
+        "\"x\"",
+        "\"\\u00e9\\n\"",
+        "true",
+        "false",
+        "null",
+        "{}",
+        "[1,{\"ev\":\"failure\",\"t\":[]}]",
+    ];
+    check::forall(
+        "trace_codec_survives_reordering_duplicates_noise_and_whitespace",
+        &check::pair(event_seeds(), check::u64_any()),
+        |(seed, shuffle)| {
+            let ev = adversarial_event(seed);
+            let line = event_to_jsonl(&ev);
+            assert_decodes_to(&line, &ev);
+            let fields = field_texts(&line);
+            assert_eq!(object_text(&fields, || ""), line, "fields split losslessly");
+            let mut rng = Xoshiro256::seed_from_u64(*shuffle);
+
+            let mut shuffled = fields.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, pick(&mut rng, i + 1));
+            }
+            let doubled = |fields: &[(String, String)], rng: &mut Xoshiro256| {
+                let mut out = fields.to_vec();
+                let i = pick(rng, out.len());
+                out[i].1 = ODD_VALUES[pick(rng, ODD_VALUES.len())].to_string();
+                out.push(fields[i].clone());
+                out
+            };
+            let noisy = |fields: &[(String, String)], rng: &mut Xoshiro256| {
+                let mut out = fields.to_vec();
+                let key = UNKNOWN_KEYS[pick(rng, UNKNOWN_KEYS.len())].to_string();
+                let value = ODD_VALUES[pick(rng, ODD_VALUES.len())].to_string();
+                out.insert(pick(rng, out.len() + 1), (key, value));
+                out
+            };
+
+            assert_decodes_to(&object_text(&shuffled, || ""), &ev);
+            assert_decodes_to(&object_text(&doubled(&fields, &mut rng), || ""), &ev);
+            assert_decodes_to(&object_text(&noisy(&fields, &mut rng), || ""), &ev);
+            let mut ws_rng = Xoshiro256::seed_from_u64(shuffle.rotate_left(32));
+            let mut ws = || WHITESPACE[pick(&mut ws_rng, WHITESPACE.len())];
+            assert_decodes_to(&object_text(&fields, &mut ws), &ev);
+            let everything = noisy(&doubled(&shuffled, &mut rng), &mut rng);
+            assert_decodes_to(&object_text(&everything, &mut ws), &ev);
+            Outcome::Pass
+        },
+    );
+}
+
+/// Every proper prefix of a trace line is rejected with `json::parse`'s
+/// error, and a trace whose last line is cut walks every complete line
+/// and reports the cut one as a `TruncatedTail` with its line number
+/// and byte count.
+#[test]
+fn trace_decoder_rejects_every_prefix_and_reports_a_cut_tail() {
+    check::forall(
+        "trace_decoder_rejects_every_prefix_and_reports_a_cut_tail",
+        &check::pair(check::vec_of(event_seeds(), 1..4), check::u64_any()),
+        |(seeds, cut)| {
+            let events: Vec<TraceEvent> = seeds.iter().map(adversarial_event).collect();
+            let lines: Vec<String> = events.iter().map(event_to_jsonl).collect();
+            let last = lines.last().expect("at least one event");
+            assert!(last.is_ascii(), "every byte offset is a character boundary");
+            for end in 0..last.len() {
+                let prefix = &last[..end];
+                let want = json::parse(prefix).expect_err("a proper prefix of an object");
+                assert_eq!(
+                    event_from_jsonl(prefix),
+                    Err(want.to_string()),
+                    "{prefix:?}"
+                );
+            }
+
+            let end = 1 + *cut as usize % (last.len() - 1);
+            let mut text = trace_header();
+            text.push('\n');
+            for line in &lines[..lines.len() - 1] {
+                text.push_str(line);
+                text.push('\n');
+            }
+            text.push_str(&last[..end]);
+            let mut seen = Vec::new();
+            let tail = for_each_event_line(&text, |e| seen.push(e.clone()))
+                .unwrap_or_else(|e| panic!("a cut tail is not an error: {e}"));
+            assert_eq!(seen, events[..events.len() - 1]);
+            assert_eq!(
+                tail,
+                Some(TruncatedTail {
+                    line: lines.len() + 1,
+                    bytes: end,
+                })
             );
             Outcome::Pass
         },
