@@ -39,7 +39,7 @@ stage_label() {
         sweep_determinism) echo "sweep engine gate (--jobs 1 vs --jobs 4)" ;;
         golden_figs) echo "golden figures gate (paper-scale sweep)" ;;
         scenarios) echo "scenario library gate (golden summaries)" ;;
-        experiments) echo "experiment binaries (one run each, non-empty tables)" ;;
+        experiments) echo "experiment binaries and the scalability table" ;;
         scale) echo "1k/5k/10k-sensor runs (exact golden summaries)" ;;
         perfbench) echo "benchmark self-test and exact-ledger golden" ;;
         *) echo "$1" ;;
@@ -417,6 +417,17 @@ stage_experiments() {
             exit 1
         }
     done
+    # The scalability example is the one caller that drives every
+    # registry algorithm, fixed-hex included, through the flow engine's
+    # report hook; its table is deterministic at any worker count.
+    echo "--> scalability example"
+    local table="$artifact_dir/scalability.txt"
+    cargo run -q --release --offline --example scalability > "$table"
+    if ! diff -u tests/golden/scalability.txt "$table"; then
+        echo "experiments gate failed: the scalability table drifted from tests/golden/scalability.txt" >&2
+        echo "(to accept an intended change: cp $table tests/golden/scalability.txt)" >&2
+        exit 1
+    fi
 }
 
 stage_scale() {
