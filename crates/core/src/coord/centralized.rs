@@ -8,7 +8,7 @@ use robonet_wsn::SensorState;
 
 use crate::config::{Algorithm, DispatchPolicy};
 
-use super::{Announcement, CoordCtx, Coordinator, FleetView, FlowCtx, FlowDispatch};
+use super::{Announcement, CoordCtx, Coordinator, FleetView, FlowCtx, FlowDispatch, FlowFleet};
 
 /// Coordinator for [`Algorithm::Centralized`].
 #[derive(Debug)]
@@ -148,15 +148,15 @@ impl Coordinator for Centralized {
         flow: &FlowCtx<'_>,
         failed_loc: Point,
         _subarea: u32,
-        robot_locs: &[Point],
+        fleet: &dyn FlowFleet,
     ) -> FlowDispatch {
         let manager = flow.manager_loc.expect("centralized runs deploy a manager");
         let report_hops = flow.hops_for(failed_loc.distance(manager));
         // Manager picks the robot closest (current position).
-        let r = robonet_geom::voronoi::nearest_site(robot_locs, failed_loc).expect("robots exist");
+        let r = fleet.nearest(failed_loc);
         // The request's first hop uses the manager's long-range radio;
         // any remaining distance is covered by sensor relays.
-        let d = (manager.distance(robot_locs[r]) - flow.manager_range).max(0.0);
+        let d = (manager.distance(fleet.position(r)) - flow.manager_range).max(0.0);
         let request_hops = if d > 0.0 { 1.0 + flow.hops_for(d) } else { 1.0 };
         FlowDispatch {
             robot: r,

@@ -10,7 +10,7 @@ use robonet_wsn::SensorState;
 
 use crate::config::Algorithm;
 
-use super::{Announcement, CoordCtx, Coordinator, FlowCtx, FlowDispatch};
+use super::{Announcement, CoordCtx, Coordinator, FlowCtx, FlowDispatch, FlowFleet};
 
 /// Coordinator for [`Algorithm::Dynamic`].
 #[derive(Debug)]
@@ -118,12 +118,12 @@ impl Coordinator for Dynamic {
         flow: &FlowCtx<'_>,
         failed_loc: Point,
         _subarea: u32,
-        robot_locs: &[Point],
+        fleet: &dyn FlowFleet,
     ) -> FlowDispatch {
-        let r = nearest_site(robot_locs, failed_loc).expect("robots exist");
+        let r = fleet.nearest(failed_loc);
         FlowDispatch {
             robot: r,
-            report_hops: flow.hops_for(robot_locs[r].distance(failed_loc)),
+            report_hops: flow.hops_for(fleet.position(r).distance(failed_loc)),
             request_hops: None,
         }
     }

@@ -10,7 +10,7 @@ use robonet_wsn::SensorState;
 
 use crate::config::{Algorithm, PartitionKind};
 
-use super::{Announcement, CoordCtx, Coordinator, FlowCtx, FlowDispatch};
+use super::{Announcement, CoordCtx, Coordinator, FlowCtx, FlowDispatch, FlowFleet};
 
 /// Coordinator for [`Algorithm::Fixed`], parameterised by the
 /// partition shape (the paper uses squares; hexagons measure its
@@ -152,12 +152,13 @@ impl Coordinator for Fixed {
         flow: &FlowCtx<'_>,
         failed_loc: Point,
         subarea: u32,
-        robot_locs: &[Point],
+        fleet: &dyn FlowFleet,
     ) -> FlowDispatch {
+        // The subarea's robot handles it: one position, no search.
         let r = subarea as usize;
         FlowDispatch {
             robot: r,
-            report_hops: flow.hops_for(robot_locs[r].distance(failed_loc)),
+            report_hops: flow.hops_for(fleet.position(r).distance(failed_loc)),
             request_hops: None,
         }
     }
