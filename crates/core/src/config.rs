@@ -119,9 +119,10 @@ pub struct ScenarioConfig {
     /// Emit a [`TelemetrySample`](crate::trace::TraceEvent::TelemetrySample)
     /// of live gauges this often and run the online health monitor at
     /// each sample (`None` = off, the default — runs without sampling
-    /// stay byte-identical to earlier versions). Each sample costs an
-    /// `O(field)` coverage scan, so this is for analysis runs, not the
-    /// figure sweeps.
+    /// stay byte-identical to earlier versions). The first sample builds
+    /// the coverage gauge in `O(sensors)`; later ones read it in `O(1)`
+    /// (each failure and replacement then updates it), so this is for
+    /// analysis runs, not the figure sweeps.
     pub sample_every: Option<SimDuration>,
     /// MAC/PHY parameters.
     pub mac: MacParams,

@@ -438,7 +438,7 @@ impl FlowRun<'_> {
             sched_queue: self.sched.pending() as u32,
             robots_down: 0,
         };
-        self.observer.sample(&self.world, t, &gauges);
+        self.observer.sample(&mut self.world, t, &gauges);
     }
 
     fn finish(self) -> (FastSummary, Option<SpanReport>) {

@@ -205,10 +205,14 @@ pub struct Simulation {
     /// Network partitions currently (or soon to be) in force:
     /// `(until, side_a, side_b)`. Frames crossing sides are dropped at
     /// the receiver while `now < until`. Empty unless a timeline
-    /// partition has activated.
+    /// partition is in force: `on_radio` drops healed ones.
     active_partitions: Vec<(SimTime, ConvexPolygon, ConvexPolygon)>,
     /// Frames suppressed by an active partition.
     partition_drops: u64,
+    /// Per static link of the medium, the sender's slot in the
+    /// receiver's neighbour table plus one (0: not computed yet). Sized
+    /// on the first beacon, so set-up never pays for it.
+    link_slots: Vec<u32>,
 }
 
 impl Simulation {
@@ -363,6 +367,7 @@ impl Simulation {
             },
             active_partitions: Vec::new(),
             partition_drops: 0,
+            link_slots: Vec::new(),
         }
     }
 
@@ -609,7 +614,7 @@ impl Simulation {
             sched_queue: self.sched.pending() as u32,
             robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
         };
-        let (sample, violations) = self.observer.sample(&self.world, t, &gauges);
+        let (sample, violations) = self.observer.sample(&mut self.world, t, &gauges);
         self.metrics.telemetry_timeline.push((t, sample));
         self.metrics.invariant_violations += violations;
     }

@@ -5,6 +5,7 @@ use robonet_des::{NodeId, SimTime};
 use robonet_geom::Point;
 use robonet_net::{route_with, NeighborTable, RouteDecision};
 use robonet_radio::engine::{RadioEvent, UpcallEntry};
+use robonet_radio::medium::NO_LINK;
 use robonet_radio::{Frame, TrafficClass};
 
 use crate::msg::AppMsg;
@@ -38,10 +39,30 @@ impl Simulation {
                 &mut out,
             );
         }
+        // A healed partition blocks nothing more: drop it, so beacons
+        // take the slot path again.
+        if !self.active_partitions.is_empty() {
+            self.active_partitions.retain(|(until, ..)| now < *until);
+        }
+        let n_sensors = self.sensors.len();
         for i in 0..out.entries().len() {
             match out.entries()[i] {
-                UpcallEntry::Delivered { to, frame } => {
-                    self.on_delivered(now, to, out.frame(frame));
+                UpcallEntry::Delivered { to, frame, link } => {
+                    let f = out.frame(frame);
+                    // The bulk of all deliveries: a sensor's beacon heard
+                    // by a sensor over a static link, with no partition
+                    // to consult, goes straight to its table slot.
+                    if let AppMsg::Beacon { loc } = f.payload {
+                        if link != NO_LINK
+                            && f.src.index() < n_sensors
+                            && to.index() < n_sensors
+                            && self.active_partitions.is_empty()
+                        {
+                            self.hear_over_link(now, to, f.src, loc, link);
+                            continue;
+                        }
+                    }
+                    self.on_delivered(now, to, f);
                 }
                 UpcallEntry::TxComplete { src, frame, ok } => {
                     if !ok {
@@ -52,6 +73,51 @@ impl Simulation {
         }
         out.clear();
         self.upcall_buf = out;
+    }
+
+    /// Sensor `to` heard sensor `from`'s beacon over static link `link`.
+    /// Both are static and share a range, so the medium already checked
+    /// that `from` is in `to`'s range, and the MAC delivers only to live
+    /// nodes. An unwatched neighbour with an entry is a slot refresh;
+    /// anything else takes [`SensorState::hear`](robonet_wsn::SensorState::hear).
+    fn hear_over_link(&mut self, now: SimTime, to: NodeId, from: NodeId, loc: Point, link: u32) {
+        debug_assert!(self.world.is_alive(to.index()));
+        let slot = self.link_slot(to, from, link);
+        let s = &mut self.sensors[to.index()];
+        if !s.neighbors.refresh_slot(slot, loc, now) {
+            s.hear(from, loc, now);
+        }
+    }
+
+    /// The slot of sensor `from` in sensor `to`'s neighbour table: its
+    /// rank among the sensors within `to`'s range. Computed the first
+    /// time a beacon crosses `link` and cached per link; `to`'s slots
+    /// are allocated with its first such beacon.
+    fn link_slot(&mut self, to: NodeId, from: NodeId, link: u32) -> usize {
+        let medium = self.radio.medium();
+        if self.link_slots.is_empty() {
+            self.link_slots = vec![0; medium.link_count()];
+        }
+        let cached = self.link_slots[link as usize];
+        if cached > 0 {
+            return cached as usize - 1;
+        }
+        let in_range = medium
+            .static_hearers_of(to)
+            .expect("a link implies the static adjacency");
+        let rank = in_range.iter().filter(|&&id| id < from.as_u32()).count();
+        if !self.sensors[to.index()].neighbors.has_slots() {
+            let n_sensors = self.sensors.len();
+            let mut ids: Vec<NodeId> = in_range
+                .iter()
+                .filter(|&&id| (id as usize) < n_sensors)
+                .map(|&id| NodeId::new(id))
+                .collect();
+            ids.sort_unstable();
+            self.sensors[to.index()].init_slots(ids);
+        }
+        self.link_slots[link as usize] = rank as u32 + 1;
+        rank
     }
 
     pub(super) fn radio_send(&mut self, now: SimTime, frame: Frame<AppMsg>) {
@@ -141,7 +207,7 @@ impl Simulation {
     fn fill_oracle_table(&self, table: &mut NeighborTable, now: SimTime, at: NodeId) {
         table.clear();
         let medium = self.radio.medium();
-        medium.for_each_hearer(at, |n| {
+        medium.for_each_hearer(at, |n, _| {
             let loc = if n.index() < self.sensors.len() {
                 self.sensors[n.index()].loc
             } else {
@@ -169,7 +235,7 @@ impl Simulation {
         // A scheduled network partition severs links between its two
         // regions: frames whose immediate transmitter sits on the other
         // side die at the receiver. (Empty unless a timeline partition
-        // has activated, so ordinary runs pay one Vec::is_empty.)
+        // is in force, so ordinary runs pay one Vec::is_empty.)
         if !self.active_partitions.is_empty() && self.partition_blocks(now, frame.src, to) {
             self.partition_drops += 1;
             return;

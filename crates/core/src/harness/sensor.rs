@@ -79,7 +79,7 @@ impl Simulation {
         if let GuardianEvent::GuardianLost(g) = self.sensors[s].check_guardian(now, timeout) {
             self.sensors[s].forget_failed_neighbor(g);
         }
-        if self.sensors[s].guardian.is_none() && !self.sensors[s].neighbors.is_empty() {
+        if self.sensors[s].guardian().is_none() && !self.sensors[s].neighbors.is_empty() {
             self.pick_and_confirm_guardian(now, s);
         }
     }
@@ -162,7 +162,9 @@ impl Simulation {
     /// only enters the routing neighbour table if the advertised
     /// location is within the *receiver's own* transmission range, so
     /// asymmetric links (robot heard at 200 m by a 63 m sensor) never
-    /// become forwarding edges.
+    /// become forwarding edges. A sensor's frame reaches only nodes
+    /// within its range, which is the receiving sensor's own, so it
+    /// needs no check.
     pub(super) fn hear_guarded(&mut self, now: SimTime, to: NodeId, from: NodeId, loc: Point) {
         if to.index() >= self.sensors.len() {
             return; // robots and the manager use the location service
@@ -170,18 +172,17 @@ impl Simulation {
         if !self.world.is_alive(to.index()) {
             return;
         }
+        if from.index() < self.sensors.len() {
+            self.sensors[to.index()].hear(from, loc, now);
+            return;
+        }
         // Robots move up to one update threshold between announcements;
         // only accept them as forwarding neighbours with that margin in
         // hand (the paper's rationale for the 20 m threshold: “to ensure
         // that the robots can receive failure messages all the time”,
-        // §4.2). Static nodes get the full range.
-        let margin = if from.index() < self.sensors.len() {
-            0.0
-        } else {
-            self.cfg.update_threshold
-        };
+        // §4.2). The manager keeps the same margin.
         let s = &mut self.sensors[to.index()];
-        let r = self.radio.medium().tx_range(to) - margin;
+        let r = self.radio.medium().tx_range(to) - self.cfg.update_threshold;
         if s.loc.distance_sq(loc) <= r * r {
             s.hear(from, loc, now);
         }

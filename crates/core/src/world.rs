@@ -21,7 +21,7 @@ use robonet_geom::partition::Partition;
 use robonet_geom::{deploy, Bounds, ConvexPolygon, Point};
 use robonet_robot::motion::Leg;
 use robonet_robot::{ReplacementTask, RobotState};
-use robonet_wsn::coverage::{coverage_fraction, GRID_RESOLUTION, SENSING_RANGE};
+use robonet_wsn::coverage::{CoverageGauge, GRID_RESOLUTION, SENSING_RANGE};
 use robonet_wsn::failure::FailureProcess;
 
 use crate::config::{DeployRegion, ScenarioConfig};
@@ -185,6 +185,10 @@ pub(crate) struct World {
     pub replacements: u64,
     /// Whether each sensor is functional.
     alive: Vec<bool>,
+    /// The coverage gauge, built by the first telemetry sample (runs
+    /// without samples never pay for it) and kept current by `expire`
+    /// and `arrive` from then on.
+    coverage: Option<CoverageGauge>,
     /// Replacements installed in each sensor slot: an [`Expiry`] armed
     /// for an earlier incarnation is stale.
     incarnation: Vec<u32>,
@@ -219,6 +223,7 @@ impl World {
             failures: 0,
             replacements: 0,
             alive: vec![true; n_sensors],
+            coverage: None,
             incarnation: vec![0; n_sensors],
             leg_seq: vec![0; field.robot_pos.len()],
             field,
@@ -272,6 +277,9 @@ impl World {
             return None;
         }
         self.alive[s] = false;
+        if let Some(gauge) = &mut self.coverage {
+            gauge.set_alive(self.field.sensor_pos[s], false);
+        }
         self.failures += 1;
         let sensor = NodeId::new(e.sensor);
         obs.emit(|| TraceEvent::Failure {
@@ -375,6 +383,9 @@ impl World {
         let installed = !self.alive[s];
         if installed {
             self.alive[s] = true;
+            if let Some(gauge) = &mut self.coverage {
+                gauge.set_alive(self.field.sensor_pos[s], true);
+            }
             self.incarnation[s] += 1;
             self.replacements += 1;
             self.arm(now, s, sched);
@@ -490,7 +501,20 @@ impl World {
     /// `gauges` and the open repairs in `ledger` by milestone. A
     /// robot's queue depth counts every task dispatched to it and not
     /// yet installed, the one it is driving to included.
-    pub fn telemetry(&self, ledger: &RepairLedger, gauges: &Gauges) -> TelemetrySnapshot {
+    pub fn telemetry(&mut self, ledger: &RepairLedger, gauges: &Gauges) -> TelemetrySnapshot {
+        let (field, alive) = (&self.field, &self.alive);
+        let coverage = self
+            .coverage
+            .get_or_insert_with(|| {
+                CoverageGauge::new(
+                    &field.bounds,
+                    &field.sensor_pos,
+                    alive,
+                    SENSING_RANGE,
+                    GRID_RESOLUTION,
+                )
+            })
+            .fraction();
         let robots = &self.robots;
         let alive = self.alive.iter().filter(|&&a| a).count();
         let [open_failure, open_detected, open_reported, open_dispatched] = ledger.stage_counts();
@@ -499,13 +523,7 @@ impl World {
             down: (self.alive.len() - alive) as u32,
             failures: self.failures,
             replaced: self.replacements,
-            coverage: coverage_fraction(
-                &self.field.bounds,
-                &self.field.sensor_pos,
-                &self.alive,
-                SENSING_RANGE,
-                GRID_RESOLUTION,
-            ),
+            coverage,
             open_failure,
             open_detected,
             open_reported,

@@ -7,6 +7,9 @@
 
 use crate::point::{Bounds, Point};
 
+/// One indexed point as a bucket stores it: `(index, position)`.
+pub type Entry = (u32, Point);
+
 /// A grid index over a fixed set of points.
 ///
 /// Most indexed points never move (sensors are static; only robots
@@ -186,32 +189,24 @@ impl GridIndex {
         radius: f64,
         mut bucket: impl FnMut(&[(u32, Point)], &[(u32, Point)]),
     ) {
-        let min_cx = self.col_of(center.x - radius);
-        let max_cx = self.col_of(center.x + radius);
-        let min_cy = self.row_of(center.y - radius);
-        let max_cy = self.row_of(center.y + radius);
-        for cy in min_cy..=max_cy {
-            let row = cy * self.cols;
-            for cx in min_cx..=max_cx {
-                let b = row + cx;
-                let start = self.bucket_start[b] as usize;
-                let end = self.bucket_start[b + 1] as usize;
-                bucket(&self.csr[start..end], &self.movers[b]);
-            }
-        }
+        self.for_each_bucket_index_within(center, radius, |b| {
+            let (residents, movers) = self.bucket_entries(b);
+            bucket(residents, movers);
+        });
     }
 
-    /// Returns `true` if `pred` holds for any bucket index in the scan
-    /// window of the disc at `center` — the same window
-    /// [`GridIndex::for_each_bucket_within`] visits. Lets callers keep
-    /// per-bucket occupancy tallies and cheaply test a whole query
-    /// window against them.
-    pub fn any_bucket_within(
+    /// Visits the linear index of every bucket in the scan window of
+    /// the disc at `center` — the buckets
+    /// [`GridIndex::for_each_bucket_within`] visits, in the same order —
+    /// without reading them. Callers that keep per-bucket tallies or
+    /// precomputed per-bucket groups read only the buckets they need
+    /// through [`GridIndex::bucket_entries`].
+    pub fn for_each_bucket_index_within(
         &self,
         center: Point,
         radius: f64,
-        mut pred: impl FnMut(usize) -> bool,
-    ) -> bool {
+        mut bucket: impl FnMut(usize),
+    ) {
         let min_cx = self.col_of(center.x - radius);
         let max_cx = self.col_of(center.x + radius);
         let min_cy = self.row_of(center.y - radius);
@@ -219,16 +214,22 @@ impl GridIndex {
         for cy in min_cy..=max_cy {
             let row = cy * self.cols;
             for cx in min_cx..=max_cx {
-                if pred(row + cx) {
-                    return true;
-                }
+                bucket(row + cx);
             }
         }
-        false
+    }
+
+    /// Bucket `b`'s resident and mover entries as `(index, position)`
+    /// slices, in scan order (see [`GridIndex::for_each_bucket_within`]).
+    pub fn bucket_entries(&self, b: usize) -> (&[Entry], &[Entry]) {
+        let start = self.bucket_start[b] as usize;
+        let end = self.bucket_start[b + 1] as usize;
+        (&self.csr[start..end], &self.movers[b])
     }
 
     /// The linear bucket index holding `p` (for per-bucket tallies kept
-    /// alongside the index; pairs with [`GridIndex::any_bucket_within`]).
+    /// alongside the index; pairs with
+    /// [`GridIndex::for_each_bucket_index_within`]).
     pub fn bucket_index(&self, p: Point) -> usize {
         self.bucket_of(p)
     }

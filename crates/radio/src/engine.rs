@@ -97,6 +97,10 @@ pub enum UpcallEntry {
         to: NodeId,
         /// Index for [`UpcallBuf::frame`].
         frame: u32,
+        /// The sender-to-receiver link index
+        /// ([`Medium::for_each_hearer`]), or
+        /// [`NO_LINK`](crate::medium::NO_LINK).
+        link: u32,
     },
     /// The sender finished with a frame (see [`Upcall::TxComplete`]).
     TxComplete {
@@ -111,7 +115,7 @@ pub enum UpcallEntry {
 
 /// Reusable output buffer for [`RadioEngine::handle`].
 ///
-/// Hot consumers iterate [`UpcallBuf::entries`] (12-byte copies) and
+/// Hot consumers iterate [`UpcallBuf::entries`] (16-byte copies) and
 /// resolve frames by reference through [`UpcallBuf::frame`];
 /// [`UpcallBuf::take_owned`] materialises classic owned [`Upcall`]s for
 /// tests and tools that prefer them.
@@ -171,7 +175,7 @@ impl<P: Clone> UpcallBuf<P> {
             .entries
             .iter()
             .map(|&e| match e {
-                UpcallEntry::Delivered { to, frame } => Upcall::Delivered {
+                UpcallEntry::Delivered { to, frame, .. } => Upcall::Delivered {
                     to,
                     frame: self.frames[frame as usize].clone(),
                 },
@@ -198,9 +202,9 @@ enum MacState {
 
 /// Cold per-node MAC state (frame queue and retry bookkeeping). The
 /// fields every transmission touches for *every hearer* — carrier-sense
-/// deadline, MAC state, in-flight receptions — live in dense parallel
-/// arrays on the engine instead, so the hearer loop stays inside a few
-/// small, cache-resident allocations rather than striding through this
+/// deadline, MAC state, receive counters — live in a dense parallel
+/// array on the engine instead, so the hearer loop stays inside one
+/// small, cache-resident allocation rather than striding through this
 /// struct.
 #[derive(Debug)]
 struct MacNode<P> {
@@ -221,81 +225,90 @@ impl<P> Default for MacNode<P> {
     }
 }
 
-/// The per-node fields every transmission touches for *every hearer*,
-/// packed and cache-line aligned so exactly one line covers a node's
-/// whole carrier-sense update (unaligned, most entries would straddle
-/// two lines and double the miss cost of the 60M+ hearer visits in a
-/// large run).
+/// The per-node fields every transmission touches for *every hearer*:
+/// 24 bytes, so a hearer's whole carrier-sense and receive update is one
+/// cache line (at most two).
+///
+/// Receive state is counts, not a set of frame ids. Every frame that
+/// starts arriving bumps `epoch` and records the new value in its
+/// receiver entry ([`Arrival`]); so do the node's own transmission and
+/// its death. A frame survives at a receiver exactly when it did not
+/// collide on arrival and the receiver's epoch has not moved since — the
+/// "any two overlapping frames corrupt each other" rule without listing
+/// who overlaps whom.
 #[derive(Debug, Default)]
-#[repr(align(64))]
 struct HotNode {
     /// Carrier-sense deadline: the channel is sensed busy until this
     /// time (written for every hearer of every frame).
     busy_until: SimTime,
-    /// Transmission ids currently arriving at this node.
-    incoming: TxSet,
+    /// Frames arriving here that count toward a collision: started
+    /// since the node last died, not yet ended.
+    arriving: u32,
+    /// Moves whenever a frame starts arriving, the node transmits or it
+    /// dies, corrupting every frame arriving at that moment.
+    epoch: u32,
+    /// Arrivals recorded at or before this epoch (in wrapping order) are
+    /// not counted in `arriving`: the node died since, or nothing was
+    /// arriving when the mark last moved.
+    detached: u32,
     /// MAC protocol state.
     state: MacState,
 }
 
-/// Set of in-flight transmission ids at a receiver. A node rarely hears
-/// more than two concurrent frames, so the common case stays inline in
-/// the `HotNode` cache line; pile-ups spill to the heap. Ids are unique
-/// (one per live transmission) and order is immaterial: every member is
-/// treated alike by the collision logic.
-#[derive(Debug, Default)]
-struct TxSet {
-    /// Number of ids stored in `inline`.
-    len: u8,
-    inline: [u64; 2],
-    spill: Vec<u64>,
+impl HotNode {
+    /// A frame starts arriving: returns whether it collides with one
+    /// already arriving, and the epoch its receiver entry records.
+    fn arrive(&mut self) -> (bool, u32) {
+        let collided = self.arriving > 0;
+        if !collided {
+            // Nothing counted is outstanding: keep the mark within a few
+            // frames of the epoch so the wrapping comparison in
+            // `finish` stays exact however long the run.
+            self.detached = self.epoch;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        self.arriving += 1;
+        (collided, self.epoch)
+    }
+
+    /// The node starts transmitting (half-duplex): every frame arriving
+    /// now is corrupted.
+    fn jam(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+    }
+
+    /// The node dies: every frame arriving now is corrupted and stops
+    /// counting toward collisions.
+    fn detach(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        self.detached = self.epoch;
+        self.arriving = 0;
+    }
+
+    /// The frame behind receiver entry `a` ends: releases its count and
+    /// returns whether it arrived intact.
+    fn finish(&mut self, a: &Arrival) -> bool {
+        if (a.epoch.wrapping_sub(self.detached) as i32) > 0 {
+            self.arriving -= 1;
+        }
+        !a.collided && a.epoch == self.epoch
+    }
 }
 
-impl TxSet {
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn push(&mut self, tx: u64) {
-        if (self.len as usize) < self.inline.len() {
-            self.inline[self.len as usize] = tx;
-            self.len += 1;
-        } else {
-            self.spill.push(tx);
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.inline[..self.len as usize]
-            .iter()
-            .copied()
-            .chain(self.spill.iter().copied())
-    }
-
-    /// Drops `tx` if present, backfilling the inline slots from the
-    /// spill so `is_empty` stays a plain `len == 0` check.
-    fn remove(&mut self, tx: u64) {
-        for i in 0..self.len as usize {
-            if self.inline[i] == tx {
-                self.len -= 1;
-                self.inline[i] = self.inline[self.len as usize];
-                if let Some(s) = self.spill.pop() {
-                    self.inline[self.len as usize] = s;
-                    self.len += 1;
-                }
-                return;
-            }
-        }
-        if let Some(i) = self.spill.iter().position(|&t| t == tx) {
-            self.spill.swap_remove(i);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
+/// One receiver of a transmission: 16 bytes, recycled with its slot.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    node: NodeId,
+    /// The receiver's [`HotNode::epoch`] just after this arrival.
+    epoch: u32,
+    /// Link index from [`Medium::for_each_hearer`].
+    link: u32,
+    /// Another frame was arriving when this one started.
+    collided: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<HotNode>() == 24);
+const _: () = assert!(std::mem::size_of::<Arrival>() == 16);
 
 /// Lifecycle of a transmission slot in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,16 +321,15 @@ enum TxState {
     Acking,
 }
 
-/// One arena slot. Transmission ids pack `(slot, generation)` so stale
-/// ids from a node's `incoming` list can never corrupt a reused slot;
-/// the `receivers` buffer is recycled with the slot, so steady-state
-/// transmissions allocate nothing.
+/// One arena slot. Transmission ids pack `(slot, generation)` so a
+/// stale event can never act on a reused slot; the `receivers` buffer
+/// is recycled with the slot, so steady-state transmissions allocate
+/// nothing.
 struct TxSlot {
     generation: u32,
     state: TxState,
     src: NodeId,
-    /// `(receiver, corrupted)` pairs.
-    receivers: Vec<(NodeId, bool)>,
+    receivers: Vec<Arrival>,
 }
 
 fn tx_id(slot: u32, generation: u32) -> u64 {
@@ -330,19 +342,6 @@ fn tx_slot(tx: u64) -> usize {
 
 fn tx_generation(tx: u64) -> u32 {
     tx as u32
-}
-
-/// Marks `receiver`'s entry in transmission `tx` corrupted, if `tx` is
-/// still on the air. A free function so call sites inside
-/// `for_each_hearer` closures can borrow the arena without borrowing
-/// the whole engine.
-fn corrupt_at(txs: &mut [TxSlot], tx: u64, receiver: NodeId) {
-    let s = &mut txs[tx_slot(tx)];
-    if s.generation == tx_generation(tx) && s.state == TxState::Airing {
-        for r in s.receivers.iter_mut().filter(|r| r.0 == receiver) {
-            r.1 = true;
-        }
-    }
 }
 
 /// The MAC engine for all nodes sharing one [`Medium`].
@@ -434,16 +433,11 @@ impl<P: Clone> RadioEngine<P> {
             st.queue.clear();
             st.attempt = 0;
             st.token += 1;
-            self.hot[node.index()].state = MacState::Idle;
+            let hot = &mut self.hot[node.index()];
+            hot.state = MacState::Idle;
             // Frames in flight toward this node can no longer be
-            // delivered; mark its receiver entries corrupted. The list
-            // is cleared (the node is detached) but keeps its buffer.
-            let incoming = std::mem::take(&mut self.hot[node.index()].incoming);
-            for tx in incoming.iter() {
-                corrupt_at(&mut self.txs, tx, node);
-            }
-            self.hot[node.index()].incoming = incoming;
-            self.hot[node.index()].incoming.clear();
+            // delivered, and stop counting toward its collisions.
+            hot.detach();
         }
     }
 
@@ -557,43 +551,35 @@ impl<P: Clone> RadioEngine<P> {
 
         // The sender cannot receive while transmitting: corrupt anything
         // currently arriving at it.
-        let incoming = std::mem::take(&mut self.hot[node.index()].incoming);
-        for other in incoming.iter() {
-            corrupt_at(&mut self.txs, other, node);
-        }
-        self.hot[node.index()].incoming = incoming;
+        self.hot[node.index()].jam();
 
         // With fading off, reception is certain for every hearer (they
         // are in range by construction), so skip the per-hearer distance
         // computation; no randomness is consumed either way.
         let fading = !matches!(self.medium.fading(), Fading::None);
-        self.medium.for_each_hearer(node, |h| {
+        let receivers = &mut self.txs[slot].receivers;
+        self.medium.for_each_hearer(node, |h, link| {
             // Edge-of-range fading: a weak frame still occupies the
             // channel (carrier sense) but may fail to lock the receiver.
             let faded = fading && {
                 let p_rx = self.medium.reception_prob(node, h);
                 p_rx < 1.0 && self.rng.next_f64() >= p_rx
             };
-            let h_i = h.index();
-            let busy = &mut self.hot[h_i].busy_until;
-            *busy = (*busy).max(end);
-            if faded {
-                return;
+            let hot = &mut self.hot[h.index()];
+            hot.busy_until = hot.busy_until.max(end);
+            if faded || hot.state == MacState::Transmitting {
+                return; // lost in the grey zone, or half-duplex
             }
-            if self.hot[h_i].state == MacState::Transmitting {
-                return; // half-duplex: cannot receive at all
-            }
-            let collided = !self.hot[h_i].incoming.is_empty();
+            let (collided, epoch) = hot.arrive();
             if collided {
                 self.stats.class_mut(class).collisions += 1;
-                let incoming = std::mem::take(&mut self.hot[h_i].incoming);
-                for other in incoming.iter() {
-                    corrupt_at(&mut self.txs, other, h);
-                }
-                self.hot[h_i].incoming = incoming;
             }
-            self.hot[h_i].incoming.push(tx);
-            self.txs[slot].receivers.push((h, collided));
+            receivers.push(Arrival {
+                node: h,
+                epoch,
+                link,
+                collided,
+            });
         });
 
         self.hot[node.index()].state = MacState::Transmitting;
@@ -624,8 +610,8 @@ impl<P: Clone> RadioEngine<P> {
             None => {
                 // Sender died mid-transmission and its queue was flushed;
                 // nothing to deliver or complete.
-                for &(h, _) in &self.txs[slot].receivers {
-                    self.hot[h.index()].incoming.remove(tx);
+                for a in &self.txs[slot].receivers {
+                    self.hot[a.node.index()].finish(a);
                 }
                 self.free_tx(slot);
                 return;
@@ -638,9 +624,9 @@ impl<P: Clone> RadioEngine<P> {
 
         let mut dst_received = false;
         let mut any_received = false;
-        for &(h, corrupted) in &self.txs[slot].receivers {
-            self.hot[h.index()].incoming.remove(tx);
-            if corrupted || !self.medium.is_alive(h) {
+        for a in &self.txs[slot].receivers {
+            let h = a.node;
+            if !self.hot[h.index()].finish(a) || !self.medium.is_alive(h) {
                 continue;
             }
             any_received = true;
@@ -648,8 +634,11 @@ impl<P: Clone> RadioEngine<P> {
                 dst_received = true;
             }
             if dst.is_none() || dst == Some(h) {
-                out.entries
-                    .push(UpcallEntry::Delivered { to: h, frame: fi });
+                out.entries.push(UpcallEntry::Delivered {
+                    to: h,
+                    frame: fi,
+                    link: a.link,
+                });
             }
         }
 
@@ -675,7 +664,7 @@ impl<P: Clone> RadioEngine<P> {
                 // slot stays allocated (state Acking) until AckDone.
                 self.stats.class_mut(class).ack_tx += 1;
                 let ack_end = now + self.params.sifs + self.params.ack_airtime();
-                self.medium.for_each_hearer(dst, |h| {
+                self.medium.for_each_hearer(dst, |h, _| {
                     let busy = &mut self.hot[h.index()].busy_until;
                     *busy = (*busy).max(ack_end);
                 });
@@ -1115,6 +1104,357 @@ mod tests {
         assert!(ups
             .iter()
             .any(|(_, u)| matches!(u, Upcall::Delivered { .. })));
+    }
+
+    /// One step of a differential MAC run: a frame handed to the
+    /// engine (its payload is the step's index), or a node's death or
+    /// revival.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Send {
+            src: u32,
+            dst: Option<u32>,
+            bytes: u32,
+        },
+        Kill(u32),
+        Revive(u32),
+    }
+
+    /// Drives `engine` through `ops` (each at its microsecond) and checks
+    /// every (frame, receiver) outcome against a reference that keeps an
+    /// explicit set of the frames arriving at each node: a new arrival
+    /// collides with (and corrupts) every frame in the receiver's set,
+    /// the receiver's own transmission corrupts its set, and its death
+    /// corrupts and empties it. Returns the deliveries as `(payload,
+    /// receiver)` pairs, for tests that look at one scenario.
+    fn check_against_reference(
+        engine: &mut RadioEngine<u32>,
+        ops: &[(u64, Op)],
+    ) -> Vec<(u32, u32)> {
+        use std::collections::HashMap;
+        #[derive(Debug)]
+        enum Ev {
+            Op(Op, u32),
+            Radio(RadioEvent),
+        }
+        let n = engine.medium().len();
+        let mut sched: Scheduler<Ev> = Scheduler::new();
+        for (i, &(at, op)) in ops.iter().enumerate() {
+            sched.schedule_at(SimTime::from_micros(at), Ev::Op(op, i as u32));
+        }
+        let mut incoming: Vec<Vec<u64>> = vec![Vec::new(); n];
+        // Per live transmission: (receiver, corrupted) in engine order.
+        let mut reference: HashMap<u64, Vec<(NodeId, bool)>> = HashMap::new();
+        let mut delivered = Vec::new();
+        let mut out = UpcallBuf::new();
+        while let Some(ev) = sched.next_event() {
+            let now = sched.now();
+            let mut pending: Vec<(SimTime, RadioEvent)> = Vec::new();
+            let mut cb = |at: SimTime, e: RadioEvent| pending.push((at, e));
+            match ev {
+                Ev::Op(Op::Send { src, dst, bytes }, payload) => {
+                    let frame = Frame {
+                        src: NodeId::new(src),
+                        dst: dst.map(NodeId::new),
+                        bytes,
+                        class: TrafficClass::Other,
+                        payload,
+                    };
+                    engine.send(now, frame, &mut cb);
+                }
+                Ev::Op(Op::Kill(node), _) => {
+                    engine.set_alive(NodeId::new(node), false);
+                    for tx in incoming[node as usize].drain(..) {
+                        for r in reference.get_mut(&tx).unwrap() {
+                            r.1 |= r.0.as_u32() == node;
+                        }
+                    }
+                }
+                Ev::Op(Op::Revive(node), _) => engine.set_alive(NodeId::new(node), true),
+                Ev::Radio(RadioEvent::TryAccess { node }) => {
+                    let transmitting: Vec<bool> = engine
+                        .hot
+                        .iter()
+                        .map(|h| h.state == MacState::Transmitting)
+                        .collect();
+                    let hearers = engine.medium().hearers(node);
+                    engine.handle(now, RadioEvent::TryAccess { node }, &mut cb, &mut out);
+                    let Some(&(_, RadioEvent::TxEnd { tx })) = pending.last() else {
+                        continue_after(&mut sched, pending);
+                        continue;
+                    };
+                    // The frame started: the sender's own arrivals are
+                    // corrupted, then each receiver's.
+                    let mut corrupt = |txs: &[u64], at: NodeId| {
+                        for t in txs {
+                            for r in reference.get_mut(t).unwrap() {
+                                r.1 |= r.0 == at;
+                            }
+                        }
+                    };
+                    corrupt(&incoming[node.index()], node);
+                    let arrivals = engine.txs[tx_slot(tx)].receivers.clone();
+                    let mut entry = Vec::new();
+                    for a in &arrivals {
+                        let h = a.node;
+                        assert!(hearers.contains(&h), "{h} cannot hear {node}");
+                        assert!(!transmitting[h.index()], "half-duplex {h}");
+                        let collided = !incoming[h.index()].is_empty();
+                        assert_eq!(a.collided, collided, "collision flag at {h}");
+                        corrupt(&incoming[h.index()], h);
+                        incoming[h.index()].push(tx);
+                        entry.push((h, collided));
+                    }
+                    if matches!(engine.medium().fading(), Fading::None) {
+                        let expect: Vec<NodeId> = hearers
+                            .iter()
+                            .copied()
+                            .filter(|h| !transmitting[h.index()])
+                            .collect();
+                        let got: Vec<NodeId> = arrivals.iter().map(|a| a.node).collect();
+                        assert_eq!(got, expect, "receivers of {node}'s frame");
+                    }
+                    reference.insert(tx, entry);
+                }
+                Ev::Radio(RadioEvent::TxEnd { tx }) => {
+                    let entry = reference.remove(&tx).expect("started transmission");
+                    let slot = &engine.txs[tx_slot(tx)];
+                    for (a, &(h, corrupted)) in slot.receivers.iter().zip(&entry) {
+                        assert_eq!(a.node, h);
+                        let intact = !a.collided && a.epoch == engine.hot[h.index()].epoch;
+                        assert_eq!(intact, !corrupted, "outcome of tx {tx:x} at {h}");
+                    }
+                    for &(h, _) in &entry {
+                        incoming[h.index()].retain(|&t| t != tx);
+                    }
+                    let head = engine.nodes[slot.src.index()].queue.front();
+                    let expect: Vec<u32> = match head {
+                        None => Vec::new(),
+                        Some(f) => entry
+                            .iter()
+                            .filter(|&&(h, corrupted)| {
+                                !corrupted
+                                    && engine.medium().is_alive(h)
+                                    && f.dst.is_none_or(|d| d == h)
+                            })
+                            .map(|&(h, _)| h.as_u32())
+                            .collect(),
+                    };
+                    engine.handle(now, RadioEvent::TxEnd { tx }, &mut cb, &mut out);
+                    let got: Vec<u32> = out
+                        .entries()
+                        .iter()
+                        .filter_map(|e| match *e {
+                            UpcallEntry::Delivered { to, frame, .. } => {
+                                delivered.push((out.frame(frame).payload, to.as_u32()));
+                                Some(to.as_u32())
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    assert_eq!(got, expect, "deliveries of tx {tx:x}");
+                }
+                Ev::Radio(r) => engine.handle(now, r, &mut cb, &mut out),
+            }
+            out.clear();
+            continue_after(&mut sched, pending);
+        }
+        fn continue_after(sched: &mut Scheduler<Ev>, pending: Vec<(SimTime, RadioEvent)>) {
+            for (at, e) in pending {
+                sched.schedule_at(at, Ev::Radio(e));
+            }
+        }
+        for (node, set) in incoming.iter().enumerate() {
+            assert!(set.is_empty(), "node {node} still receiving at quiescence");
+            let hot = &engine.hot[node];
+            assert_eq!(hot.arriving, 0, "node {node} arrival count leaked");
+        }
+        delivered
+    }
+
+    #[test]
+    fn prop_mac_outcomes_match_explicit_incoming_sets() {
+        use robonet_des::check::{self, Outcome};
+        // Small fields (a few nodes within a couple of ranges) so frames
+        // overlap at shared receivers; the last node may be a robot.
+        let coord = check::u32s(0..31).map(|&v| f64::from(v) * 5.0);
+        let nodes = check::vec_of(check::pair(coord.clone(), coord), 2..8);
+        let op = check::quad(
+            check::u32s(0..3_000),
+            check::u32s(0..10),
+            check::u32s(0..8),
+            check::u32s(0..9),
+        );
+        let field = check::quad(
+            nodes,
+            check::vec_of(op, 1..40),
+            check::bools(),
+            check::pair(check::bools(), check::u64s(0..1_000)),
+        );
+        check::forall_cases(
+            "mac_outcomes_match_explicit_incoming_sets",
+            256,
+            &field,
+            |(nodes, ops, robot_last, (fading, seed))| {
+                let n = nodes.len() as u32;
+                let pts: Vec<Point> = nodes.iter().map(|&(x, y)| Point::new(x, y)).collect();
+                let mut classes = vec![NodeClass::Sensor; pts.len()];
+                if *robot_last {
+                    classes[pts.len() - 1] = NodeClass::Robot;
+                }
+                let mut medium =
+                    Medium::new(Bounds::square(150.0), RangeTable::default(), &pts, &classes);
+                if *fading {
+                    medium = medium.with_fading(Fading::SmoothEdge { inner: 0.4 });
+                }
+                let mut engine = RadioEngine::new(
+                    medium,
+                    MacParams::default(),
+                    Xoshiro256::seed_from_u64(*seed),
+                );
+                let ops: Vec<(u64, Op)> = ops
+                    .iter()
+                    .map(|&(at, kind, a, b)| {
+                        let (a, b) = (a % n, b % (n + 1));
+                        let op = match kind {
+                            0 => Op::Kill(a),
+                            1 => Op::Revive(a),
+                            // Broadcast or unicast (to any node, itself
+                            // and the unreachable included), 20–1000 B.
+                            k => Op::Send {
+                                src: a,
+                                dst: (b < n).then_some(b),
+                                bytes: 20 + k * 120,
+                            },
+                        };
+                        (u64::from(at), op)
+                    })
+                    .collect();
+                check_against_reference(&mut engine, &ops);
+                Outcome::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn death_and_revival_mid_frame_detach_the_old_arrivals() {
+        // A, C and D are hidden from each other; B hears all three. B
+        // dies and revives while A's long frame is on the air. C's
+        // longer frame then arrives at B: it does not collide with A's,
+        // which B's death detached. A's frame ends while C's is still
+        // arriving, and D's short frame arrives after that: D's collides
+        // with C's, so neither reaches B — A's ending released nothing
+        // that C's arrival still holds.
+        let pts = [
+            Point::new(0.0, 0.0),
+            Point::new(50.0, 0.0),
+            Point::new(100.0, 0.0),
+            Point::new(50.0, 50.0),
+        ];
+        let medium = Medium::new(
+            Bounds::square(150.0),
+            RangeTable::default(),
+            &pts,
+            &[NodeClass::Sensor; 4],
+        );
+        let mut e = RadioEngine::new(medium, MacParams::default(), Xoshiro256::seed_from_u64(3));
+        let send = |src, bytes| Op::Send {
+            src,
+            dst: None,
+            bytes,
+        };
+        let delivered = check_against_reference(
+            &mut e,
+            &[
+                (0, send(0, 4_000)),
+                (800, Op::Kill(1)),
+                (900, Op::Revive(1)),
+                (900, send(2, 8_000)),
+                (4_000, send(3, 64)),
+            ],
+        );
+        assert!(delivered.is_empty(), "B receives nothing: {delivered:?}");
+        assert_eq!(e.stats().class(TrafficClass::Other).collisions, 1);
+
+        // Without D, C's frame reaches B intact.
+        let medium = Medium::new(
+            Bounds::square(150.0),
+            RangeTable::default(),
+            &pts,
+            &[NodeClass::Sensor; 4],
+        );
+        let mut e = RadioEngine::new(medium, MacParams::default(), Xoshiro256::seed_from_u64(3));
+        let delivered = check_against_reference(
+            &mut e,
+            &[
+                (0, send(0, 4_000)),
+                (800, Op::Kill(1)),
+                (900, Op::Revive(1)),
+                (900, send(2, 8_000)),
+            ],
+        );
+        assert_eq!(delivered, vec![(3, 1)], "only C's frame reaches B");
+        assert_eq!(e.stats().class(TrafficClass::Other).collisions, 0);
+    }
+
+    #[test]
+    fn prop_receive_counters_match_explicit_sets() {
+        // One node's receive state under any interleaving of arrivals,
+        // ends, its own transmissions and deaths — including orders the
+        // engine's carrier sense makes rare, such as a node transmitting
+        // while a frame is still arriving — against an explicit set.
+        use robonet_des::check::{self, Outcome};
+        let step = check::pair(check::u32s(0..4), check::u32s(0..8));
+        check::forall_cases(
+            "receive_counters_match_explicit_sets",
+            512,
+            &check::vec_of(step, 0..60),
+            |steps| {
+                let mut hot = HotNode::default();
+                // Frames on the air here: (arrival, corrupted per the
+                // explicit model, still in the node's set).
+                let mut live: Vec<(Arrival, bool, bool)> = Vec::new();
+                for &(kind, pick) in steps {
+                    match kind {
+                        0 => {
+                            let collided = live.iter().any(|l| l.2);
+                            for l in live.iter_mut().filter(|l| l.2) {
+                                l.1 = true;
+                            }
+                            let (c, epoch) = hot.arrive();
+                            assert_eq!(c, collided);
+                            let a = Arrival {
+                                node: NodeId::new(0),
+                                epoch,
+                                link: 0,
+                                collided,
+                            };
+                            live.push((a, collided, true));
+                        }
+                        1 if !live.is_empty() => {
+                            let (a, corrupted, _) = live.remove(pick as usize % live.len());
+                            assert_eq!(hot.finish(&a), !corrupted);
+                        }
+                        2 => {
+                            hot.jam();
+                            for l in live.iter_mut().filter(|l| l.2) {
+                                l.1 = true;
+                            }
+                        }
+                        _ => {
+                            hot.detach();
+                            for l in &mut live {
+                                l.1 |= l.2;
+                                l.2 = false;
+                            }
+                        }
+                    }
+                    let attached = live.iter().filter(|l| l.2).count();
+                    assert_eq!(hot.arriving as usize, attached);
+                }
+                Outcome::Pass
+            },
+        );
     }
 
     #[test]

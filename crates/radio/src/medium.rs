@@ -176,6 +176,10 @@ impl StaticHearers {
     }
 }
 
+/// Link index [`Medium::for_each_hearer`] reports for a hearer
+/// outside the static adjacency.
+pub const NO_LINK: u32 = u32::MAX;
+
 /// The unit-disk medium: every node within the *sender's* range hears a
 /// transmission. Ranges are asymmetric between classes exactly as in the
 /// paper (a sensor hears a robot at 250 m, the robot hears that sensor
@@ -190,10 +194,10 @@ pub struct Medium {
     /// Fast path for static transmitters; dropped (fall back to plain
     /// grid queries) if a non-robot node is ever actually moved.
     static_hearers: Option<StaticHearers>,
-    /// How many robots currently occupy each grid bucket. Most
-    /// transmissions have no robot anywhere in their scan window, and a
-    /// zero across the window lets `for_each_hearer` emit the
-    /// precomputed static list without touching the grid's buckets.
+    /// How many robots currently occupy each grid bucket. Most buckets
+    /// of a transmission's scan window hold no robot, and a zero lets
+    /// `for_each_hearer` emit the bucket's precomputed static group
+    /// without touching the grid.
     robot_buckets: Vec<u32>,
 }
 
@@ -314,98 +318,115 @@ impl Medium {
     }
 
     /// Calls `visit` for every *alive* node (other than the sender) that
-    /// hears a transmission from `src` at its current position.
+    /// hears a transmission from `src` at its current position, with
+    /// the hearer's link index: for a static transmitter's static
+    /// hearers, the hearer's position in the precomputed adjacency
+    /// (below [`Medium::link_count`], one index per ordered static pair,
+    /// fixed for the run); [`NO_LINK`] for robots, for robot
+    /// transmitters and once the adjacency is dropped.
     ///
-    /// Static transmitters take the precomputed-adjacency fast path:
-    /// their static hearers were distance-filtered at build time, so the
-    /// scan only touches the candidate ids plus the (few) robots — while
-    /// reproducing the plain grid query's visit order exactly.
-    pub fn for_each_hearer(&self, src: NodeId, mut visit: impl FnMut(NodeId)) {
+    /// Static transmitters take the precomputed-adjacency fast path in
+    /// one walk over the scan window's buckets: a bucket holding no
+    /// robot emits its precomputed static group as is (distance-filtered
+    /// at build time) without reading the grid; a bucket holding a robot
+    /// merges its robots back in at their true scan positions. The visit
+    /// order is the plain grid query's exactly.
+    pub fn for_each_hearer(&self, src: NodeId, mut visit: impl FnMut(NodeId, u32)) {
         let pos = self.position(src);
         let range = self.tx_range(src);
         let si = src.index();
         if let Some(c) = &self.static_hearers {
             if self.classes[si] != NodeClass::Robot {
-                if !self
-                    .index
-                    .any_bucket_within(pos, range, |b| self.robot_buckets[b] > 0)
-                {
-                    // No robot anywhere in the scan window: the hearer
-                    // set is exactly the precomputed static list, in
-                    // scan order, filtered by liveness.
-                    let lo = c.ids_start[si] as usize;
-                    let hi = c.ids_start[si + 1] as usize;
-                    for &id in &c.ids[lo..hi] {
-                        if self.alive[id as usize] {
-                            visit(NodeId::new(id));
-                        }
-                    }
-                    return;
-                }
                 let r_sq = range * range;
                 let mut ci = c.counts_start[si] as usize;
                 let mut gi = c.ids_start[si] as usize;
-                self.index
-                    .for_each_bucket_within(pos, range, |residents, movers| {
-                        let n = c.counts[ci] as usize;
-                        ci += 1;
-                        let group = &c.ids[gi..gi + n];
-                        gi += n;
-                        // Bucket residents are sorted ascending by id, so the
-                        // true scan order is: static nodes below the robot
-                        // block, robot residents, static nodes above it
-                        // (the manager), then moved robots in arrival order.
-                        let mut g = 0;
-                        while g < n && (group[g] as usize) < c.robot_lo {
-                            let id = group[g] as usize;
-                            g += 1;
-                            if self.alive[id] {
-                                visit(NodeId::new(id as u32));
-                            }
-                        }
-                        if let Some(&(last, _)) = residents.last() {
-                            if (last as usize) >= c.robot_lo {
-                                let p0 =
-                                    residents.partition_point(|&(j, _)| (j as usize) < c.robot_lo);
-                                for &(j, p) in &residents[p0..] {
-                                    let j = j as usize;
-                                    if j >= c.robot_hi {
-                                        break;
-                                    }
-                                    if self.alive[j] && p.distance_sq(pos) <= r_sq {
-                                        visit(NodeId::new(j as u32));
-                                    }
-                                }
-                            }
-                        }
-                        while g < n {
-                            let id = group[g] as usize;
-                            g += 1;
-                            if self.alive[id] {
-                                visit(NodeId::new(id as u32));
-                            }
-                        }
-                        for &(j, p) in movers {
-                            let j = j as usize;
-                            if self.alive[j] && p.distance_sq(pos) <= r_sq {
-                                visit(NodeId::new(j as u32));
-                            }
-                        }
-                    });
+                self.index.for_each_bucket_index_within(pos, range, |b| {
+                    let lo = gi;
+                    gi += c.counts[ci] as usize;
+                    ci += 1;
+                    if self.robot_buckets[b] == 0 {
+                        self.emit_static(&c.ids, lo..gi, &mut visit);
+                        return;
+                    }
+                    // Bucket residents are sorted ascending by id, so the
+                    // true scan order is: static nodes below the robot
+                    // block, robot residents, static nodes above it (the
+                    // manager), then moved robots in arrival order.
+                    let split =
+                        lo + c.ids[lo..gi].partition_point(|&id| (id as usize) < c.robot_lo);
+                    self.emit_static(&c.ids, lo..split, &mut visit);
+                    let (residents, movers) = self.index.bucket_entries(b);
+                    let p0 = residents.partition_point(|&(j, _)| (j as usize) < c.robot_lo);
+                    let robots = residents[p0..]
+                        .iter()
+                        .take_while(|&&(j, _)| (j as usize) < c.robot_hi);
+                    self.emit_robots(robots, pos, r_sq, &mut visit);
+                    self.emit_static(&c.ids, split..gi, &mut visit);
+                    self.emit_robots(movers.iter(), pos, r_sq, &mut visit);
+                });
                 return;
             }
         }
         self.index.for_each_within(pos, range, |i| {
             if i != si && self.alive[i] {
-                visit(NodeId::new(i as u32));
+                visit(NodeId::new(i as u32), NO_LINK);
             }
         });
+    }
+
+    /// Visits the alive nodes of the static adjacency slice `links`,
+    /// passing each one's link index.
+    fn emit_static(
+        &self,
+        ids: &[u32],
+        links: std::ops::Range<usize>,
+        visit: &mut impl FnMut(NodeId, u32),
+    ) {
+        for link in links {
+            let id = ids[link];
+            if self.alive[id as usize] {
+                visit(NodeId::new(id), link as u32);
+            }
+        }
+    }
+
+    /// Visits the alive robots among grid `entries` within `sqrt(r_sq)`
+    /// of `pos` (robots are outside the static adjacency: no link).
+    fn emit_robots<'a>(
+        &self,
+        entries: impl Iterator<Item = &'a (u32, Point)>,
+        pos: Point,
+        r_sq: f64,
+        visit: &mut impl FnMut(NodeId, u32),
+    ) {
+        for &(j, p) in entries {
+            if self.alive[j as usize] && p.distance_sq(pos) <= r_sq {
+                visit(NodeId::new(j), NO_LINK);
+            }
+        }
+    }
+
+    /// Number of link indices [`Medium::for_each_hearer`] can
+    /// report (0 without the static adjacency).
+    pub fn link_count(&self) -> usize {
+        self.static_hearers.as_ref().map_or(0, |c| c.ids.len())
+    }
+
+    /// The static (non-robot) nodes within `node`'s transmission range,
+    /// in its scan order, or `None` without the static adjacency. Empty
+    /// for a robot. Nodes of one class share a range, so between two
+    /// sensors the relation is symmetric: `b` is in `a`'s list exactly
+    /// when `a` is in `b`'s (both lists test the same squared distance).
+    pub fn static_hearers_of(&self, node: NodeId) -> Option<&[u32]> {
+        let c = self.static_hearers.as_ref()?;
+        let i = node.index();
+        Some(&c.ids[c.ids_start[i] as usize..c.ids_start[i + 1] as usize])
     }
 
     /// Collects the alive hearers of `src` (see [`Medium::for_each_hearer`]).
     pub fn hearers(&self, src: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.for_each_hearer(src, |n| out.push(n));
+        self.for_each_hearer(src, |n, _| out.push(n));
         out
     }
 
@@ -538,14 +559,46 @@ mod tests {
         m
     }
 
+    /// Checks the link index of every hearer of `src`: a static hearer
+    /// of a static sender carries its position in the sender's
+    /// adjacency slice; everyone else carries none.
+    fn check_links(m: &Medium, src: NodeId) {
+        let linked = m.static_hearers.is_some() && m.class(src) != NodeClass::Robot;
+        let adjacency = m.static_hearers_of(src);
+        let lo = m
+            .static_hearers
+            .as_ref()
+            .map_or(0, |c| c.ids_start[src.index()] as usize);
+        m.for_each_hearer(src, |h, link| {
+            if linked && m.class(h) != NodeClass::Robot {
+                let at = link as usize - lo;
+                assert_eq!(adjacency.unwrap()[at], h.as_u32(), "link of {h} from {src}");
+            } else {
+                assert_eq!(link, NO_LINK, "{h} from {src} has no link");
+            }
+        });
+    }
+
     #[test]
     fn static_hearer_cache_matches_grid_queries() {
         let m = field(400, 3, 800.0);
         assert!(m.static_hearers.is_some(), "contiguous robots cache");
         let plain = uncached(m.clone());
+        assert_eq!(plain.link_count(), 0);
         for i in 0..m.len() {
             let src = NodeId::new(i as u32);
             assert_eq!(m.hearers(src), plain.hearers(src), "src {i}");
+            check_links(&m, src);
+            check_links(&plain, src);
+        }
+        // Between sensors the adjacency is symmetric.
+        for a in 0..400u32 {
+            for &b in m.static_hearers_of(NodeId::new(a)).unwrap() {
+                if b < 400 {
+                    let back = m.static_hearers_of(NodeId::new(b)).unwrap();
+                    assert!(back.contains(&a), "{a} hears {b} but not back");
+                }
+            }
         }
     }
 
@@ -576,6 +629,7 @@ mod tests {
             for i in (0..m.len()).step_by(17) {
                 let src = NodeId::new(i as u32);
                 assert_eq!(m.hearers(src), plain.hearers(src), "step {step} src {i}");
+                check_links(&m, src);
             }
         }
         assert!(

@@ -30,16 +30,19 @@ pub struct SensorState {
     pub id: NodeId,
     /// Its (fixed) deployment location.
     pub loc: Point,
-    /// One-hop neighbours and their advertised locations.
+    /// One-hop neighbours and their advertised locations. Its watch
+    /// marks track [`SensorState::guardian`] and
+    /// [`SensorState::guardees`], which is why those two change only
+    /// through this type's methods.
     pub neighbors: NeighborTable,
     /// The neighbour this sensor chose to watch it.
-    pub guardian: Option<NodeId>,
+    guardian: Option<NodeId>,
     /// When the guardian was last heard.
     pub guardian_last_heard: Option<SimTime>,
     /// Nodes this sensor watches, with the time each was last heard,
     /// sorted by id (a sensor watches a handful of neighbours, so a
     /// sorted vec beats a tree on the per-beacon refresh path).
-    pub guardees: Vec<(NodeId, SimTime)>,
+    guardees: Vec<(NodeId, SimTime)>,
     /// The robot this sensor reports failures to, with its last known
     /// location — always the closest robot among [`SensorState::robot_locs`].
     pub myrobot: Option<(NodeId, Point)>,
@@ -81,6 +84,41 @@ impl SensorState {
         }
     }
 
+    /// The neighbour this sensor chose to watch it.
+    pub fn guardian(&self) -> Option<NodeId> {
+        self.guardian
+    }
+
+    /// Nodes this sensor watches, with the time each was last heard,
+    /// sorted by id.
+    pub fn guardees(&self) -> &[(NodeId, SimTime)] {
+        &self.guardees
+    }
+
+    /// Gives the neighbour table one slot per sensor in `ids` (the
+    /// sensors within range, ascending; see
+    /// [`NeighborTable::init_slots`]) and marks the watched ones.
+    pub fn init_slots(&mut self, ids: impl IntoIterator<Item = NodeId>) {
+        self.neighbors.init_slots(ids);
+        if let Some(g) = self.guardian {
+            self.neighbors.set_watched(g, true);
+        }
+        for &(g, _) in &self.guardees {
+            self.neighbors.set_watched(g, true);
+        }
+    }
+
+    /// Re-derives `node`'s watch mark after the guardian or the guardee
+    /// set changed.
+    fn rewatch(&mut self, node: NodeId) {
+        let watched = self.guardian == Some(node)
+            || self
+                .guardees
+                .binary_search_by_key(&node, |&(id, _)| id)
+                .is_ok();
+        self.neighbors.set_watched(node, watched);
+    }
+
     /// Records hearing `from` at `loc` (beacon or location broadcast).
     /// Refreshes the neighbour table, the guardee timer if `from` is a
     /// guardee, and the guardian timer if `from` is the guardian.
@@ -117,8 +155,11 @@ impl SensorState {
         filter: impl FnMut(NodeId) -> bool,
     ) -> Option<NodeId> {
         let pick = self.neighbors.nearest(self.loc, filter);
-        self.guardian = pick;
+        let old = std::mem::replace(&mut self.guardian, pick);
         self.guardian_last_heard = pick.map(|_| now);
+        for node in [old, pick].into_iter().flatten() {
+            self.rewatch(node);
+        }
         pick
     }
 
@@ -129,6 +170,7 @@ impl SensorState {
             Ok(i) => self.guardees[i].1 = now,
             Err(i) => self.guardees.insert(i, (from, now)),
         }
+        self.neighbors.set_watched(from, true);
     }
 
     /// Stops watching `node` (it failed and was reported, or re-homed).
@@ -149,6 +191,7 @@ impl SensorState {
         match self.guardees.binary_search_by_key(&node, |&(id, _)| id) {
             Ok(i) => {
                 self.guardees.remove(i);
+                self.rewatch(node);
                 true
             }
             Err(_) => false,
@@ -236,13 +279,13 @@ impl SensorState {
         {
             self.report_attempts.remove(i);
         }
-        if self.guardian == Some(node) {
+        let was_guardian = self.guardian == Some(node);
+        if was_guardian {
             self.guardian = None;
             self.guardian_last_heard = None;
-            true
-        } else {
-            false
         }
+        self.rewatch(node);
+        was_guardian
     }
 
     /// Like [`SensorState::forget_failed_neighbor`] but *keeps watching*
@@ -256,6 +299,7 @@ impl SensorState {
         if self.guardian == Some(node) {
             self.guardian = None;
             self.guardian_last_heard = None;
+            self.rewatch(node);
             true
         } else {
             false
@@ -346,7 +390,7 @@ impl SensorState {
     /// the corresponding failed nodes", §2(d)). Identity and location
     /// are retained; everything learned is forgotten.
     pub fn reset_for_replacement(&mut self) {
-        self.neighbors = NeighborTable::new();
+        self.neighbors.clear();
         self.guardian = None;
         self.guardian_last_heard = None;
         self.guardees.clear();
@@ -531,6 +575,90 @@ mod tests {
         assert!(!s.forget_robot(n(100)), "already forgotten");
         assert!(s.forget_robot(n(101)));
         assert!(s.myrobot.is_none(), "no robots left");
+    }
+
+    #[test]
+    fn prop_slot_refresh_is_hear_for_unwatched_neighbors() {
+        // Two copies of one sensor see the same protocol steps; beacons
+        // from in-range sensors reach the first through the slot refresh
+        // (falling back to `hear` when it declines) and the second
+        // through `hear` alone. Watch marks must keep them identical.
+        use robonet_des::check::{self, Outcome};
+        let op = check::triple(check::u32s(0..10), check::u32s(1..9), check::u32s(0..50));
+        check::forall_cases(
+            "slot_refresh_is_hear_for_unwatched_neighbors",
+            512,
+            &check::pair(check::vec_of(op, 0..80), check::u32s(0..80)),
+            |(ops, init_at)| {
+                // Sensors 1..=6 are in range (slots); 7 and 8 stand for a
+                // robot and the manager.
+                let in_range: Vec<NodeId> = (1..=6).map(n).collect();
+                let mut fast = SensorState::new(n(0), p(0.0, 0.0));
+                let mut slow = fast.clone();
+                for (step, &(kind, id, tick)) in ops.iter().enumerate() {
+                    if step == *init_at as usize {
+                        fast.init_slots(in_range.iter().copied());
+                        slow.init_slots(in_range.iter().copied());
+                    }
+                    let (node, now) = (n(id), t(f64::from(tick)));
+                    let loc = p(f64::from(id), f64::from(tick % 7));
+                    match kind {
+                        0..=2 => {
+                            let slot = in_range.iter().position(|&x| x == node);
+                            let refreshed = match slot {
+                                Some(k) if fast.neighbors.has_slots() => {
+                                    fast.neighbors.refresh_slot(k, loc, now)
+                                }
+                                _ => false,
+                            };
+                            if !refreshed {
+                                fast.hear(node, loc, now);
+                            }
+                            slow.hear(node, loc, now);
+                        }
+                        3 => {
+                            fast.add_guardee(node, now);
+                            slow.add_guardee(node, now);
+                        }
+                        4 => {
+                            assert_eq!(fast.remove_guardee(node), slow.remove_guardee(node));
+                        }
+                        5 => {
+                            let f = |x: NodeId| x.as_u32() % 3 != tick % 3;
+                            assert_eq!(fast.pick_guardian(now, f), slow.pick_guardian(now, f));
+                        }
+                        6 => {
+                            assert_eq!(
+                                fast.forget_failed_neighbor(node),
+                                slow.forget_failed_neighbor(node)
+                            );
+                        }
+                        7 => {
+                            assert_eq!(
+                                fast.scrub_failed_neighbor(node),
+                                slow.scrub_failed_neighbor(node)
+                            );
+                        }
+                        8 => {
+                            fast.mark_reported(node, now, d(5.0));
+                            slow.mark_reported(node, now, d(5.0));
+                            fast.note_report_attempt(node);
+                            slow.note_report_attempt(node);
+                        }
+                        _ if tick % 2 == 0 => {
+                            fast.reset_for_replacement();
+                            slow.reset_for_replacement();
+                        }
+                        _ => {
+                            fast.neighbors.evict_stale(now);
+                            slow.neighbors.evict_stale(now);
+                        }
+                    }
+                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "step {step}");
+                }
+                Outcome::Pass
+            },
+        );
     }
 
     #[test]

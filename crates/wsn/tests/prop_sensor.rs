@@ -160,8 +160,8 @@ fn replacement_reset_is_complete() {
             assert_eq!(s.id, NodeId::new(3));
             assert_eq!(s.loc, me);
             assert!(s.neighbors.is_empty());
-            assert!(s.guardian.is_none());
-            assert!(s.guardees.is_empty());
+            assert!(s.guardian().is_none());
+            assert!(s.guardees().is_empty());
             assert!(s.myrobot.is_none());
             assert!(s.robot_locs.is_empty());
             Outcome::Pass
