@@ -329,6 +329,12 @@ struct TxSlot {
     generation: u32,
     state: TxState,
     src: NodeId,
+    /// The sender's [`MacNode::token`] when the frame went on the air.
+    /// Only the sender's death moves it before the frame's `TxEnd`, so
+    /// a different token there marks a transmission its sender
+    /// orphaned: the frame it carried was flushed, and whatever the
+    /// sender has queued since was never on the air.
+    token: u64,
     receivers: Vec<Arrival>,
 }
 
@@ -386,11 +392,13 @@ impl<P: Clone> RadioEngine<P> {
     /// Allocates a transmission slot for `src`, reusing a freed slot's
     /// `receivers` buffer when one is available.
     fn alloc_tx(&mut self, src: NodeId) -> u64 {
+        let token = self.nodes[src.index()].token;
         if let Some(slot) = self.free_txs.pop() {
             let s = &mut self.txs[slot as usize];
             debug_assert!(s.state == TxState::Free && s.receivers.is_empty());
             s.state = TxState::Airing;
             s.src = src;
+            s.token = token;
             tx_id(slot, s.generation)
         } else {
             let slot = u32::try_from(self.txs.len()).expect("< 2^32 live transmissions");
@@ -398,6 +406,7 @@ impl<P: Clone> RadioEngine<P> {
                 generation: 0,
                 state: TxState::Airing,
                 src,
+                token,
                 receivers: Vec::new(),
             });
             tx_id(slot, 0)
@@ -602,21 +611,23 @@ impl<P: Clone> RadioEngine<P> {
             "unknown transmission"
         );
         let src = s.src;
-        // Detach from receivers and deliver. The frame is buffered once
-        // and every Delivered entry references it by index, so fan-out
-        // to N hearers costs one clone, not N.
-        let fi = match self.nodes[src.index()].queue.front() {
-            Some(f) => out.push_frame(f.clone()),
-            None => {
-                // Sender died mid-transmission and its queue was flushed;
-                // nothing to deliver or complete.
-                for a in &self.txs[slot].receivers {
-                    self.hot[a.node.index()].finish(a);
-                }
-                self.free_tx(slot);
-                return;
+        if self.nodes[src.index()].token != s.token {
+            // The sender died mid-transmission and its queue was
+            // flushed: release the receivers' counts, deliver nothing
+            // and complete nothing.
+            for a in &self.txs[slot].receivers {
+                self.hot[a.node.index()].finish(a);
             }
-        };
+            self.free_tx(slot);
+            return;
+        }
+        // The sender has lived through the frame, which is still the
+        // head of its queue. Detach from receivers and deliver. The
+        // frame is buffered once and every Delivered entry references it
+        // by index, so fan-out to N hearers costs one clone, not N.
+        debug_assert!(self.medium.is_alive(src));
+        let head = self.nodes[src.index()].queue.front();
+        let fi = out.push_frame(head.expect("the aired frame heads the queue").clone());
         let (dst, class) = {
             let f = out.frame(fi);
             (f.dst, f.class)
@@ -640,13 +651,6 @@ impl<P: Clone> RadioEngine<P> {
                     link: a.link,
                 });
             }
-        }
-
-        if !self.medium.is_alive(src) {
-            // Sender died exactly at tx end; drop silently.
-            self.hot[src.index()].state = MacState::Idle;
-            self.free_tx(slot);
-            return;
         }
 
         match dst {
@@ -1125,8 +1129,10 @@ mod tests {
     /// explicit set of the frames arriving at each node: a new arrival
     /// collides with (and corrupts) every frame in the receiver's set,
     /// the receiver's own transmission corrupts its set, and its death
-    /// corrupts and empties it. Returns the deliveries as `(payload,
-    /// receiver)` pairs, for tests that look at one scenario.
+    /// corrupts and empties it. A transmission delivers the frame that
+    /// went on the air, and nothing once its sender has died during it.
+    /// Returns the deliveries as `(payload, receiver)` pairs, for tests
+    /// that look at one scenario.
     fn check_against_reference(
         engine: &mut RadioEngine<u32>,
         ops: &[(u64, Op)],
@@ -1145,6 +1151,11 @@ mod tests {
         let mut incoming: Vec<Vec<u64>> = vec![Vec::new(); n];
         // Per live transmission: (receiver, corrupted) in engine order.
         let mut reference: HashMap<u64, Vec<(NodeId, bool)>> = HashMap::new();
+        // Per live transmission: its sender and the (payload,
+        // destination) of the frame on the air, `None` once the sender
+        // died during it.
+        type Aired = (NodeId, Option<(u32, Option<NodeId>)>);
+        let mut aired: HashMap<u64, Aired> = HashMap::new();
         let mut delivered = Vec::new();
         let mut out = UpcallBuf::new();
         while let Some(ev) = sched.next_event() {
@@ -1164,6 +1175,11 @@ mod tests {
                 }
                 Ev::Op(Op::Kill(node), _) => {
                     engine.set_alive(NodeId::new(node), false);
+                    for (src, frame) in aired.values_mut() {
+                        if src.as_u32() == node {
+                            *frame = None;
+                        }
+                    }
                     for tx in incoming[node as usize].drain(..) {
                         for r in reference.get_mut(&tx).unwrap() {
                             r.1 |= r.0.as_u32() == node;
@@ -1215,6 +1231,11 @@ mod tests {
                         assert_eq!(got, expect, "receivers of {node}'s frame");
                     }
                     reference.insert(tx, entry);
+                    let f = engine.nodes[node.index()]
+                        .queue
+                        .front()
+                        .expect("an aired frame");
+                    aired.insert(tx, (node, Some((f.payload, f.dst))));
                 }
                 Ev::Radio(RadioEvent::TxEnd { tx }) => {
                     let entry = reference.remove(&tx).expect("started transmission");
@@ -1227,15 +1248,15 @@ mod tests {
                     for &(h, _) in &entry {
                         incoming[h.index()].retain(|&t| t != tx);
                     }
-                    let head = engine.nodes[slot.src.index()].queue.front();
-                    let expect: Vec<u32> = match head {
+                    let (_, frame) = aired.remove(&tx).expect("aired transmission");
+                    let expect: Vec<u32> = match frame {
                         None => Vec::new(),
-                        Some(f) => entry
+                        Some((_, dst)) => entry
                             .iter()
                             .filter(|&&(h, corrupted)| {
                                 !corrupted
                                     && engine.medium().is_alive(h)
-                                    && f.dst.is_none_or(|d| d == h)
+                                    && dst.is_none_or(|d| d == h)
                             })
                             .map(|&(h, _)| h.as_u32())
                             .collect(),
@@ -1245,8 +1266,10 @@ mod tests {
                         .entries()
                         .iter()
                         .filter_map(|e| match *e {
-                            UpcallEntry::Delivered { to, frame, .. } => {
-                                delivered.push((out.frame(frame).payload, to.as_u32()));
+                            UpcallEntry::Delivered { to, frame: fi, .. } => {
+                                let payload = out.frame(fi).payload;
+                                assert_eq!(Some(payload), frame.map(|f| f.0), "frame of tx {tx:x}");
+                                delivered.push((payload, to.as_u32()));
                                 Some(to.as_u32())
                             }
                             _ => None,
@@ -1395,6 +1418,41 @@ mod tests {
         );
         assert_eq!(delivered, vec![(3, 1)], "only C's frame reaches B");
         assert_eq!(e.stats().class(TrafficClass::Other).collisions, 0);
+    }
+
+    #[test]
+    fn a_frame_queued_after_a_revival_is_not_delivered_by_the_orphaned_transmission() {
+        // A airs 4000 B, dies at 0.8 ms, revives and queues 64 B at
+        // 0.9 ms, before the old frame's end. The old transmission
+        // delivers nothing; the 64 B frame reaches B only through an
+        // air time of its own, so A transmits twice.
+        let medium = Medium::new(
+            Bounds::square(150.0),
+            RangeTable::default(),
+            &[Point::new(0.0, 0.0), Point::new(50.0, 0.0)],
+            &[NodeClass::Sensor; 2],
+        );
+        let mut e = RadioEngine::new(medium, MacParams::default(), Xoshiro256::seed_from_u64(3));
+        let send = |bytes| Op::Send {
+            src: 0,
+            dst: None,
+            bytes,
+        };
+        let delivered = check_against_reference(
+            &mut e,
+            &[
+                (0, send(4_000)),
+                (800, Op::Kill(0)),
+                (900, Op::Revive(0)),
+                (900, send(64)),
+            ],
+        );
+        assert_eq!(
+            delivered,
+            vec![(3, 1)],
+            "only the 64 B frame's own air time delivers it"
+        );
+        assert_eq!(e.stats().class(TrafficClass::Other).data_tx, 2);
     }
 
     #[test]
