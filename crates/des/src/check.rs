@@ -343,6 +343,27 @@ pub fn quad<A: Clone + 'static, B: Clone + 'static, C: Clone + 'static, D: Clone
         .map(|((a, b), (c, d))| (a.clone(), b.clone(), c.clone(), d.clone()))
 }
 
+/// Coordinates that probe a cell lookup's edges on a grid of `cell`-wide
+/// cells over `[0, side)`: NaN, ±∞, ±0.0, magnitudes up to `1e300`,
+/// exact multiples of `cell` from −3 to 20 cells and their neighbouring
+/// floats, and plain values in `[−side, 2·side)`.
+pub fn cell_edge_f64s(side: f64, cell: f64) -> Gen<f64> {
+    triple(usizes(0..10), usizes(0..24), f64s(-1.0..2.0)).map(move |&(mode, j, v)| {
+        let multiple = (j as f64 - 3.0) * cell;
+        match mode {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => v * 1e300,
+            5 => multiple,
+            6 => multiple.next_up(),
+            7 => multiple.next_down(),
+            _ => v * side,
+        }
+    })
+}
+
 // ---------------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------------

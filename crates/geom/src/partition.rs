@@ -70,9 +70,12 @@ impl Partition for SquarePartition {
     fn subarea_of(&self, p: Point) -> usize {
         let w = self.bounds.width() / self.k as f64;
         let h = self.bounds.height() / self.k as f64;
-        let cx = (((p.x - self.bounds.min().x) / w).floor() as isize).clamp(0, self.k as isize - 1);
-        let cy = (((p.y - self.bounds.min().y) / h).floor() as isize).clamp(0, self.k as isize - 1);
-        cy as usize * self.k + cx as usize
+        // Saturating casts truncate toward zero and send negatives and
+        // NaN to 0, so after the clamp they give `floor`'s cell without
+        // its call.
+        let cx = (((p.x - self.bounds.min().x) / w) as usize).min(self.k - 1);
+        let cy = (((p.y - self.bounds.min().y) / h) as usize).min(self.k - 1);
+        cy * self.k + cx
     }
 
     fn center(&self, i: usize) -> Point {
@@ -107,14 +110,14 @@ impl HexPartition {
     fn cell_of(&self, p: Point) -> (usize, usize) {
         let w = self.bounds.width() / self.k as f64;
         let h = self.bounds.height() / self.k as f64;
-        let row = (((p.y - self.bounds.min().y) / h).floor() as isize).clamp(0, self.k as isize - 1)
-            as usize;
+        // Truncating casts, as in `SquarePartition::subarea_of`.
+        let row = (((p.y - self.bounds.min().y) / h) as usize).min(self.k - 1);
         let offset = if row % 2 == 1 { 0.5 * w } else { 0.0 };
         // Columns wrap: the half cell hanging off the right edge is the
         // same cell as the half at the left edge, keeping areas equal.
         let x = p.x - self.bounds.min().x - offset;
         let x = x.rem_euclid(self.bounds.width());
-        let col = ((x / w).floor() as isize).clamp(0, self.k as isize - 1) as usize;
+        let col = ((x / w) as usize).min(self.k - 1);
         (row, col)
     }
 }
@@ -227,6 +230,30 @@ mod tests {
                 assert!(hx.subarea_of(q) < hx.len());
             }
         }
+    }
+
+    #[test]
+    fn prop_subarea_lookups_equal_floor() {
+        use robonet_des::check::{self, Outcome};
+        let gen = check::triple(
+            check::usizes(1..9),
+            check::cell_edge_f64s(400.0, 400.0 / 7.0),
+            check::cell_edge_f64s(400.0, 400.0 / 7.0),
+        );
+        check::forall_cases("subarea lookups equal floor", 2_000, &gen, |&(k, x, y)| {
+            let b = Bounds::square(400.0);
+            let (w, h) = (b.width() / k as f64, b.height() / k as f64);
+            let last = k as isize - 1;
+            let cell = |v: f64| (v.floor() as isize).clamp(0, last) as usize;
+            let q = p(x, y);
+            let square = cell(y / h) * k + cell(x / w);
+            assert_eq!(SquarePartition::new(b, k).subarea_of(q), square, "{q:?}");
+            let row = cell(y / h);
+            let offset = if row % 2 == 1 { 0.5 * w } else { 0.0 };
+            let col = cell((x - offset).rem_euclid(b.width()) / w);
+            assert_eq!(HexPartition::new(b, k).cell_of(q), (row, col), "{q:?}");
+            Outcome::Pass
+        });
     }
 
     #[test]
