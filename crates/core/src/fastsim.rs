@@ -21,7 +21,7 @@
 //! only where the cross-validation holds.
 
 use robonet_des::{rng, sampler, NodeId, Scheduler, SimTime};
-use robonet_geom::{ConvexPolygon, Point};
+use robonet_geom::{Bounds, ConvexPolygon, Point};
 use robonet_robot::motion::Leg;
 use robonet_robot::RobotState;
 
@@ -269,11 +269,13 @@ fn run_observed(
         sched.schedule_at(at, Event::Timeline { index });
     }
 
-    let reach = world
-        .robots
-        .iter()
-        .map(|rb| ReachBox::parked(rb.position_at(SimTime::ZERO)))
-        .collect();
+    let reach = ReachGrid::new(
+        &bounds,
+        world
+            .robots
+            .iter()
+            .map(|rb| ReachBox::parked(rb.position_at(SimTime::ZERO))),
+    );
     let mut run = FlowRun {
         cfg,
         coordinator: coord::coordinator_for(cfg.algorithm),
@@ -322,8 +324,8 @@ struct FlowRun<'a> {
     sched: Scheduler<Event>,
     detect_rng: rng::Xoshiro256,
     /// Where each robot can be until its activity next changes; kept by
-    /// `start_leg` and `on_arrive`.
-    reach: Vec<ReachBox>,
+    /// `start_leg` and `on_arrive` through [`ReachGrid::set`].
+    reach: ReachGrid,
     tally: Tally,
 }
 
@@ -402,7 +404,7 @@ impl FlowRun<'_> {
             .start_leg(r, &leg, &mut self.observer, &mut self.sched);
         // `validate` admits no breakdown, slowdown or attrition, so no
         // flow leg is cut: the robot stays on this leg until it arrives.
-        self.reach[r] = ReachBox::leg(&leg);
+        self.reach.set(r, ReachBox::leg(&leg));
         let robot = &mut self.world.robots[r];
         let updates = (leg.distance() / self.cfg.update_threshold).floor() + 1.0; // + arrival
         self.tally.update_tx += updates
@@ -425,7 +427,10 @@ impl FlowRun<'_> {
         let r = leg.robot();
         match arrival.next {
             Some(next_leg) => self.start_leg(r, next_leg),
-            None => self.reach[r] = ReachBox::parked(self.world.robots[r].position_at(now)),
+            None => {
+                let parked = ReachBox::parked(self.world.robots[r].position_at(now));
+                self.reach.set(r, parked);
+            }
         }
     }
 
@@ -506,11 +511,291 @@ impl ReachBox {
     }
 }
 
+/// The end of a cell's list and of the free-entry chain.
+const NIL: u32 = u32::MAX;
+
+/// The cells a reach box overlaps: columns `c0..=c1` by rows `r0..=r1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    c0: u32,
+    r0: u32,
+    c1: u32,
+    r1: u32,
+}
+
+impl Span {
+    /// The span's cell nearest to cell `(c, r)`: the one in the first
+    /// ring around `(c, r)` that meets the span.
+    fn nearest_to(&self, (c, r): (u32, u32)) -> (u32, u32) {
+        (c.clamp(self.c0, self.c1), r.clamp(self.r0, self.r1))
+    }
+
+    fn cells(self) -> impl Iterator<Item = (u32, u32)> {
+        (self.r0..=self.r1).flat_map(move |r| (self.c0..=self.c1).map(move |c| (c, r)))
+    }
+}
+
+/// One robot's reach box and the span of cells listing it.
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    reach: ReachBox,
+    span: Span,
+}
+
+/// One entry of a cell's list: the robot it names and the cell's next
+/// entry.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    robot: u32,
+    next: u32,
+}
+
+/// The fleet's reach boxes on a uniform grid over the field, each robot
+/// listed in every cell its box overlaps, so a nearest-robot query reads
+/// the few cells around the query point instead of every box. Cell lists
+/// are singly linked through one flat entry pool.
+struct ReachGrid {
+    origin: Point,
+    cell: f64,
+    inv_cell: f64,
+    cols: u32,
+    rows: u32,
+    /// The rounding margin of the stopping bound (m), far wider than
+    /// the error of a cell index or a cell face anywhere in the grid.
+    margin: f64,
+    /// Robot `r`'s box and span at index `r`.
+    robots: Vec<Reach>,
+    /// First entry of each cell's list (`NIL`: empty), row-major.
+    heads: Vec<u32>,
+    entries: Vec<Entry>,
+    /// First free entry of the pool.
+    free: u32,
+}
+
+impl ReachGrid {
+    /// A grid over `bounds` with about one robot per cell (the subarea
+    /// side of a `k × k` fleet) holding `boxes`, robot `r`'s at index
+    /// `r`.
+    fn new(bounds: &Bounds, boxes: impl IntoIterator<Item = ReachBox>) -> Self {
+        let boxes: Vec<ReachBox> = boxes.into_iter().collect();
+        assert!(!boxes.is_empty(), "robots exist");
+        let cell = (bounds.area() / boxes.len() as f64).sqrt();
+        assert!(cell.is_finite() && cell > 0.0, "a field of positive area");
+        let cols = ((bounds.width() / cell).ceil() as u32).max(1);
+        let rows = ((bounds.height() / cell).ceil() as u32).max(1);
+        let origin = bounds.min();
+        let extent = f64::from(cols.max(rows)) * cell + origin.x.abs() + origin.y.abs();
+        let mut grid = ReachGrid {
+            origin,
+            cell,
+            inv_cell: 1.0 / cell,
+            cols,
+            rows,
+            margin: 1e-9 * extent,
+            robots: Vec::with_capacity(boxes.len()),
+            heads: vec![NIL; cols as usize * rows as usize],
+            entries: Vec::with_capacity(boxes.len()),
+            free: NIL,
+        };
+        for (r, reach) in boxes.into_iter().enumerate() {
+            let span = grid.span_of(&reach);
+            grid.robots.push(Reach { reach, span });
+            grid.link(r as u32, span);
+        }
+        grid
+    }
+
+    /// The column holding `x`. The saturating cast truncates toward
+    /// zero and sends negatives and NaN to 0, so after the clamp it is
+    /// the cell `floor` would give, without its call.
+    fn col_of(&self, x: f64) -> u32 {
+        (((x - self.origin.x) * self.inv_cell) as u32).min(self.cols - 1)
+    }
+
+    /// The row holding `y` (see [`ReachGrid::col_of`]).
+    fn row_of(&self, y: f64) -> u32 {
+        (((y - self.origin.y) * self.inv_cell) as u32).min(self.rows - 1)
+    }
+
+    /// The cells `reach` overlaps. The cell lookups are monotone, so
+    /// every point of the box lies in a cell of its span.
+    fn span_of(&self, reach: &ReachBox) -> Span {
+        Span {
+            c0: self.col_of(reach.lo.x),
+            r0: self.row_of(reach.lo.y),
+            c1: self.col_of(reach.hi.x),
+            r1: self.row_of(reach.hi.y),
+        }
+    }
+
+    fn head(&mut self, (c, r): (u32, u32)) -> &mut u32 {
+        &mut self.heads[(r * self.cols + c) as usize]
+    }
+
+    /// Robot `r`'s activity changed and its positions lie in `reach`
+    /// until the next change. Its cell lists are rewritten only when
+    /// its span of cells moves.
+    fn set(&mut self, r: usize, reach: ReachBox) {
+        let span = self.span_of(&reach);
+        let old = std::mem::replace(&mut self.robots[r], Reach { reach, span }).span;
+        if span != old {
+            self.unlink(r as u32, old);
+            self.link(r as u32, span);
+        }
+    }
+
+    /// Lists `robot` at the front of every cell of `span`.
+    fn link(&mut self, robot: u32, span: Span) {
+        for cell in span.cells() {
+            let next = *self.head(cell);
+            let entry = Entry { robot, next };
+            let e = if self.free == NIL {
+                self.entries.push(entry);
+                self.entries.len() as u32 - 1
+            } else {
+                let e = self.free;
+                self.free = self.entries[e as usize].next;
+                self.entries[e as usize] = entry;
+                e
+            };
+            *self.head(cell) = e;
+        }
+    }
+
+    /// Removes `robot` from every cell of `span`, returning its entries
+    /// to the pool.
+    fn unlink(&mut self, robot: u32, span: Span) {
+        for cell in span.cells() {
+            let (mut prev, mut e) = (NIL, *self.head(cell));
+            while self.entries[e as usize].robot != robot {
+                (prev, e) = (e, self.entries[e as usize].next);
+            }
+            let next = self.entries[e as usize].next;
+            match prev {
+                NIL => *self.head(cell) = next,
+                prev => self.entries[prev as usize].next = next,
+            }
+            self.entries[e as usize].next = self.free;
+            self.free = e;
+        }
+    }
+
+    /// [`robonet_geom::voronoi::nearest_site`] over `position(r)` for
+    /// every robot `r`, whose positions lie in their boxes.
+    ///
+    /// The query walks rings of cells outward from the cell of `p` and
+    /// examines each robot once, at the cell of its span nearest to
+    /// that cell. A robot whose bound is already worse than the best
+    /// (squared distance, index) so far is skipped without computing
+    /// its position. After ring `k` every robot not yet examined lies
+    /// wholly in cells outside the square of rings `0..=k`, at least
+    /// the gap from `p` to that square's nearest face away; once that
+    /// gap, less the margin, squared is strictly greater than the best
+    /// squared distance, none of them can win or tie, and the walk
+    /// stops.
+    fn nearest(&self, p: Point, position: impl Fn(usize) -> Point) -> usize {
+        let q = (self.col_of(p.x), self.row_of(p.y));
+        let mut best = (usize::MAX, f64::INFINITY);
+        let mut k = 0;
+        loop {
+            self.for_each_ring_cell(q, k, &mut |cell| {
+                self.examine(cell, q, p, &position, &mut best);
+            });
+            let Some(gap) = self.gap_outside(p, q, k) else {
+                break; // every cell visited
+            };
+            let lower = (gap * (1.0 - 1e-9) - self.margin).max(0.0);
+            if lower * lower > best.1 {
+                break;
+            }
+            k += 1;
+        }
+        debug_assert!(best.0 != usize::MAX, "every robot examined");
+        best.0
+    }
+
+    /// Ranks the robots listed in `cell` whose span is nearest to the
+    /// query cell `q` there against `best`, (robot, squared distance to
+    /// `p`), by (squared distance, index).
+    fn examine(
+        &self,
+        cell: (u32, u32),
+        q: (u32, u32),
+        p: Point,
+        position: &impl Fn(usize) -> Point,
+        best: &mut (usize, f64),
+    ) {
+        let mut e = self.heads[(cell.1 * self.cols + cell.0) as usize];
+        while e != NIL {
+            let Entry { robot, next } = self.entries[e as usize];
+            e = next;
+            let Reach { reach, span } = self.robots[robot as usize];
+            if span.nearest_to(q) != cell {
+                continue; // examined in a nearer ring, or to come
+            }
+            let r = robot as usize;
+            let bound = reach.distance_sq_bound(p);
+            if bound > best.1 || (bound == best.1 && r > best.0) {
+                continue;
+            }
+            let d = position(r).distance_sq(p);
+            if d < best.1 || (d == best.1 && r < best.0) {
+                *best = (r, d);
+            }
+        }
+    }
+
+    /// Calls `f` on every grid cell at Chebyshev distance `k` from cell
+    /// `q`.
+    fn for_each_ring_cell(&self, (qc, qr): (u32, u32), k: u32, f: &mut impl FnMut((u32, u32))) {
+        if k == 0 {
+            return f((qc, qr));
+        }
+        let (qc, qr, k) = (i64::from(qc), i64::from(qr), i64::from(k));
+        let (cols, rows) = (i64::from(self.cols), i64::from(self.rows));
+        let (c0, c1) = ((qc - k).max(0), (qc + k).min(cols - 1));
+        for r in [qr - k, qr + k] {
+            if (0..rows).contains(&r) {
+                (c0..=c1).for_each(|c| f((c as u32, r as u32)));
+            }
+        }
+        let (r0, r1) = ((qr - k + 1).max(0), (qr + k - 1).min(rows - 1));
+        for c in [qc - k, qc + k] {
+            if (0..cols).contains(&c) {
+                (r0..=r1).for_each(|r| f((c as u32, r as u32)));
+            }
+        }
+    }
+
+    /// The distance from `p` to the nearest face of the square of cells
+    /// within Chebyshev distance `k` of cell `q` that has grid cells
+    /// beyond it, or `None` when the square covers the grid. A cell
+    /// index differs from its coordinate by a few rounding units of
+    /// the grid's extent; the caller's margin covers that.
+    fn gap_outside(&self, p: Point, (qc, qr): (u32, u32), k: u32) -> Option<f64> {
+        let face = |o: f64, i: u32| o + f64::from(i) * self.cell;
+        let mut gap = f64::INFINITY;
+        if qc > k {
+            gap = gap.min(p.x - face(self.origin.x, qc - k));
+        }
+        if qc + k + 1 < self.cols {
+            gap = gap.min(face(self.origin.x, qc + k + 1) - p.x);
+        }
+        if qr > k {
+            gap = gap.min(p.y - face(self.origin.y, qr - k));
+        }
+        if qr + k + 1 < self.rows {
+            gap = gap.min(face(self.origin.y, qr + k + 1) - p.y);
+        }
+        (gap < f64::INFINITY).then_some(gap)
+    }
+}
+
 /// The fleet at one report instant, as [`Coordinator::flow_report`]
 /// sees it.
 struct FleetAt<'a> {
     robots: &'a [RobotState],
-    reach: &'a [ReachBox],
+    reach: &'a ReachGrid,
     now: SimTime,
 }
 
@@ -520,24 +805,9 @@ impl FlowFleet for FleetAt<'_> {
     }
 
     /// [`robonet_geom::voronoi::nearest_site`] over every robot's
-    /// position, computing few of them. Robots are visited in index
-    /// order, and one whose bound is already no better than the best
-    /// squared distance so far is skipped: its exact distance is at
-    /// least the bound, so `nearest_site`'s strict `<` would not pick
-    /// it either.
+    /// position, computing few of them ([`ReachGrid::nearest`]).
     fn nearest(&self, p: Point) -> usize {
-        assert!(!self.reach.is_empty(), "robots exist");
-        let (mut best, mut best_d) = (0, f64::INFINITY);
-        for (r, reach) in self.reach.iter().enumerate() {
-            if reach.distance_sq_bound(p) >= best_d {
-                continue;
-            }
-            let d = self.position(r).distance_sq(p);
-            if d < best_d {
-                (best, best_d) = (r, d);
-            }
-        }
-        best
+        self.reach.nearest(p, |r| self.position(r))
     }
 }
 
@@ -904,15 +1174,15 @@ mod tests {
         run(&with_robot_fault(|p| p.slow_prob = 0.5));
     }
 
-    /// A field coordinate; half of them snap to a 125 m grid, so fleets
-    /// hold duplicate positions and exact ties.
+    /// A robot coordinate: a third snap to a 125 m grid, so fleets hold
+    /// duplicate positions and exact ties; a third fall anywhere in the
+    /// 1000 m field; a third up to 300 m outside it, so boxes leave the
+    /// grid and clamp to its edge cells.
     fn coord() -> check::Gen<f64> {
-        check::pair(check::bools(), check::f64s(0.0..1000.0)).map(|&(snap, v)| {
-            if snap {
-                (v / 125.0).floor() * 125.0
-            } else {
-                v
-            }
+        check::pair(check::usizes(0..3), check::f64s(0.0..1.0)).map(|&(mode, v)| match mode {
+            0 => (v * 1000.0 / 125.0).floor() * 125.0,
+            1 => v * 1000.0,
+            _ => v * 1600.0 - 300.0,
         })
     }
 
@@ -925,6 +1195,15 @@ mod tests {
     /// parks at `from`, kind 1 drives a leg from `from` to `to` and
     /// kind 2 a zero-length leg at `from`.
     type RobotSpec = (Point, Point, usize, (f64, f64));
+
+    fn robot_spec() -> check::Gen<RobotSpec> {
+        check::quad(
+            point(),
+            point(),
+            check::usizes(0..3),
+            check::pair(check::f64s(0.0..200.0), check::f64s(0.5..2.0)),
+        )
+    }
 
     fn robot(i: usize, &(from, to, kind, (start, speed)): &RobotSpec) -> (RobotState, ReachBox) {
         let mut robot = RobotState::new(NodeId::new(i as u32), from, speed);
@@ -941,17 +1220,20 @@ mod tests {
         (robot, ReachBox::leg(&leg))
     }
 
-    /// The pruned query answers exactly what the scan it replaces
-    /// answers over materialised positions, and every box bound is at
-    /// most the exact squared distance.
+    /// The flow engine's field in these tests.
+    fn field() -> Bounds {
+        Bounds::square(1_000.0)
+    }
+
+    /// The grid query answers exactly what `nearest_site` answers over
+    /// materialised positions, ties to the lowest index included, and
+    /// every box bound is at most the exact squared distance. Fleets of
+    /// up to 48 robots spread over up to 7 × 7 cells; queries fall in
+    /// and around the field and far outside it; in tie mode robot 0
+    /// mirrors a parked robot through the query point, so the two are
+    /// exactly as far and robot 0 often sits in a farther ring.
     #[test]
     fn pruned_nearest_matches_the_full_scan() {
-        let robot_spec = check::quad(
-            point(),
-            point(),
-            check::usizes(0..3),
-            check::pair(check::f64s(0.0..200.0), check::f64s(0.5..2.0)),
-        );
         // (where p is, which robot it refers to, a free point, (when
         // the query runs, a free time)).
         let query = check::quad(
@@ -960,14 +1242,35 @@ mod tests {
             check::pair(check::f64s(-500.0..1500.0), check::f64s(-500.0..1500.0)),
             check::pair(check::usizes(0..7), check::f64s(0.0..2_000.0)),
         );
-        let gen = check::pair(check::vec_of(robot_spec, 1..12), query);
+        let tie = check::pair(
+            check::bools(),
+            check::pair(check::f64s(-300.0..300.0), check::f64s(-300.0..300.0)),
+        );
+        let gen = check::triple(check::vec_of(robot_spec(), 1..48), query, tie);
         check::forall_cases(
-            "pruned nearest-robot query matches nearest_site",
+            "grid nearest-robot query matches nearest_site",
             2_000,
             &gen,
-            |(specs, (p_mode, pick, (px, py), (t_mode, t)))| {
+            |(specs, (p_mode, pick, (px, py), (t_mode, t)), (tie, (ox, oy)))| {
+                let mut specs = specs.clone();
+                let half = |v: f64| (v * 2.0).round() / 2.0;
+                let mut tie_at = None;
+                if *tie && specs.len() > 1 {
+                    // Half-metre coordinates keep the mirror exact. Each
+                    // of the pair parks or holds a zero-length leg, whose
+                    // box bound falls short of its distance.
+                    let j = 1 + pick % (specs.len() - 1);
+                    let still = |kind: usize| if kind == 0 { 0 } else { 2 };
+                    let q = Point::new(half(specs[j].0.x), half(specs[j].0.y));
+                    let (ox, oy) = (half(*ox), half(*oy));
+                    specs[j] = (q, q, still(specs[j].2), specs[j].3);
+                    let mirror = Point::new(q.x + 2.0 * ox, q.y + 2.0 * oy);
+                    specs[0] = (mirror, mirror, still(specs[0].2), specs[0].3);
+                    tie_at = Some(Point::new(q.x + ox, q.y + oy));
+                }
                 let (robots, reach): (Vec<RobotState>, Vec<ReachBox>) =
                     specs.iter().enumerate().map(|(i, s)| robot(i, s)).unzip();
+                let grid = ReachGrid::new(&field(), reach.iter().copied());
                 let (from, to, _, _) = specs[pick % specs.len()];
                 let picked = &robots[pick % specs.len()];
                 let ns = robonet_des::SimDuration::from_nanos(1);
@@ -980,17 +1283,17 @@ mod tests {
                     (Some(leg), 6) if leg.start() > SimTime::ZERO => leg.start() - ns,
                     _ => SimTime::from_secs(*t),
                 };
-                let p = match p_mode {
+                let p = tie_at.unwrap_or(match p_mode {
                     0 => Point::new(*px, *py),
                     1 => from,
                     2 => to,
                     3 => picked.position_at(now),
                     _ => Point::new(*px - 5_000.0, *py + 5_000.0),
-                };
+                });
                 let positions: Vec<Point> = robots.iter().map(|rb| rb.position_at(now)).collect();
                 let fleet = FleetAt {
                     robots: &robots,
-                    reach: &reach,
+                    reach: &grid,
                     now,
                 };
                 for (r, &q) in positions.iter().enumerate() {
@@ -1001,6 +1304,152 @@ mod tests {
                 }
                 let expected = robonet_geom::voronoi::nearest_site(&positions, p).unwrap();
                 assert_eq!(fleet.nearest(p), expected, "nearest to {p:?} at {now:?}");
+                check::Outcome::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn equal_distance_tie_goes_to_the_lower_index_in_a_farther_ring() {
+        // 25 robots on a 1000 m field: 200 m cells. The query sits in
+        // column 1; robot 1 is 201 m west of it in column 0 (ring 1),
+        // robot 0 201 m east in column 3 (ring 2). Ring 1's east face is
+        // exactly 201 m away, so only a strict stop test with a margin
+        // reaches ring 2.
+        let p = Point::new(399.0, 500.0);
+        let mut at = vec![Point::new(990.0, 990.0); 25];
+        at[0] = Point::new(600.0, 500.0);
+        at[1] = Point::new(198.0, 500.0);
+        let grid = ReachGrid::new(&field(), at.iter().map(|&q| ReachBox::parked(q)));
+        assert_eq!(grid.nearest(p, |r| at[r]), 0);
+        assert_eq!(robonet_geom::voronoi::nearest_site(&at, p), Some(0));
+        // The lower index in the nearer ring, and both in ring 1.
+        at.swap(0, 1);
+        let grid = ReachGrid::new(&field(), at.iter().map(|&q| ReachBox::parked(q)));
+        assert_eq!(grid.nearest(p, |r| at[r]), 0);
+        at[1] = Point::new(399.0, 701.0);
+        let grid = ReachGrid::new(&field(), at.iter().map(|&q| ReachBox::parked(q)));
+        assert_eq!(grid.nearest(p, |r| at[r]), 0);
+    }
+
+    #[test]
+    fn the_stop_bound_keeps_a_margin_over_cell_rounding() {
+        // 49 robots on a 1000 m field: cells of 1000/7 m. Just west of
+        // column 5's west face, `x * inv_cell` still truncates to 5, so
+        // robot 0 there sits two rings out from the query's column 3
+        // while a rounding unit nearer than that face, the nearest face
+        // of ring 1's square. Robot 1, one ring out, is farther than
+        // robot 0 but nearer than the face: with no margin the walk
+        // would stop after ring 1 and answer 1.
+        let p = Point::new(520.0, 500.0);
+        let cell = (1e6f64 / 49.0).sqrt();
+        let mut at = vec![Point::new(990.0, 990.0); 49];
+        at[0] = Point::new((5.0 * cell).next_down(), 500.0);
+        at[1] = Point::new(369.0, 377.74641610361596);
+        let grid = ReachGrid::new(&field(), at.iter().map(|&q| ReachBox::parked(q)));
+        assert_eq!(grid.cell, cell);
+        assert_eq!(grid.col_of(p.x), 3);
+        assert_eq!(grid.col_of(at[0].x), 5);
+        assert_eq!((grid.col_of(at[1].x), grid.row_of(at[1].y)), (2, 2));
+        let gap = grid.gap_outside(p, (3, 3), 1).unwrap();
+        assert_eq!(gap, 5.0 * cell - p.x);
+        let (d0, d1) = (at[0].distance_sq(p), at[1].distance_sq(p));
+        assert!(d0 < d1 && d1 < gap * gap, "{d0} {d1} {}", gap * gap);
+        assert_eq!(grid.nearest(p, |r| at[r]), 0);
+        assert_eq!(robonet_geom::voronoi::nearest_site(&at, p), Some(0));
+    }
+
+    /// The cells holding `reach` by the `floor` formula the grid's
+    /// lookups replace.
+    fn floor_span(grid: &ReachGrid, reach: &ReachBox) -> Span {
+        let col = |x: f64| {
+            let c = ((x - grid.origin.x) * grid.inv_cell).floor();
+            (c.max(0.0) as u32).min(grid.cols - 1)
+        };
+        let row = |y: f64| {
+            let r = ((y - grid.origin.y) * grid.inv_cell).floor();
+            (r.max(0.0) as u32).min(grid.rows - 1)
+        };
+        Span {
+            c0: col(reach.lo.x),
+            r0: row(reach.lo.y),
+            c1: col(reach.hi.x),
+            r1: row(reach.hi.y),
+        }
+    }
+
+    /// After any sequence of `set` calls every robot is listed exactly
+    /// once in each cell of its box's span and nowhere else, and every
+    /// pool entry is either listed or free.
+    #[test]
+    fn prop_grid_lists_each_robot_in_exactly_its_span() {
+        let gen = check::pair(
+            check::vec_of(robot_spec(), 1..48),
+            check::vec_of(check::pair(check::usizes(0..64), robot_spec()), 0..80),
+        );
+        check::forall_cases(
+            "reach grid lists each robot in exactly its span",
+            500,
+            &gen,
+            |(specs, sets)| {
+                let boxes = specs.iter().enumerate().map(|(i, s)| robot(i, s).1);
+                let mut grid = ReachGrid::new(&field(), boxes);
+                let mut expect: Vec<ReachBox> = grid.robots.iter().map(|r| r.reach).collect();
+                for (pick, spec) in sets {
+                    let r = pick % specs.len();
+                    let reach = robot(r, spec).1;
+                    grid.set(r, reach);
+                    expect[r] = reach;
+                }
+                let mut listed = vec![Vec::new(); specs.len()];
+                let mut live = 0;
+                for r in 0..grid.rows {
+                    for c in 0..grid.cols {
+                        let mut e = grid.heads[(r * grid.cols + c) as usize];
+                        while e != NIL {
+                            let entry = grid.entries[e as usize];
+                            listed[entry.robot as usize].push((c, r));
+                            live += 1;
+                            e = entry.next;
+                        }
+                    }
+                }
+                let mut free = 0;
+                let mut e = grid.free;
+                while e != NIL {
+                    free += 1;
+                    e = grid.entries[e as usize].next;
+                }
+                assert_eq!(live + free, grid.entries.len(), "entries leaked");
+                for (r, cells) in listed.iter_mut().enumerate() {
+                    let span = floor_span(&grid, &expect[r]);
+                    assert_eq!(grid.robots[r].span, span, "robot {r}'s span");
+                    cells.sort_unstable_by_key(|&(c, r)| (r, c));
+                    let want: Vec<(u32, u32)> = span.cells().collect();
+                    assert_eq!(*cells, want, "cells listing robot {r}");
+                }
+                check::Outcome::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn prop_grid_lookups_equal_floor() {
+        let gen = check::triple(
+            check::usizes(1..60),
+            check::cell_edge_f64s(1_000.0, 1_000.0 / 7.0),
+            check::cell_edge_f64s(1_000.0, 1_000.0 / 7.0),
+        );
+        check::forall_cases(
+            "reach grid lookups equal floor",
+            2_000,
+            &gen,
+            |&(n, x, y)| {
+                let at = Point::new(500.0, 500.0);
+                let grid = ReachGrid::new(&field(), (0..n).map(|_| ReachBox::parked(at)));
+                let point = ReachBox::parked(Point::new(x, y));
+                let span = floor_span(&grid, &point);
+                assert_eq!((grid.col_of(x), grid.row_of(y)), (span.c0, span.r0));
                 check::Outcome::Pass
             },
         );

@@ -22,7 +22,7 @@ use robonet_geom::{deploy, Bounds, ConvexPolygon, Point};
 use robonet_robot::motion::Leg;
 use robonet_robot::{ReplacementTask, RobotState};
 use robonet_wsn::coverage::{CoverageGauge, GRID_RESOLUTION, SENSING_RANGE};
-use robonet_wsn::failure::FailureProcess;
+use robonet_wsn::failure::{self, FailureProcess};
 
 use crate::config::{DeployRegion, ScenarioConfig};
 use crate::coord::{self, CoordCtx};
@@ -201,6 +201,9 @@ pub(crate) struct World {
     lifetime_factor: Vec<f64>,
     /// The run's horizon; failures after it are never scheduled.
     horizon: SimTime,
+    /// The cutoff below which a draw makes a lifetime longer than the
+    /// horizon ([`failure::ends_past`]).
+    past_cutoff: f64,
 }
 
 impl World {
@@ -236,6 +239,7 @@ impl World {
             timeline_fired: 0,
             lifetimes: FailureProcess::new(cfg.mean_lifetime, rng::stream(cfg.seed, "lifetimes")),
             horizon: SimTime::ZERO + cfg.sim_time,
+            past_cutoff: failure::past_horizon_cutoff(cfg.mean_lifetime, cfg.sim_time),
         }
     }
 
@@ -243,12 +247,22 @@ impl World {
     /// shared lifetime stream, scaled by its region factor, and its
     /// [`Expiry`] scheduled unless that falls past the horizon (the
     /// draw is made either way).
+    ///
+    /// For a sensor without a region factor, a draw below the run's
+    /// cutoff ([`failure::past_horizon_cutoff`]) makes a lifetime longer
+    /// than the whole horizon, which ends past it from any birth: it is
+    /// dropped without the logarithm and the conversion. That is tight
+    /// at `t = 0`, where every sensor arms; a re-arm keeps the test, but
+    /// it leaves lifetimes longer than the remaining horizon and shorter
+    /// than the whole one to the exact path, as it does every draw in
+    /// the cutoff's margin and every draw of a sensor with a factor.
     pub fn arm<E: From<Expiry>>(&mut self, now: SimTime, s: usize, sched: &mut Scheduler<E>) {
-        let at = scale_failure_time(
-            now,
-            self.lifetimes.sample_failure_at(now),
-            self.lifetime_factor.get(s).copied().unwrap_or(1.0),
-        );
+        let u = self.lifetimes.draw();
+        let factor = self.lifetime_factor.get(s).copied().unwrap_or(1.0);
+        if factor == 1.0 && failure::ends_past(u, self.past_cutoff) {
+            return;
+        }
+        let at = scale_failure_time(now, now + self.lifetimes.lifetime_of(u), factor);
         if at <= self.horizon {
             sched.schedule_at(at, E::from(self.expiry(s)));
         }
@@ -600,4 +614,122 @@ pub(crate) struct Arrival {
     pub installed: bool,
     /// The leg towards the next queued task, for the engine to start.
     pub next: Option<Leg>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Algorithm;
+    use robonet_des::check::{self, Outcome};
+
+    /// The `(time, sensor)` expiries `World::arm` schedules for every
+    /// sensor at `t = 0` and then for the `rearms`, in time order.
+    fn armed(world: &mut World, rearms: &[(SimTime, usize)]) -> Vec<(SimTime, u32)> {
+        let mut sched: Scheduler<Expiry> = Scheduler::new();
+        for s in 0..world.field.sensor_pos.len() {
+            world.arm(SimTime::ZERO, s, &mut sched);
+        }
+        for &(now, s) in rearms {
+            world.arm(now, s, &mut sched);
+        }
+        let mut out = Vec::new();
+        while let Some(e) = sched.next_event() {
+            out.push((sched.now(), e.sensor));
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// The same arms on the exact path: every draw through
+    /// `FailureProcess::sample_failure_at`, scaled, then tested against
+    /// the horizon.
+    fn armed_exactly(cfg: &ScenarioConfig, rearms: &[(SimTime, usize)]) -> Vec<(SimTime, u32)> {
+        let pos = field_deployment(cfg).sensor_pos;
+        let factors = region_lifetime_factors(cfg, &pos);
+        let horizon = SimTime::ZERO + cfg.sim_time;
+        let mut process =
+            FailureProcess::new(cfg.mean_lifetime, rng::stream(cfg.seed, "lifetimes"));
+        let arms = (0..pos.len()).map(|s| (SimTime::ZERO, s));
+        let mut out: Vec<(SimTime, u32)> = arms
+            .chain(rearms.iter().copied())
+            .filter_map(|(now, s)| {
+                let factor = factors.get(s).copied().unwrap_or(1.0);
+                let at = scale_failure_time(now, process.sample_failure_at(now), factor);
+                (at <= horizon).then_some((at, s as u32))
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// `World::arm` schedules exactly the expiries of the exact path,
+    /// whether draws are dropped from the cutoff or not:
+    /// paper and `scaled` configurations, regions with and without a
+    /// lifetime factor, horizons from one beacon period and a second up,
+    /// and re-arms at later instants.
+    #[test]
+    fn prop_arming_schedules_the_exact_expiries() {
+        // (k, seed, scale mode, horizon (mode, s)), (region mode,
+        // re-arms as (fraction of the horizon, sensor)).
+        let gen = check::pair(
+            check::quad(
+                check::usizes(1..4),
+                check::u64s(0..1_000),
+                check::usizes(0..4),
+                check::pair(check::usizes(0..4), check::f64s(0.0..1.0)),
+            ),
+            check::pair(
+                check::usizes(0..3),
+                check::vec_of(
+                    check::pair(check::f64s(0.0..1.0), check::usizes(0..450)),
+                    0..20,
+                ),
+            ),
+        );
+        check::forall_cases(
+            "arming schedules the exact expiries",
+            64,
+            &gen,
+            |((k, seed, scale, (h_mode, h)), (region, rearms))| {
+                let mut cfg = ScenarioConfig::paper(*k, Algorithm::Dynamic).with_seed(*seed);
+                cfg = match scale {
+                    0 => cfg,
+                    1 => cfg.scaled(16.0),
+                    2 => cfg.scaled(64.0),
+                    _ => cfg.scaled(1.0 + 99.0 * h),
+                };
+                let beacon = cfg.beacon_period.as_secs_f64();
+                let secs = match h_mode {
+                    0 => beacon + 1.0,
+                    1 => beacon + 1.0 + h * 1e-6,
+                    2 => beacon + h * 2.0,
+                    _ => beacon + h * 64_000.0,
+                };
+                cfg.sim_time = SimDuration::from_secs(secs);
+                if *region > 0 {
+                    let side = cfg.side();
+                    cfg.regions.push(DeployRegion {
+                        poly: ConvexPolygon::new(vec![
+                            Point::new(0.0, 0.0),
+                            Point::new(side / 2.0, 0.0),
+                            Point::new(side / 2.0, side),
+                            Point::new(0.0, side),
+                        ])
+                        .unwrap(),
+                        density: 2.0,
+                        mean_lifetime: (*region == 2)
+                            .then(|| SimDuration::from_secs(cfg.mean_lifetime.as_secs_f64() / 8.0)),
+                    });
+                }
+                let n = cfg.n_sensors();
+                let rearms: Vec<(SimTime, usize)> = rearms
+                    .iter()
+                    .map(|&(f, s)| (SimTime::from_secs(f * secs), s % n))
+                    .collect();
+                let mut world = World::new(&cfg);
+                assert_eq!(armed(&mut world, &rearms), armed_exactly(&cfg, &rearms));
+                Outcome::Pass
+            },
+        );
+    }
 }

@@ -21,7 +21,18 @@ pub fn exponential_duration<R: Rng + ?Sized>(rng: &mut R, mean: SimDuration) -> 
         mean > SimDuration::ZERO,
         "exponential mean must be positive"
     );
-    let x = exponential(rng, mean.as_secs_f64());
+    exponential_duration_of(rng.next_f64(), mean)
+}
+
+/// The exponential duration with the given mean that the uniform draw
+/// `u` in `[0, 1)` stands for: `-mean · ln(1 − u)` by inverse CDF, as
+/// [`exponential_duration`] computes it from its draw.
+///
+/// # Panics
+///
+/// Panics if `mean` is zero.
+pub fn exponential_duration_of(u: f64, mean: SimDuration) -> SimDuration {
+    let x = exponential_of(u, mean.as_secs_f64());
     // Cap at SimDuration::MAX rather than overflow for astronomically
     // unlikely draws.
     if x >= SimDuration::MAX.as_secs_f64() {
@@ -37,12 +48,15 @@ pub fn exponential_duration<R: Rng + ?Sized>(rng: &mut R, mean: SimDuration) -> 
 ///
 /// Panics if `mean` is not finite and positive.
 pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
+    exponential_of(rng.next_f64(), mean)
+}
+
+fn exponential_of(u: f64, mean: f64) -> f64 {
     assert!(
         mean.is_finite() && mean > 0.0,
         "exponential mean must be finite and positive, got {mean}"
     );
     // next_f64() is in [0, 1); use 1 - u in (0, 1] so ln never sees zero.
-    let u = rng.next_f64();
     -mean * (1.0 - u).ln()
 }
 
