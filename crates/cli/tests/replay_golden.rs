@@ -13,9 +13,42 @@ fn args(list: &[&str]) -> Vec<String> {
 
 /// Repo-root golden directory — shared with the spans CSV goldens.
 fn golden_path(kind: &str, alg: &str) -> std::path::PathBuf {
+    golden_file(&format!("replay_{kind}_{alg}.svg"))
+}
+
+fn golden_file(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden")
-        .join(format!("replay_{kind}_{alg}.svg"))
+        .join(name)
+}
+
+/// Byte-diffs `actual` against `tests/golden/<name>` (rewrites the
+/// golden instead under `ROBONET_UPDATE_GOLDEN`).
+fn assert_golden(name: &str, actual: &str) {
+    let path = golden_file(name);
+    if std::env::var_os("ROBONET_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {path:?}: {e}"));
+    assert_eq!(
+        actual, golden,
+        "output drifted from {path:?} (ROBONET_UPDATE_GOLDEN=1 to regenerate)"
+    );
+}
+
+/// Writes the `--trace-out` artifact (and its manifest) of `robonet
+/// run` with `run_args`, returning the trace path.
+fn traced(name: &str, run_args: &[&str]) -> String {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let trace = dir.join(name);
+    let trace_s = trace.to_str().expect("utf-8 tmpdir").to_string();
+    let mut argv = args(&["run"]);
+    argv.extend(args(run_args));
+    argv.extend(args(&["--trace-out", &trace_s]));
+    run_cli(&argv).expect("traced run succeeds");
+    trace_s
 }
 
 /// Traces the same seed-pinned run `scripts/ci.sh` uses for its golden
@@ -101,5 +134,64 @@ fn replay_figures_match_goldens_byte_for_byte() {
             waterfall.contains("travel") && waterfall.contains("install"),
             "{alg}: waterfall legend names the stages"
         );
+    }
+}
+
+/// The renderings the per-algorithm loop leaves out, on the dynamic
+/// trace `scripts/ci.sh` replays: the state summary at a cut with a
+/// robot mid-leg, the repair-latency heatmap, and one call that renders
+/// every figure as of the cut.
+#[test]
+fn cut_and_latency_renderings_match_goldens() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let trace = traced(
+        "replay_cut_dynamic.jsonl",
+        &[
+            "--alg", "dynamic", "--k", "1", "--scale", "64", "--seed", "7",
+        ],
+    );
+    let at = run_cli(&args(&["replay", &trace, "--at", "400"])).expect("replay --at");
+    assert!(at.contains("1 en-route"), "the cut catches a leg: {at}");
+    assert_golden("replay_at_dynamic.txt", &at);
+
+    let latency = dir.join("replay_latency_dynamic.svg");
+    let latency_s = latency.to_str().unwrap();
+    run_cli(&args(&[
+        "replay",
+        &trace,
+        "--heatmap",
+        latency_s,
+        "--metric",
+        "latency",
+    ]))
+    .expect("latency heatmap renders");
+    let svg = std::fs::read_to_string(&latency).expect("heatmap written");
+    assert!(svg.contains("repair latency"), "latency title");
+    assert_golden("replay_heatmap_latency_dynamic.svg", &svg);
+
+    let outs: Vec<std::path::PathBuf> = ["anim", "heatmap", "waterfall"]
+        .iter()
+        .map(|kind| dir.join(format!("replay_at_{kind}_dynamic.svg")))
+        .collect();
+    let combined = run_cli(&args(&[
+        "replay",
+        &trace,
+        "--at",
+        "400",
+        "--svg",
+        outs[0].to_str().unwrap(),
+        "--heatmap",
+        outs[1].to_str().unwrap(),
+        "--waterfall",
+        outs[2].to_str().unwrap(),
+    ]))
+    .expect("combined replay renders");
+    assert!(
+        combined.starts_with(&at),
+        "figures do not change the summary: {combined}"
+    );
+    for (kind, out) in ["anim", "heatmap", "waterfall"].iter().zip(&outs) {
+        let svg = std::fs::read_to_string(out).expect("figure written");
+        assert_golden(&format!("replay_at_{kind}_dynamic.svg"), &svg);
     }
 }

@@ -316,3 +316,50 @@ fn spans_by_alg_lays_traces_side_by_side() {
     .expect("spans text succeeds");
     assert!(text.contains("fixed:") && text.contains("centralized:"));
 }
+
+/// `stats` and `replay` of a sampled trace with message loss and robot
+/// breakdowns: drops, robot deaths and repairs, and telemetry samples
+/// all reach the summaries, which must stay byte-identical to the
+/// committed goldens (regenerate with `ROBONET_UPDATE_GOLDEN=1`).
+#[test]
+fn lossy_sampled_summaries_match_goldens() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let trace = dir.join("lossy_sampled.jsonl");
+    let trace_s = trace.to_str().unwrap();
+    run_cli(&args(&[
+        "run",
+        "--alg",
+        "centralized",
+        "--k",
+        "2",
+        "--scale",
+        "64",
+        "--seed",
+        "1",
+        "--loss",
+        "0.2",
+        "--breakdown",
+        "8000",
+        "--breakdown-repair",
+        "600",
+        "--sample-every",
+        "100",
+        "--trace-out",
+        trace_s,
+    ]))
+    .expect("traced run succeeds");
+    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    for verb in ["stats", "replay"] {
+        let out = run_cli(&args(&[verb, trace_s]))
+            .unwrap_or_else(|e| panic!("{verb} succeeds: {e}"))
+            .replace(trace_s, "<trace>");
+        let path = golden_dir.join(format!("{verb}_lossy_centralized.txt"));
+        if std::env::var_os("ROBONET_UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, &out).expect("write golden");
+            continue;
+        }
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {path:?}: {e}"));
+        assert_eq!(out, golden, "{verb}: output drifted from {path:?}");
+    }
+}
