@@ -14,8 +14,7 @@ use std::io::BufRead as _;
 
 use robonet_core::obs::replay::{Film, ReplaySetup, ReplayState, Replayer};
 use robonet_core::obs::{for_each_event_line, TruncatedTail};
-use robonet_core::trace::TraceEvent;
-use robonet_core::{SpanAssembler, Stage};
+use robonet_core::{SpanAssembler, SpanReport, Stage};
 use robonet_geom::voronoi::voronoi_cells;
 use robonet_viz::anim::{AnimLeg, AnimRobot, AnimScene, AnimSensor};
 use robonet_viz::heatmap::{HeatMetric, Heatmap};
@@ -171,37 +170,22 @@ pub fn cmd_replay(args: &[String]) -> Result<String, String> {
             .map_err(|e| format!("cannot read `{}`: {e}", parsed.path))?
     };
     let setup = load_setup(&parsed.path)?;
-
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let tail = for_each_event_line(&text, |ev| events.push(ev.clone()))
-        .map_err(|e| format!("{}: {e}", parsed.path))?;
-    // `--at T` analyzes the trace as of T: the state machine, the film
-    // and the span decomposition all see only the prefix.
-    if let Some(t) = parsed.at {
-        events.retain(|ev| ev.time() <= t);
-    }
-
-    let mut state = match &setup {
-        Some(setup) => ReplayState::new(setup),
-        None => ReplayState::discovering(),
-    };
-    for ev in &events {
-        state.apply(ev);
-    }
-
-    let mut out = match parsed.at {
-        Some(t) => state.summary_at(t),
-        None => state.summary(),
-    };
-    if let Some(tail) = tail {
-        let _ = writeln!(out, "note: {tail} — state covers the complete prefix");
-    }
+    let heat = parsed.heatmap.as_ref().map(|_| parsed.metric);
+    let folded = Folded::fold(
+        &text,
+        &parsed.path,
+        setup.as_ref(),
+        parsed.at,
+        parsed.svg.is_some() || heat == Some(HeatKind::Failures),
+        parsed.waterfall.is_some() || heat == Some(HeatKind::Latency),
+    )?;
+    let mut out = summary(&folded.state, parsed.at, folded.tail);
 
     if let Some(svg_path) = &parsed.svg {
         let setup = setup
             .as_ref()
             .ok_or_else(|| needs_manifest("--svg", &parsed.path))?;
-        let scene = film_scene(setup, &events, parsed.duration);
+        let scene = film_scene(setup, folded.film(), parsed.duration);
         write_artifact(svg_path, &robonet_viz::anim::render(&scene, 640))?;
         let _ = writeln!(out, "replay animation written: {svg_path}");
     }
@@ -209,16 +193,73 @@ pub fn cmd_replay(args: &[String]) -> Result<String, String> {
         let setup = setup
             .as_ref()
             .ok_or_else(|| needs_manifest("--heatmap", &parsed.path))?;
-        let heat = heatmap_spec(setup, &events, parsed.metric, parsed.grid);
+        let heat = heatmap_spec(setup, &folded, parsed.metric, parsed.grid);
         write_artifact(heat_path, &heat.render(480))?;
         let _ = writeln!(out, "heatmap written: {heat_path}");
     }
     if let Some(wf_path) = &parsed.waterfall {
-        let wf = waterfall_spec(setup.as_ref(), &events, parsed.rows);
+        let wf = waterfall_spec(setup.as_ref(), folded.spans(), parsed.rows);
         write_artifact(wf_path, &wf.render(760))?;
         let _ = writeln!(out, "waterfall written: {wf_path}");
     }
     Ok(out)
+}
+
+/// Everything `robonet replay` reads from a trace, folded in one pass:
+/// the state, and the film and the spans when a figure needs them.
+struct Folded {
+    state: ReplayState,
+    film: Option<Film>,
+    spans: Option<SpanReport>,
+    tail: Option<TruncatedTail>,
+}
+
+impl Folded {
+    /// Folds the events of `text` up to `at` (all of them without it):
+    /// `--at T` analyzes the trace as of T, so the state, the film and
+    /// the span decomposition all see only that prefix.
+    fn fold(
+        text: &str,
+        path: &str,
+        setup: Option<&ReplaySetup>,
+        at: Option<f64>,
+        film: bool,
+        spans: bool,
+    ) -> Result<Folded, String> {
+        let mut state = setup.map_or_else(ReplayState::discovering, ReplayState::new);
+        let mut film = film.then(Film::new);
+        let mut assembler = spans.then(SpanAssembler::new);
+        let tail = for_each_event_line(text, |ev| {
+            if at.is_none_or(|t| ev.time() <= t) {
+                state.apply(ev);
+                if let Some(film) = film.as_mut() {
+                    film.ingest(ev);
+                }
+                if let Some(assembler) = assembler.as_mut() {
+                    assembler.ingest(ev);
+                }
+            }
+        })
+        .map_err(|e| format!("{path}: {e}"))?;
+        Ok(Folded {
+            state,
+            film,
+            spans: assembler.map(SpanAssembler::finish),
+            tail,
+        })
+    }
+
+    fn film(&self) -> &Film {
+        self.film
+            .as_ref()
+            .expect("a figure drawn from the film folds one")
+    }
+
+    fn spans(&self) -> &SpanReport {
+        self.spans
+            .as_ref()
+            .expect("a figure drawn from spans folds them")
+    }
 }
 
 /// The run manifest next to the trace, if there is one. Replaying a
@@ -252,10 +293,10 @@ fn write_artifact(path: &str, svg: &str) -> Result<(), String> {
 /// Composes the full-run film into an animated scene: every sensor at
 /// its deployed position flashing through its outages, every robot
 /// driving its recorded legs, Voronoi cells of the initial fleet as an
-/// overlay. Open legs and outages are closed at the film horizon.
-fn film_scene(setup: &ReplaySetup, events: &[TraceEvent], playback_s: f64) -> AnimScene {
-    let film = Film::build(events, |id| setup.sensor_pos.get(id as usize).copied());
-    let dur = film.t_end;
+/// overlay. Open legs and outages are closed at the film horizon, the
+/// last event but at least 1 s.
+fn film_scene(setup: &ReplaySetup, film: &Film, playback_s: f64) -> AnimScene {
+    let dur = film.t_end.max(1.0);
     let n_sensors = setup.n_sensors() as u32;
     let mut sensors: Vec<AnimSensor> = setup
         .sensor_pos
@@ -307,20 +348,15 @@ fn film_scene(setup: &ReplaySetup, events: &[TraceEvent], playback_s: f64) -> An
 
 /// Failure density (unit samples, summed) or repair latency (dead-time
 /// samples, averaged) over the deployed sensor positions.
-fn heatmap_spec(
-    setup: &ReplaySetup,
-    events: &[TraceEvent],
-    kind: HeatKind,
-    grid: usize,
-) -> Heatmap {
+fn heatmap_spec(setup: &ReplaySetup, folded: &Folded, kind: HeatKind, grid: usize) -> Heatmap {
     let sensor_loc = |id: u32| setup.sensor_pos.get(id as usize).copied();
     let (title, unit, metric, samples) = match kind {
         HeatKind::Failures => {
-            let film = Film::build(events, sensor_loc);
-            let samples = film
+            let samples = folded
+                .film()
                 .outages
                 .iter()
-                .filter_map(|o| o.loc.map(|loc| (loc, 1.0)))
+                .filter_map(|o| sensor_loc(o.sensor).or(o.loc).map(|loc| (loc, 1.0)))
                 .collect();
             (
                 format!("failure density — {}", setup.algorithm),
@@ -330,12 +366,8 @@ fn heatmap_spec(
             )
         }
         HeatKind::Latency => {
-            let mut assembler = SpanAssembler::new();
-            for ev in events {
-                assembler.ingest(ev);
-            }
-            let report = assembler.finish();
-            let samples = report
+            let samples = folded
+                .spans()
                 .spans
                 .iter()
                 .filter_map(|s| sensor_loc(s.sensor.as_u32()).map(|loc| (loc, s.total())))
@@ -360,16 +392,7 @@ fn heatmap_spec(
 
 /// One waterfall row per repaired failure, segmented by lifecycle
 /// stage; `viz::waterfall` sorts and (beyond `max_rows`) buckets them.
-fn waterfall_spec(
-    setup: Option<&ReplaySetup>,
-    events: &[TraceEvent],
-    max_rows: usize,
-) -> Waterfall {
-    let mut assembler = SpanAssembler::new();
-    for ev in events {
-        assembler.ingest(ev);
-    }
-    let report = assembler.finish();
+fn waterfall_spec(setup: Option<&ReplaySetup>, report: &SpanReport, max_rows: usize) -> Waterfall {
     let rows = report
         .spans
         .iter()
@@ -424,7 +447,7 @@ fn follow_stdin() -> Result<String, String> {
     }
     let (state, tail) = replayer.finish()?;
     eprintln!("{}", state.dashboard());
-    finish_summary(state, tail)
+    Ok(summary(&state, None, tail))
 }
 
 /// Tails a trace file being written by a live `robonet run
@@ -469,20 +492,23 @@ fn follow_file(path: &str, poll_ms: u64) -> Result<String, String> {
     if let Some(setup) = load_setup(path)? {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let mut state = ReplayState::new(&setup);
-        let tail =
-            for_each_event_line(&text, |ev| state.apply(ev)).map_err(|e| format!("{path}: {e}"))?;
-        return finish_summary(state, tail);
+        let folded = Folded::fold(&text, path, Some(&setup), None, false, false)?;
+        return Ok(summary(&folded.state, None, folded.tail));
     }
-    finish_summary(live, tail)
+    Ok(summary(&live, None, tail))
 }
 
-fn finish_summary(state: ReplayState, tail: Option<TruncatedTail>) -> Result<String, String> {
-    let mut out = state.summary();
+/// The state summary, rendered at `at` when given, with a note when the
+/// trace ended mid-record.
+fn summary(state: &ReplayState, at: Option<f64>, tail: Option<TruncatedTail>) -> String {
+    let mut out = match at {
+        Some(t) => state.summary_at(t),
+        None => state.summary(),
+    };
     if let Some(tail) = tail {
         let _ = writeln!(out, "note: {tail} — state covers the complete prefix");
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

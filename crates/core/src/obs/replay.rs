@@ -17,6 +17,9 @@
 //! - [`Film`] — the full-run timeline (robot legs, sensor outages)
 //!   that `viz::anim` turns into an SMIL animation.
 //!
+//! The event counts are not kept here: a [`ReplayState`] feeds the
+//! trace's one tally, [`TraceAggregate`], and keeps only the geometry.
+//!
 //! Everything is deterministic: state is held in `BTreeMap`s keyed by
 //! node id (the repair ledger lists open repairs in node-id order too),
 //! every rendered summary is a pure function of the events
@@ -37,6 +40,7 @@ use crate::{field_deployment, FieldDeployment};
 use super::json;
 use super::ledger::RepairLedger;
 use super::sink::{LineCursor, TruncatedTail};
+use super::stats::TraceAggregate;
 
 /// Static scenario geometry recovered for a trace: the deployment the
 /// producing run started from, plus the constants replay needs
@@ -261,50 +265,21 @@ impl RobotView {
     }
 }
 
-/// Event tallies at the replay instant (mirrors
-/// [`TraceAggregate`](super::TraceAggregate) counts, but time-bounded).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayCounts {
-    /// `failure` events applied.
-    pub failures: u64,
-    /// `detected` events applied.
-    pub detections: u64,
-    /// `report_delivered` events applied.
-    pub reports_delivered: u64,
-    /// `dispatched` events applied.
-    pub dispatches: u64,
-    /// `replaced` events applied.
-    pub replacements: u64,
-    /// `packet_dropped` events applied.
-    pub drops: u64,
-    /// `loc_update_flooded` events applied.
-    pub loc_update_floods: u64,
-    /// `robot_died` events applied.
-    pub robot_deaths: u64,
-    /// `robot_repaired` events applied.
-    pub robot_repairs: u64,
-    /// `takeover_assumed` events applied.
-    pub takeovers: u64,
-    /// `telemetry_sample` events applied.
-    pub telemetry_samples: u64,
-    /// `invariant_violated` events applied.
-    pub invariant_violations: u64,
-}
-
 /// The replayed world at one instant: feed [`TraceEvent`]s in trace
 /// order via [`apply`](Self::apply) and read the views back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayState {
     /// Timestamp of the last event applied (0 before the first).
     pub time: f64,
-    /// Events applied so far.
+    /// Events applied so far: the tally's `events`, kept as a field
+    /// because the benchmark reads it.
     pub events: u64,
     /// Robot travel speed used for leg interpolation.
     pub robot_speed: f64,
     sensors: BTreeMap<u32, SensorView>,
     robots: BTreeMap<u32, RobotView>,
     ledger: RepairLedger,
-    counts: ReplayCounts,
+    tally: TraceAggregate,
 }
 
 impl ReplayState {
@@ -331,7 +306,7 @@ impl ReplayState {
             sensors,
             robots,
             ledger: RepairLedger::new(),
-            counts: ReplayCounts::default(),
+            tally: TraceAggregate::default(),
         }
     }
 
@@ -347,7 +322,7 @@ impl ReplayState {
             sensors: BTreeMap::new(),
             robots: BTreeMap::new(),
             ledger: RepairLedger::new(),
-            counts: ReplayCounts::default(),
+            tally: TraceAggregate::default(),
         }
     }
 
@@ -369,20 +344,15 @@ impl ReplayState {
         self.time = event.time();
         self.events += 1;
         self.ledger.apply(event);
+        self.tally.ingest(event);
         match event {
             TraceEvent::Failure { t, sensor } => {
-                self.counts.failures += 1;
                 let s = self.sensor(*sensor);
                 s.failures += 1;
                 s.phase = SensorPhase::Down;
                 s.down_since = Some(*t);
             }
-            TraceEvent::Detected { .. } => self.counts.detections += 1,
-            TraceEvent::ReportDelivered { .. } => self.counts.reports_delivered += 1,
-            TraceEvent::Dispatched { robot, .. } => {
-                self.counts.dispatches += 1;
-                self.robot(*robot).queue += 1;
-            }
+            TraceEvent::Dispatched { robot, .. } => self.robot(*robot).queue += 1,
             TraceEvent::RobotLegStarted {
                 t,
                 robot,
@@ -414,7 +384,6 @@ impl ReplayState {
             TraceEvent::Replaced {
                 robot, sensor, loc, ..
             } => {
-                self.counts.replacements += 1;
                 let s = self.sensor(*sensor);
                 s.phase = SensorPhase::Alive;
                 s.replacements += 1;
@@ -424,28 +393,15 @@ impl ReplayState {
                 r.installs += 1;
                 r.queue = r.queue.saturating_sub(1);
             }
-            TraceEvent::PacketDropped { .. } => self.counts.drops += 1,
-            TraceEvent::LocUpdateFlooded { .. } => self.counts.loc_update_floods += 1,
-            TraceEvent::RobotDied { robot, .. } => {
-                self.counts.robot_deaths += 1;
-                self.robot(*robot).alive = false;
-            }
-            TraceEvent::RobotRepaired { robot, .. } => {
-                self.counts.robot_repairs += 1;
-                self.robot(*robot).alive = true;
-            }
-            TraceEvent::TakeoverAssumed { .. } => self.counts.takeovers += 1,
-            TraceEvent::TelemetrySample { .. } => self.counts.telemetry_samples += 1,
-            TraceEvent::InvariantViolated { .. } => self.counts.invariant_violations += 1,
-            TraceEvent::FaultInjected { .. }
-            | TraceEvent::ReportRetried { .. }
-            | TraceEvent::DispatchTimedOut { .. } => {}
+            TraceEvent::RobotDied { robot, .. } => self.robot(*robot).alive = false,
+            TraceEvent::RobotRepaired { robot, .. } => self.robot(*robot).alive = true,
+            _ => {}
         }
     }
 
-    /// Event tallies so far.
-    pub fn counts(&self) -> &ReplayCounts {
-        &self.counts
+    /// The trace's tally of the events applied so far.
+    pub fn counts(&self) -> &TraceAggregate {
+        &self.tally
     }
 
     /// Sensor views in node-id order.
@@ -504,8 +460,8 @@ impl ReplayState {
         let _ = writeln!(
             out,
             "failures:             {} ({} replaced, {} open)",
-            self.counts.failures,
-            self.counts.replacements,
+            self.tally.failures,
+            self.tally.replacements,
             self.ledger.open_count()
         );
         for (id, o) in self.ledger.open_repairs() {
@@ -543,11 +499,14 @@ impl ReplayState {
                 id, doing, r.legs_done, r.travel, r.installs
             );
         }
-        let c = &self.counts;
+        let c = &self.tally;
         let _ = writeln!(
             out,
             "traffic:              {} reports, {} dispatches, {} drops, {} floods",
-            c.reports_delivered, c.dispatches, c.drops, c.loc_update_floods
+            c.reports_delivered,
+            c.dispatches,
+            c.drops.total(),
+            c.loc_update_floods
         );
         if c.robot_deaths + c.takeovers > 0 {
             let _ = writeln!(
@@ -579,8 +538,8 @@ impl ReplayState {
             self.sensors.len(),
             self.ledger.open_count(),
             self.en_route_count(),
-            self.counts.replacements,
-            self.counts.failures,
+            self.tally.replacements,
+            self.tally.failures,
         )
     }
 }
@@ -699,8 +658,9 @@ fn leg_end(from: Point, to: Point, travel: f64) -> Point {
 pub struct OutageRecord {
     /// Sensor node id.
     pub sensor: u32,
-    /// Failure position (from the deployment, or the eventual
-    /// replacement location).
+    /// Where the replacement was installed (`None` until the outage
+    /// ends); with a [`ReplaySetup`], the deployment position places
+    /// the outage instead.
     pub loc: Option<Point>,
     /// Failure time (s).
     pub start: f64,
@@ -709,80 +669,76 @@ pub struct OutageRecord {
 }
 
 /// The full-run timeline `viz::anim` animates: every robot leg and
-/// every sensor outage, in trace order, plus the time horizon.
-#[derive(Debug, Clone, PartialEq)]
+/// every sensor outage, in trace order, plus the time horizon. Feed it
+/// events in trace order through [`ingest`](Self::ingest), like the
+/// other folds.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Film {
-    /// Last event timestamp (animation duration; at least 1 s).
+    /// Last event timestamp (0 before the first).
     pub t_end: f64,
     /// Robot legs in start order.
     pub legs: Vec<LegRecord>,
     /// Sensor outages in failure order.
     pub outages: Vec<OutageRecord>,
+    /// Per robot, the index of its leg under way.
+    open_leg: BTreeMap<u32, usize>,
+    /// Per sensor, the indices of its open outages, oldest first.
+    open_outage: BTreeMap<u32, VecDeque<usize>>,
 }
 
 impl Film {
-    /// Builds the timeline from a full event stream.
-    ///
-    /// `sensor_loc(id)` supplies deployment positions (outages of
-    /// sensors the closure cannot place fall back to their replacement
-    /// location, or stay position-less).
-    pub fn build<'a>(
-        events: impl IntoIterator<Item = &'a TraceEvent>,
-        sensor_loc: impl Fn(u32) -> Option<Point>,
-    ) -> Film {
-        let mut legs: Vec<LegRecord> = Vec::new();
-        let mut open_leg: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut outages: Vec<OutageRecord> = Vec::new();
-        let mut open_outage: BTreeMap<u32, VecDeque<usize>> = BTreeMap::new();
-        let mut t_end = 0.0_f64;
-        for ev in events {
-            t_end = t_end.max(ev.time());
-            match ev {
-                TraceEvent::Failure { t, sensor } => {
-                    let id = sensor.as_u32();
-                    open_outage.entry(id).or_default().push_back(outages.len());
-                    outages.push(OutageRecord {
-                        sensor: id,
-                        loc: sensor_loc(id),
-                        start: *t,
-                        end: None,
-                    });
-                }
-                TraceEvent::Replaced { t, sensor, loc, .. } => {
-                    let id = sensor.as_u32();
-                    if let Some(i) = open_outage.get_mut(&id).and_then(VecDeque::pop_front) {
-                        outages[i].end = Some(*t);
-                        if outages[i].loc.is_none() {
-                            outages[i].loc = Some(*loc);
-                        }
-                    }
-                }
-                TraceEvent::RobotLegStarted {
-                    t, robot, from, to, ..
-                } => {
-                    let id = robot.as_u32();
-                    open_leg.insert(id, legs.len());
-                    legs.push(LegRecord {
-                        robot: id,
-                        from: *from,
-                        to: *to,
-                        start: *t,
-                        end: None,
-                    });
-                }
-                TraceEvent::RobotLegEnded { t, robot, travel } => {
-                    if let Some(i) = open_leg.remove(&robot.as_u32()) {
-                        legs[i].end = Some(*t);
-                        legs[i].to = leg_end(legs[i].from, legs[i].to, *travel);
-                    }
-                }
-                _ => {}
+    /// An empty film.
+    pub fn new() -> Self {
+        Film::default()
+    }
+
+    /// Records one event: a failure opens an outage and a replacement
+    /// closes the sensor's oldest; a leg start opens a leg and its end
+    /// closes it where the robot stopped.
+    pub fn ingest(&mut self, event: &TraceEvent) {
+        self.t_end = self.t_end.max(event.time());
+        match event {
+            TraceEvent::Failure { t, sensor } => {
+                let id = sensor.as_u32();
+                self.open_outage
+                    .entry(id)
+                    .or_default()
+                    .push_back(self.outages.len());
+                self.outages.push(OutageRecord {
+                    sensor: id,
+                    loc: None,
+                    start: *t,
+                    end: None,
+                });
             }
-        }
-        Film {
-            t_end: t_end.max(1.0),
-            legs,
-            outages,
+            TraceEvent::Replaced { t, sensor, loc, .. } => {
+                let open = self.open_outage.get_mut(&sensor.as_u32());
+                if let Some(i) = open.and_then(VecDeque::pop_front) {
+                    self.outages[i].end = Some(*t);
+                    self.outages[i].loc = Some(*loc);
+                }
+            }
+            TraceEvent::RobotLegStarted {
+                t, robot, from, to, ..
+            } => {
+                let id = robot.as_u32();
+                self.open_leg.insert(id, self.legs.len());
+                self.legs.push(LegRecord {
+                    robot: id,
+                    from: *from,
+                    to: *to,
+                    start: *t,
+                    end: None,
+                });
+            }
+            TraceEvent::RobotLegEnded { t, robot, travel } => {
+                if let Some(i) = self.open_leg.remove(&robot.as_u32()) {
+                    let leg = &mut self.legs[i];
+                    leg.end = Some(*t);
+                    leg.to = leg_end(leg.from, leg.to, *travel);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -948,10 +904,16 @@ mod tests {
         assert!(state.dashboard().contains("replaced 1/1"));
     }
 
+    fn film_of(events: &[TraceEvent]) -> Film {
+        let mut film = Film::new();
+        events.iter().for_each(|e| film.ingest(e));
+        film
+    }
+
     #[test]
     fn film_records_legs_and_outages() {
         let events = story();
-        let film = Film::build(&events, |_| None);
+        let film = film_of(&events);
         assert_eq!(film.t_end, 91.0);
         assert_eq!(film.legs.len(), 1);
         assert_eq!(film.legs[0].end, Some(91.0));
@@ -965,9 +927,9 @@ mod tests {
         );
 
         // A trace that ends mid-leg leaves the records open.
-        let film = Film::build(&events[..6], |_| None);
+        let film = film_of(&events[..6]);
         assert_eq!(film.legs[0].end, Some(91.0));
-        let film = Film::build(&events[..5], |_| None);
+        let film = film_of(&events[..5]);
         assert_eq!(film.legs[0].end, None);
         assert_eq!(film.outages[0].end, None);
     }
@@ -987,7 +949,7 @@ mod tests {
         let robot = state.robots().find(|(id, _)| *id == 200).unwrap().1;
         assert_eq!(robot.loc, Some(cut));
         assert_eq!(robot.travel, 10.0);
-        let film = Film::build(&events, |_| None);
+        let film = film_of(&events);
         assert_eq!((film.legs[0].to, film.legs[0].end), (cut, Some(51.0)));
     }
 }

@@ -67,10 +67,21 @@ pub struct TraceAggregate {
     pub robot_repairs: u64,
     /// `takeover_assumed` events seen.
     pub takeovers: u64,
+    /// `telemetry_sample` events seen.
+    pub telemetry_samples: u64,
+    /// `invariant_violated` events seen.
+    pub invariant_violations: u64,
     /// Present when the artifact ended mid-record (crashed or
     /// still-writing producer); the aggregate covers the complete
-    /// prefix.
+    /// prefix. Set only by [`TraceAggregate::from_jsonl`]: the tally a
+    /// [`ReplayState`](super::ReplayState) holds leaves it `None`, and
+    /// its [`Replayer`](super::Replayer) reports the tail itself. Kept
+    /// because the benchmark reads it.
     pub truncated: Option<TruncatedTail>,
+    /// Per `(robot, sensor)`, the time of the dispatch that robot's task
+    /// for the sensor dates from: a robot holds one task per sensor, so
+    /// a later dispatch to it replaces the earlier.
+    pending_dispatch: HashMap<(NodeId, NodeId), f64>,
 }
 
 impl TraceAggregate {
@@ -85,16 +96,13 @@ impl TraceAggregate {
     /// the complete prefix is aggregated normally.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut agg = TraceAggregate::default();
-        let mut pending_dispatch: HashMap<(NodeId, NodeId), f64> = HashMap::new();
-        let tail = for_each_event_line(text, |event| agg.ingest(event, &mut pending_dispatch))?;
-        agg.truncated = tail;
+        agg.truncated = for_each_event_line(text, |event| agg.ingest(event))?;
         Ok(agg)
     }
 
-    /// `pending` holds, per `(robot, sensor)`, the time of the dispatch
-    /// that robot's task for the sensor dates from: a robot holds one
-    /// task per sensor, so a later dispatch to it replaces the earlier.
-    fn ingest(&mut self, event: &TraceEvent, pending: &mut HashMap<(NodeId, NodeId), f64>) {
+    /// Counts one event. The one tally of a trace: `robonet stats` and
+    /// replay both feed it.
+    pub fn ingest(&mut self, event: &TraceEvent) {
         self.events += 1;
         match event {
             TraceEvent::Failure { .. } => self.failures += 1,
@@ -107,7 +115,7 @@ impl TraceAggregate {
                 t, robot, failed, ..
             } => {
                 self.dispatches += 1;
-                pending.insert((*robot, *failed), *t);
+                self.pending_dispatch.insert((*robot, *failed), *t);
             }
             TraceEvent::Replaced {
                 t,
@@ -118,7 +126,7 @@ impl TraceAggregate {
             } => {
                 self.replacements += 1;
                 self.travel_per_task.push(*travel);
-                if let Some(dispatched_at) = pending.remove(&(*robot, *sensor)) {
+                if let Some(dispatched_at) = self.pending_dispatch.remove(&(*robot, *sensor)) {
                     self.repair_delay.push(t - dispatched_at);
                 }
             }
@@ -135,10 +143,8 @@ impl TraceAggregate {
             TraceEvent::RobotDied { .. } => self.robot_deaths += 1,
             TraceEvent::RobotRepaired { .. } => self.robot_repairs += 1,
             TraceEvent::TakeoverAssumed { .. } => self.takeovers += 1,
-            // Telemetry is a view of the run, not part of it — the
-            // aggregate counts protocol work, so samples and health
-            // verdicts only bump the total event count above.
-            TraceEvent::TelemetrySample { .. } | TraceEvent::InvariantViolated { .. } => {}
+            TraceEvent::TelemetrySample { .. } => self.telemetry_samples += 1,
+            TraceEvent::InvariantViolated { .. } => self.invariant_violations += 1,
         }
     }
 

@@ -10,7 +10,7 @@ use robonet::prelude::*;
 use robonet_core::obs::for_each_event_line;
 use robonet_core::obs::replay::{state_at, ReplaySetup, Replayer};
 use robonet_core::trace::TraceEvent;
-use robonet_core::JsonlSink;
+use robonet_core::{JsonlSink, TraceAggregate};
 
 /// An `io::Write` the test can keep a handle to after the simulation
 /// takes ownership of the sink.
@@ -63,7 +63,9 @@ fn truncate_at(text: &str, events: &[TraceEvent], t: f64) -> String {
 /// The core acceptance property: for any cut time `T`, `state_at(T)`
 /// over the full event list equals a from-scratch replay of the trace
 /// text truncated at `T`. The state machine is a pure left fold — no
-/// hidden dependence on events beyond the cut.
+/// hidden dependence on events beyond the cut. Its tally equals
+/// `robonet stats`'s aggregate of the same truncated text, pending
+/// dispatches included.
 #[test]
 fn state_at_equals_replay_of_truncated_trace() {
     for alg in [
@@ -84,16 +86,21 @@ fn state_at_equals_replay_of_truncated_trace() {
         for t in cuts {
             let direct = state_at(&setup, &events, t);
 
+            let truncated = truncate_at(&text, &events, t);
             let mut replayer = Replayer::new(&setup);
-            replayer
-                .feed(&truncate_at(&text, &events, t))
-                .expect("truncated prefix parses");
+            replayer.feed(&truncated).expect("truncated prefix parses");
             let (replayed, tail) = replayer.finish().expect("clean finish");
             assert!(tail.is_none(), "whole lines only");
 
             assert_eq!(
                 direct, replayed,
                 "{alg}: state_at({t}) diverged from replaying the truncated trace"
+            );
+            let stats = TraceAggregate::from_jsonl(&truncated).expect("truncated prefix parses");
+            assert_eq!(
+                *direct.counts(),
+                stats,
+                "{alg}: replay's tally at {t} diverged from the stats aggregate"
             );
         }
     }
