@@ -447,7 +447,7 @@ impl FlowRun<'_> {
     }
 
     fn finish(self) -> (FastSummary, Option<SpanReport>) {
-        let (spans, _) = self.observer.finish();
+        let (spans, ..) = self.observer.finish();
         let (t, failures, replacements) =
             (self.tally, self.world.failures, self.world.replacements);
         let replaced = replacements.max(1) as f64;

@@ -424,7 +424,9 @@ impl Simulation {
         self.metrics.myrobot_accuracy = self.myrobot_accuracy();
         self.metrics.tx = self.radio.stats().clone();
         self.snapshot_registry();
-        let (spans, trace) = self.observer.finish();
+        let (spans, trace, timeline) = self.observer.finish();
+        self.metrics.invariant_violations = timeline.violations.len() as u64;
+        self.metrics.telemetry_timeline = timeline;
         if let Some(report) = &spans {
             report.snapshot_into(&mut self.metrics.counters);
         }
@@ -614,9 +616,7 @@ impl Simulation {
             sched_queue: self.sched.pending() as u32,
             robots_down: self.robot_down.iter().filter(|&&d| d).count() as u64,
         };
-        let (sample, violations) = self.observer.sample(&mut self.world, t, &gauges);
-        self.metrics.telemetry_timeline.push((t, sample));
-        self.metrics.invariant_violations += violations;
+        self.observer.sample(&mut self.world, t, &gauges);
     }
 }
 
@@ -845,7 +845,7 @@ mod tests {
         assert!(tl.len() >= 15, "timeline samples: {}", tl.len());
         // Coverage stays high throughout thanks to replacement; dead
         // counts fluctuate but stay small.
-        for (t, sample) in tl {
+        for (t, sample) in &tl.samples {
             let (t, cov, dead) = (*t, sample.coverage, sample.down);
             assert!(t > 0.0);
             assert!(cov > 0.75, "coverage collapsed to {cov} at {t}s");

@@ -172,14 +172,14 @@ pub struct Metrics {
     pub myrobot_accuracy: f64,
     /// MAC-level transmission statistics snapshot.
     pub tx: TxStats,
-    /// Periodic telemetry snapshots `(time s, gauges)`, sensing
-    /// coverage and down sensors among them — populated only when the
-    /// scenario sets
+    /// Periodic telemetry snapshots and the health monitor's invariant
+    /// violations, the same timeline `robonet timeline` rebuilds from
+    /// the trace — populated only when the scenario sets
     /// [`sample_every`](crate::config::ScenarioConfig::sample_every).
-    pub telemetry_timeline: Vec<(f64, crate::obs::timeline::TelemetrySnapshot)>,
-    /// Conservation-invariant violations the online health monitor
-    /// caught (always 0 for a healthy build; non-zero means the
-    /// simulation's counters drifted from its own event stream).
+    pub telemetry_timeline: crate::obs::timeline::Timeline,
+    /// `telemetry_timeline.violations.len()`, kept because the
+    /// benchmark reads it (always 0 for a healthy build; non-zero means
+    /// the simulation's counters drifted from its own event stream).
     pub invariant_violations: u64,
     /// Injected-fault and recovery-protocol counters (all zero — and
     /// omitted from output — when no faults were injected).

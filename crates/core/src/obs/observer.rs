@@ -20,10 +20,10 @@ use crate::world::{Gauges, World};
 
 use super::sink::{EventSink, RingSink};
 use super::span::{SpanAssembler, SpanReport};
-use super::timeline::{Checkpoint, HealthMonitor, TelemetrySnapshot};
+use super::timeline::{Checkpoint, HealthMonitor, Timeline};
 
-/// Every listener of one run: the sink, the span assembler and the
-/// health monitor.
+/// Every listener of one run: the sink, the span assembler, the health
+/// monitor and the telemetry timeline.
 pub(crate) struct Observer<'s> {
     sink: Box<dyn EventSink + 's>,
     /// Cached `sink.is_enabled()`.
@@ -32,6 +32,9 @@ pub(crate) struct Observer<'s> {
     spans: Option<SpanAssembler>,
     /// Event-ledger health monitor, present exactly when sampling.
     health: Option<HealthMonitor>,
+    /// The samples and violations [`Observer::sample`] emitted (empty
+    /// unless sampling).
+    timeline: Timeline,
 }
 
 impl<'s> Observer<'s> {
@@ -44,6 +47,7 @@ impl<'s> Observer<'s> {
             sink,
             spans: None,
             health: sampling.then(HealthMonitor::new),
+            timeline: Timeline::new(),
         };
         if spans || sampling {
             observer.enable_spans();
@@ -90,18 +94,13 @@ impl<'s> Observer<'s> {
 
     /// The sampler's step at sim time `t`: snapshot the live gauges,
     /// check the health monitor's invariants against them, and emit
-    /// the sample followed by one event per violation. Returns the
-    /// sample and the number of violations.
+    /// the sample followed by one event per violation, each also into
+    /// the timeline.
     ///
     /// # Panics
     ///
     /// Panics unless the observer was built with sampling on.
-    pub fn sample(
-        &mut self,
-        world: &mut World,
-        t: f64,
-        gauges: &Gauges,
-    ) -> (TelemetrySnapshot, u64) {
+    pub fn sample(&mut self, world: &mut World, t: f64, gauges: &Gauges) {
         let health = self.health.as_ref().expect("sampling implies a monitor");
         let sample = world.telemetry(health.ledger(), gauges);
         let violations = health.check(
@@ -113,23 +112,20 @@ impl<'s> Observer<'s> {
                 robots_down: gauges.robots_down,
             },
         );
-        self.record(&TraceEvent::TelemetrySample {
-            t,
-            sample: sample.clone(),
-        });
-        for violation in &violations {
-            self.record(violation);
+        let sample = TraceEvent::TelemetrySample { t, sample };
+        for event in std::iter::once(sample).chain(violations) {
+            self.record(&event);
+            self.timeline.ingest(&event);
         }
-        (sample, violations.len() as u64)
     }
 
     /// Ends the run: flushes the sink and returns the spans (when
-    /// assembled) and the sink's [`RingSink`] trace (empty when it holds
-    /// none).
-    pub fn finish(mut self) -> (Option<SpanReport>, RingSink) {
+    /// assembled), the sink's [`RingSink`] trace (empty when it holds
+    /// none) and the telemetry timeline.
+    pub fn finish(mut self) -> (Option<SpanReport>, RingSink, Timeline) {
         self.sink.finish();
         let trace = self.sink.take_trace().unwrap_or_default();
-        (self.spans.map(SpanAssembler::finish), trace)
+        (self.spans.map(SpanAssembler::finish), trace, self.timeline)
     }
 }
 
@@ -158,10 +154,11 @@ mod tests {
             loc: Point::new(1.0, 1.0),
         });
         assert_eq!(observer.open_spans(), 0);
-        let (spans, trace) = observer.finish();
+        let (spans, trace, timeline) = observer.finish();
         let report = spans.expect("span assembly was enabled");
         assert_eq!(report.replacements(), 1);
         assert_eq!(report.spans[0].sensor, sensor);
         assert_eq!(trace.len(), 0, "a null sink holds no trace");
+        assert!(timeline.is_empty(), "an unsampled run has no timeline");
     }
 }

@@ -23,6 +23,7 @@ fn main() {
     let tl: Vec<(f64, f64, u32)> = outcome
         .metrics
         .telemetry_timeline
+        .samples
         .iter()
         .map(|(t, sample)| (*t, sample.coverage, sample.down))
         .collect();

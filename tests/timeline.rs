@@ -106,23 +106,24 @@ fn unsampled_runs_emit_no_telemetry_records() {
     assert_eq!(outcome.metrics.invariant_violations, 0);
 }
 
-/// The acceptance bar: CSV rendered offline from the JSONL artifact is
-/// byte-identical to CSV rendered from the live sampler's in-memory
-/// values, for every algorithm.
+/// The acceptance bar: the timeline rebuilt offline from the JSONL
+/// artifact equals the live run's, samples and violations alike, and
+/// so renders byte-identical CSV, for every algorithm.
 #[test]
 fn offline_timeline_csv_is_bit_exact_against_live_sampler() {
     for alg in ALGS {
         let (outcome, text) = traced_run(sampled(alg, 100.0));
 
-        let live = Timeline {
-            samples: outcome.metrics.telemetry_timeline.clone(),
-            violations: Vec::new(),
-        };
+        let live = &outcome.metrics.telemetry_timeline;
         assert!(!live.is_empty(), "{alg}: sampler must have fired");
 
         let (offline, tail) =
             Timeline::from_jsonl(&text).unwrap_or_else(|e| panic!("{alg}: artifact parses: {e}"));
         assert!(tail.is_none(), "{alg}: complete artifact");
+        assert_eq!(
+            *live, offline,
+            "{alg}: the live timeline must equal the artifact's"
+        );
         assert_eq!(
             offline.violations.len(),
             0,
@@ -147,10 +148,7 @@ fn sampled_gauges_are_internally_consistent() {
     let (outcome, _) = traced_run(sampled(Algorithm::Dynamic, 100.0));
     let n_sensors = outcome.config.n_sensors() as u32;
     let n_robots = outcome.config.n_robots();
-    let tl = Timeline {
-        samples: outcome.metrics.telemetry_timeline.clone(),
-        violations: Vec::new(),
-    };
+    let tl = &outcome.metrics.telemetry_timeline;
     for name in robonet_core::obs::timeline::SERIES {
         let series = tl.series(name).expect("advertised series resolves");
         assert_eq!(series.len(), tl.len(), "{name}: one point per sample");
