@@ -223,8 +223,6 @@ pub struct RobotView {
     pub travel: f64,
     /// Replacements installed.
     pub installs: u32,
-    /// Repairs dispatched to this robot and not yet completed.
-    pub queue: u32,
     /// `false` while broken down (fault injection).
     pub alive: bool,
 }
@@ -237,7 +235,6 @@ impl RobotView {
             legs_done: 0,
             travel: 0.0,
             installs: 0,
-            queue: 0,
             alive: true,
         }
     }
@@ -352,7 +349,6 @@ impl ReplayState {
                 s.phase = SensorPhase::Down;
                 s.down_since = Some(*t);
             }
-            TraceEvent::Dispatched { robot, .. } => self.robot(*robot).queue += 1,
             TraceEvent::RobotLegStarted {
                 t,
                 robot,
@@ -389,9 +385,7 @@ impl ReplayState {
                 s.replacements += 1;
                 s.down_since = None;
                 s.loc = Some(*loc);
-                let r = self.robot(*robot);
-                r.installs += 1;
-                r.queue = r.queue.saturating_sub(1);
+                self.robot(*robot).installs += 1;
             }
             TraceEvent::RobotDied { robot, .. } => self.robot(*robot).alive = false,
             TraceEvent::RobotRepaired { robot, .. } => self.robot(*robot).alive = true,
