@@ -19,8 +19,8 @@ use robonet_core::obs::json::{self, ObjectWriter};
 use robonet_core::obs::TRACE_SCHEMA_VERSION;
 use robonet_core::report::{self, Row};
 use robonet_core::{
-    compile_scenario, Algorithm, DispatchPolicy, FaultPlan, JsonlSink, Outcome, Overrides,
-    RingSink, ScenarioConfig, Simulation, SpanAssembler, TeeSink, TraceAggregate,
+    compile_scenario, Algorithm, DeployRegion, DispatchPolicy, FaultPlan, JsonlSink, Outcome,
+    Overrides, RingSink, ScenarioConfig, Simulation, SpanAssembler, TeeSink, TraceAggregate,
 };
 use robonet_des::SimDuration;
 
@@ -602,11 +602,38 @@ fn run_manifest_json(outcome: &Outcome) -> String {
     // (older manifests fall back to paper density and 1 m/s).
     w.field_f64("area_per_robot_side", cfg.area_per_robot_side);
     w.field_f64("robot_speed", cfg.robot_speed);
+    // Deployment regions, present only for region-weighted runs so
+    // every other manifest stays byte-identical; with them replay
+    // rebuilds the weighted deployment instead of a uniform one.
+    if !cfg.regions.is_empty() {
+        let regions: Vec<String> = cfg.regions.iter().map(region_json).collect();
+        w.field_raw("regions", &format!("[{}]", regions.join(",")));
+    }
     w.field_raw("summary", &summary.finish());
     w.field_raw("counters", &outcome.metrics.counters.counters_json());
     let mut json = w.finish();
     json.push('\n');
     json
+}
+
+/// One deployment region as a manifest object: its CCW polygon's
+/// vertices as `[x, y]` pairs, its density, and its mean lifetime in
+/// seconds (`null` for the global one).
+fn region_json(region: &DeployRegion) -> String {
+    let vertices: Vec<String> = region
+        .poly
+        .vertices()
+        .iter()
+        .map(|p| format!("[{:?},{:?}]", p.x, p.y))
+        .collect();
+    let mut w = ObjectWriter::new();
+    w.field_raw("poly", &format!("[{}]", vertices.join(",")));
+    w.field_f64("density", region.density);
+    match region.mean_lifetime {
+        Some(m) => w.field_f64("mean_lifetime_s", m.as_secs_f64()),
+        None => w.field_raw("mean_lifetime_s", "null"),
+    };
+    w.finish()
 }
 
 /// `robonet stats <run.jsonl>`: re-derives the paper's per-failure
@@ -902,6 +929,37 @@ mod tests {
 
         let err = run_cli(&args(&["run", "--scenario", "/no/such.rjson"])).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
+    }
+
+    /// A region-weighted run's manifest lists its regions, so replay
+    /// places every sensor where the run deployed it.
+    #[test]
+    fn dense_core_manifest_rebuilds_the_weighted_deployment() {
+        let scenario = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/dense_core.rjson"
+        );
+        let source = std::fs::read_to_string(scenario).expect("library scenario");
+        let cfg = compile_scenario(&source, &Overrides::default())
+            .expect("dense_core compiles")
+            .cfg;
+        let dir = std::env::temp_dir().join("robonet-dense-core-manifest");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("dense_core.jsonl");
+        let trace = trace.to_str().unwrap();
+        run_cli(&args(&[
+            "run",
+            "--scenario",
+            scenario,
+            "--trace-out",
+            trace,
+        ]))
+        .unwrap();
+        let manifest = std::fs::read_to_string(manifest_path_for(trace)).unwrap();
+        let setup = robonet_core::obs::ReplaySetup::from_manifest(&manifest).unwrap();
+        let deployed = robonet_core::field_deployment(&cfg);
+        assert_eq!(setup.sensor_pos, deployed.sensor_pos);
+        assert_eq!(setup.robot_home, deployed.robot_pos);
     }
 
     #[test]

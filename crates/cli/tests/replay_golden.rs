@@ -195,3 +195,25 @@ fn cut_and_latency_renderings_match_goldens() {
         assert_golden(&format!("replay_at_{kind}_dynamic.svg"), &svg);
     }
 }
+
+/// A region-weighted run replays on its own deployment: the failure
+/// heatmap of `scenarios/dense_core.rjson` bins each failure at the
+/// weighted position its sensor was deployed at.
+#[test]
+fn dense_core_heatmap_matches_golden() {
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/dense_core.rjson"
+    );
+    let trace = traced("replay_dense_core.jsonl", &["--scenario", scenario]);
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("replay_dense_core.svg");
+    run_cli(&args(&[
+        "replay",
+        &trace,
+        "--heatmap",
+        out.to_str().unwrap(),
+    ]))
+    .expect("dense_core heatmap renders");
+    let svg = std::fs::read_to_string(&out).expect("heatmap written");
+    assert_golden("replay_heatmap_dense_core.svg", &svg);
+}

@@ -30,14 +30,14 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use robonet_des::NodeId;
-use robonet_geom::{Bounds, Point};
+use robonet_des::{NodeId, SimDuration};
+use robonet_geom::{Bounds, ConvexPolygon, Point};
 
-use crate::config::{Algorithm, ScenarioConfig};
+use crate::config::{Algorithm, DeployRegion, ScenarioConfig};
 use crate::trace::TraceEvent;
 use crate::{field_deployment, FieldDeployment};
 
-use super::json;
+use super::json::{self, JsonValue};
 use super::ledger::RepairLedger;
 use super::sink::{LineCursor, TruncatedTail};
 use super::stats::TraceAggregate;
@@ -91,12 +91,15 @@ impl ReplaySetup {
     /// Older manifests lack `area_per_robot_side` / `robot_speed`; the
     /// field side then falls back to paper density
     /// (`200·√(spr/50)` metres per robot side, the same rule
-    /// `run --sensors` uses) and the speed to the paper's 1 m/s.
+    /// `run --sensors` uses) and the speed to the paper's 1 m/s. A
+    /// region-weighted run's manifest lists its `regions`, and the
+    /// deployment is rebuilt with them.
     ///
     /// # Errors
     ///
     /// Fails with a description on unparseable JSON, an unknown
-    /// algorithm, or inconsistent fleet/sensor counts.
+    /// algorithm, inconsistent fleet/sensor counts, or a malformed
+    /// region.
     pub fn from_manifest(text: &str) -> Result<Self, String> {
         let v = json::parse(text).map_err(|e| format!("manifest: {e}"))?;
         let alg_name = v
@@ -141,7 +144,10 @@ impl ReplaySetup {
             .unwrap_or_else(|| 200.0 * (spr as f64 / 50.0).sqrt());
         cfg.robot_speed = v.get("robot_speed").and_then(|s| s.as_f64()).unwrap_or(1.0);
         if let Some(t) = v.get("sim_time_s").and_then(|s| s.as_f64()) {
-            cfg.sim_time = robonet_des::SimDuration::from_secs(t);
+            cfg.sim_time = SimDuration::from_secs(t);
+        }
+        if let Some(regions) = v.get("regions") {
+            cfg.regions = regions_from_manifest(regions)?;
         }
         Ok(ReplaySetup::from_config(&cfg))
     }
@@ -155,6 +161,46 @@ impl ReplaySetup {
     pub fn n_robots(&self) -> usize {
         self.robot_home.len()
     }
+}
+
+/// Rebuilds the deployment regions of a manifest's `"regions"` array:
+/// per region, its polygon's `[x, y]` vertices, its density and its mean
+/// lifetime in seconds (`null` for the global one).
+fn regions_from_manifest(regions: &JsonValue) -> Result<Vec<DeployRegion>, String> {
+    let bad = |i: usize| format!("manifest: malformed region {i}");
+    let JsonValue::Array(regions) = regions else {
+        return Err("manifest: `regions` is not an array".into());
+    };
+    let vertex = |p: &JsonValue| match p {
+        JsonValue::Array(xy) => match xy.as_slice() {
+            [x, y] => Some(Point::new(x.as_f64()?, y.as_f64()?)),
+            _ => None,
+        },
+        _ => None,
+    };
+    regions
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let Some(JsonValue::Array(vertices)) = r.get("poly") else {
+                return Err(bad(i));
+            };
+            let vertices = vertices.iter().map(vertex).collect::<Option<Vec<_>>>();
+            Ok(DeployRegion {
+                poly: vertices
+                    .and_then(ConvexPolygon::new)
+                    .ok_or_else(|| bad(i))?,
+                density: r
+                    .get("density")
+                    .and_then(|d| d.as_f64())
+                    .ok_or_else(|| bad(i))?,
+                mean_lifetime: r
+                    .get("mean_lifetime_s")
+                    .and_then(|m| m.as_f64())
+                    .map(SimDuration::from_secs),
+            })
+        })
+        .collect()
 }
 
 /// A sensor's lifecycle phase at the replay instant.
