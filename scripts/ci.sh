@@ -258,7 +258,7 @@ stage_replay_figs() {
     # trace's replay figures twice, byte-diff the pair, then byte-diff
     # against the committed goldens. The final copies stay in
     # $artifact_dir so every CI run uploads viewable SVGs.
-    local kind flag out_a out_b
+    local kind flag out_a out_b pair
     for kind in anim heatmap waterfall; do
         case "$kind" in
             anim) flag=--svg ;;
@@ -276,6 +276,27 @@ stage_replay_figs() {
         rm "$out_b"
         if ! cmp "tests/golden/replay_${kind}_dynamic.svg" "$out_a"; then
             echo "replay gate failed: $kind drifted from tests/golden/replay_${kind}_dynamic.svg" >&2
+            echo "(ROBONET_UPDATE_GOLDEN=1 cargo test -q -p robonet-cli replay_golden to regenerate)" >&2
+            exit 1
+        fi
+    done
+    # The state at a cut and the repair-latency heatmap of the same
+    # trace, and the failure heatmap of a region-weighted run, which
+    # replays on the weighted deployment its manifest lists.
+    robonet replay "$artifact_dir/golden.jsonl" --at 400 > "$artifact_dir/replay_at.txt"
+    robonet replay "$artifact_dir/golden.jsonl" --heatmap "$artifact_dir/replay_latency.svg" \
+        --metric latency > /dev/null
+    robonet run --scenario scenarios/dense_core.rjson \
+        --trace-out "$artifact_dir/dense_core.jsonl" > /dev/null
+    robonet replay "$artifact_dir/dense_core.jsonl" \
+        --heatmap "$artifact_dir/replay_dense_core.svg" > /dev/null
+    local golden
+    for pair in replay_at.txt:replay_at_dynamic.txt \
+            replay_latency.svg:replay_heatmap_latency_dynamic.svg \
+            replay_dense_core.svg:replay_heatmap_dense_core.svg; do
+        golden="tests/golden/${pair#*:}"
+        if ! cmp "$golden" "$artifact_dir/${pair%%:*}"; then
+            echo "replay gate failed: ${pair%%:*} drifted from $golden" >&2
             echo "(ROBONET_UPDATE_GOLDEN=1 cargo test -q -p robonet-cli replay_golden to regenerate)" >&2
             exit 1
         fi
