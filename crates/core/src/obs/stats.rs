@@ -102,7 +102,7 @@ impl TraceAggregate {
 
     /// Counts one event. The one tally of a trace: `robonet stats` and
     /// replay both feed it.
-    pub fn ingest(&mut self, event: &TraceEvent) {
+    pub(crate) fn ingest(&mut self, event: &TraceEvent) {
         self.events += 1;
         match event {
             TraceEvent::Failure { .. } => self.failures += 1,
