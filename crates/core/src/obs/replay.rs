@@ -167,39 +167,30 @@ impl ReplaySetup {
 /// per region, its polygon's `[x, y]` vertices, its density and its mean
 /// lifetime in seconds (`null` for the global one).
 fn regions_from_manifest(regions: &JsonValue) -> Result<Vec<DeployRegion>, String> {
-    let bad = |i: usize| format!("manifest: malformed region {i}");
     let JsonValue::Array(regions) = regions else {
         return Err("manifest: `regions` is not an array".into());
     };
     let vertex = |p: &JsonValue| match p {
-        JsonValue::Array(xy) => match xy.as_slice() {
-            [x, y] => Some(Point::new(x.as_f64()?, y.as_f64()?)),
-            _ => None,
-        },
+        JsonValue::Array(xy) if xy.len() == 2 => Some(Point::new(xy[0].as_f64()?, xy[1].as_f64()?)),
         _ => None,
+    };
+    let region = |r: &JsonValue| {
+        let JsonValue::Array(vertices) = r.get("poly")? else {
+            return None;
+        };
+        Some(DeployRegion {
+            poly: ConvexPolygon::new(vertices.iter().map(vertex).collect::<Option<_>>()?)?,
+            density: r.get("density")?.as_f64()?,
+            mean_lifetime: r
+                .get("mean_lifetime_s")
+                .and_then(JsonValue::as_f64)
+                .map(SimDuration::from_secs),
+        })
     };
     regions
         .iter()
         .enumerate()
-        .map(|(i, r)| {
-            let Some(JsonValue::Array(vertices)) = r.get("poly") else {
-                return Err(bad(i));
-            };
-            let vertices = vertices.iter().map(vertex).collect::<Option<Vec<_>>>();
-            Ok(DeployRegion {
-                poly: vertices
-                    .and_then(ConvexPolygon::new)
-                    .ok_or_else(|| bad(i))?,
-                density: r
-                    .get("density")
-                    .and_then(|d| d.as_f64())
-                    .ok_or_else(|| bad(i))?,
-                mean_lifetime: r
-                    .get("mean_lifetime_s")
-                    .and_then(|m| m.as_f64())
-                    .map(SimDuration::from_secs),
-            })
-        })
+        .map(|(i, r)| region(r).ok_or_else(|| format!("manifest: malformed region {i}")))
         .collect()
 }
 
@@ -861,6 +852,11 @@ mod tests {
 
         let bad = "{\"algorithm\":\"centralized\",\"seed\":1,\"k\":2,\"robots\":3,\"sensors\":50}";
         assert!(ReplaySetup::from_manifest(bad).unwrap_err().contains("k"));
+
+        let degenerate = "{\"algorithm\":\"dynamic\",\"seed\":1,\"k\":1,\"robots\":1,\
+             \"sensors\":50,\"regions\":[{\"poly\":[[0,0],[9,0]],\"density\":2}]}";
+        let err = ReplaySetup::from_manifest(degenerate).unwrap_err();
+        assert!(err.contains("malformed region 0"), "{err}");
     }
 
     #[test]
