@@ -9,6 +9,7 @@
 //! reproduce it bit-exactly.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use robonet_des::NodeId;
 
@@ -80,8 +81,11 @@ pub struct TraceAggregate {
     pub truncated: Option<TruncatedTail>,
     /// Per `(robot, sensor)`, the time of the dispatch that robot's task
     /// for the sensor dates from: a robot holds one task per sensor, so
-    /// a later dispatch to it replaces the earlier.
-    pending_dispatch: HashMap<(NodeId, NodeId), f64>,
+    /// a later dispatch to it replaces the earlier. The hasher has fixed
+    /// keys: with a per-process random one, whether a removal leaves a
+    /// tombstone, and so whether a later insert grows the table, varied
+    /// between runs, and with it the benchmark's exact allocation count.
+    pending_dispatch: HashMap<(NodeId, NodeId), f64, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl TraceAggregate {
