@@ -83,10 +83,7 @@ impl Simulation {
     fn hear_over_link(&mut self, now: SimTime, to: NodeId, from: NodeId, loc: Point, link: u32) {
         debug_assert!(self.world.is_alive(to.index()));
         let slot = self.link_slot(to, from, link);
-        let s = &mut self.sensors[to.index()];
-        if !s.neighbors.refresh_slot(slot, loc, now) {
-            s.hear(from, loc, now);
-        }
+        self.sensors[to.index()].hear_slot(slot, from, loc, now);
     }
 
     /// The slot of sensor `from` in sensor `to`'s neighbour table: its

@@ -18,6 +18,14 @@
 //!   by `(tick >> 8) % 512`; same injectivity argument on coarse ticks.
 //! - **overflow**: a binary min-heap for everything beyond lane 1.
 //!
+//! Events live in a slab of slots. A lane bucket is a singly linked list
+//! threaded through the slab: each lane is one flat array of bucket
+//! heads, allocated with the queue, and each slot carries the index of
+//! the next slot in its bucket. Filing an event into a bucket, cascading
+//! a lane-1 bucket into lane 0 and draining a lane-0 bucket into the
+//! front relink slots and allocate nothing. Within a bucket the order is
+//! arbitrary: the front is sorted when a bucket drains into it.
+//!
 //! Scheduling is O(1) for anything landing in the wheel (the common
 //! case: MAC backoffs, beacon periods, retry timers) and O(log n) for
 //! the overflow heap. Advancing the cursor drains the earliest nonempty
@@ -27,22 +35,39 @@
 //!
 //! Each lane keeps an occupancy bitmap, one bit per bucket (32 words
 //! for lane 0, 8 for lane 1), set while the bucket is nonempty
-//! (tombstones included). Advancing the cursor finds the next occupied
-//! lane-0 tick and the next occupied lane-1 boundary with
-//! `trailing_zeros` instead of testing buckets one by one, so a sparse
-//! wheel — events hundreds of ticks apart — costs a few word scans per
-//! pop rather than hundreds of empty-bucket tests. It visits the same
-//! buckets in the same order, and cascades at the same boundaries, as a
-//! tick-by-tick scan would.
+//! (tombstones included), and a summary word with one bit per nonempty
+//! bitmap word. Advancing the cursor finds the next occupied lane-0
+//! tick and the next occupied lane-1 boundary with at most two
+//! `trailing_zeros` each — one on the summary, one on the word it
+//! names — instead of testing buckets or words one by one. It visits
+//! the same buckets in the same order, and cascades at the same
+//! boundaries, as a tick-by-tick scan would.
+//!
+//! The front refills eagerly: whenever it empties while events are
+//! pending, the cursor advances to the next tick holding a live event.
+//! That keeps `peek_time` `&self`, and it keeps a start-up burst (the
+//! flow engine arms every sensor's first expiry before its first pop)
+//! inside the wheel: a queue that refilled only on demand would leave
+//! its cursor at zero through the burst and send every arming beyond
+//! lane 1 through the overflow heap. A variant that refilled lazily
+//! measured slower on the benchmark's `flow_fleet` workload in each of
+//! 8 paired runs. The eager refill has a cost of its own: the first
+//! event scheduled into an empty queue moves the cursor to its own
+//! tick, so events of the same burst that are earlier than it are
+//! inserted into the sorted front one at a time.
 //!
 //! # Cancellation
 //!
-//! Events live in a slab of generation-counted slots; an [`EventKey`] is
-//! a `(slot, generation)` pair. Cancelling frees the slot and bumps the
-//! generation in O(1); the `(time, seq, slot, generation)` reference left
-//! behind in a lane or the overflow heap becomes a tombstone that is
-//! recognised (by generation mismatch) and dropped when its bucket is
-//! drained. The front is kept tombstone-free so its head is always live.
+//! An [`EventKey`] is a `(slot, generation)` pair. Cancelling bumps the
+//! slot's generation and drops its event in O(1), so the key — and any
+//! copy of it — cancels nothing afterwards. An event at or behind the
+//! cursor is removed from the front at once, which keeps the front
+//! tombstone-free so its head is always live, and its slot is freed.
+//! An event still linked in a lane bucket, or still in the overflow
+//! heap, stays there as a *tombstone*: its slot keeps its time and its
+//! link, and returns to the free list only when its bucket drains (or
+//! cascades) or its heap entry surfaces. A slot is therefore never
+//! reused while anything still refers to it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -57,24 +82,39 @@ const LANE0_BUCKETS: u64 = 2048;
 const COARSE_SHIFT: u32 = 8;
 /// Lane-1 bucket count (256 ticks per bucket); power of two.
 const LANE1_BUCKETS: u64 = 512;
+/// The end of a bucket list (and the head of an empty bucket).
+const NIL: u32 = u32::MAX;
 
 fn tick_of(time: SimTime) -> u64 {
     time.as_nanos() >> TICK_SHIFT
 }
 
-/// One bit per lane bucket, set while the bucket is nonempty.
+/// One bit per lane bucket, set while the bucket is nonempty, and a
+/// summary word with one bit per nonzero bitmap word (`WORDS <= 64`).
 #[derive(Clone, Copy)]
-struct Occupancy<const WORDS: usize>([u64; WORDS]);
+struct Occupancy<const WORDS: usize> {
+    words: [u64; WORDS],
+    summary: u64,
+}
 
 impl<const WORDS: usize> Occupancy<WORDS> {
-    const EMPTY: Self = Occupancy([0; WORDS]);
+    const EMPTY: Self = Occupancy {
+        words: [0; WORDS],
+        summary: 0,
+    };
 
     fn set(&mut self, bucket: usize) {
-        self.0[bucket / 64] |= 1 << (bucket % 64);
+        let w = bucket / 64;
+        self.words[w] |= 1 << (bucket % 64);
+        self.summary |= 1 << w;
     }
 
     fn clear(&mut self, bucket: usize) {
-        self.0[bucket / 64] &= !(1 << (bucket % 64));
+        let w = bucket / 64;
+        self.words[w] &= !(1 << (bucket % 64));
+        if self.words[w] == 0 {
+            self.summary &= !(1 << w);
+        }
     }
 
     /// Circular distance from bucket `from` to the first occupied bucket
@@ -83,21 +123,22 @@ impl<const WORDS: usize> Occupancy<WORDS> {
     fn distance_to_next(&self, from: usize) -> Option<u64> {
         let buckets = WORDS * 64;
         let (w0, b0) = (from / 64, from % 64);
-        // The start word's bits at or after `from`, then the following
-        // words, then — last — the start word's bits before `from`.
-        for k in 0..=WORDS {
-            let w = (w0 + k) % WORDS;
-            let word = match k {
-                0 => self.0[w] & (!0 << b0),
-                _ if k == WORDS => self.0[w] & !(!0 << b0),
-                _ => self.0[w],
-            };
-            if word != 0 {
-                let bucket = w * 64 + word.trailing_zeros() as usize;
-                return Some(((bucket + buckets - from) % buckets) as u64);
+        let here = self.words[w0] & (!0 << b0);
+        let bucket = if here != 0 {
+            w0 * 64 + here.trailing_zeros() as usize
+        } else {
+            // The first nonzero word after the start word; failing that,
+            // wrapping, the first nonzero word at all — possibly the
+            // start word itself, whose bits are then all before `from`.
+            let after = self.summary & (!1 << w0);
+            let pick = if after != 0 { after } else { self.summary };
+            if pick == 0 {
+                return None;
             }
-        }
-        None
+            let w = pick.trailing_zeros() as usize;
+            w * 64 + self.words[w].trailing_zeros() as usize
+        };
+        Some(((bucket + buckets - from) % buckets) as u64)
     }
 }
 
@@ -124,24 +165,26 @@ impl EventKey {
     }
 }
 
-/// One slab slot: the event payload plus the metadata needed to locate
-/// and validate the wheel's references to it.
+/// One slab slot: the event payload, its `(time, seq)` order key, the
+/// generation that validates keys to it, and its lane-bucket link.
 struct Slot<E> {
     generation: u32,
+    /// The next slot in the same lane bucket, or [`NIL`]; meaningful
+    /// only while the slot is linked in a lane.
+    next: u32,
     time: SimTime,
     seq: u64,
+    /// `None` once the event fired or was cancelled.
     event: Option<E>,
 }
 
-/// A reference to a slot, stored in the front, a lane bucket, or the
-/// overflow heap. Carries `(time, seq)` so ordering never has to chase
-/// the slab, and the generation so tombstones are self-identifying.
+/// A front entry. Carries `(time, seq)` so sorting the front and
+/// searching it never chase the slab.
 #[derive(Clone, Copy)]
 struct EntryRef {
     time: SimTime,
     seq: u64,
     slot: u32,
-    generation: u32,
 }
 
 impl EntryRef {
@@ -175,9 +218,9 @@ pub struct WheelStats {
 ///
 /// Events scheduled for the same instant pop in the order they were
 /// scheduled (FIFO), which makes simulations deterministic regardless of
-/// wheel internals. Cancellation is O(1): the slot is freed immediately
-/// and any reference still queued becomes a tombstone dropped when its
-/// bucket drains.
+/// wheel internals. Cancellation is O(1): the key is invalidated
+/// immediately, and an event still queued in the wheel stays behind as
+/// a tombstone until its bucket drains.
 ///
 /// # Example
 ///
@@ -197,12 +240,13 @@ pub struct EventQueue<E> {
     /// Every pending event with `tick <= cursor`, ascending `(time, seq)`.
     /// Invariant: nonempty whenever `live > 0`, and tombstone-free.
     front: VecDeque<EntryRef>,
-    lane0: Vec<Vec<EntryRef>>,
-    lane1: Vec<Vec<EntryRef>>,
+    /// Head slot of each lane-0 / lane-1 bucket's list, or [`NIL`].
+    lane0: Vec<u32>,
+    lane1: Vec<u32>,
     /// Which lane-0 / lane-1 buckets are nonempty.
     lane0_occ: Occupancy<{ LANE0_BUCKETS as usize / 64 }>,
     lane1_occ: Occupancy<{ LANE1_BUCKETS as usize / 64 }>,
-    overflow: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
+    overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     /// Current tick `C`; lane and overflow entries all have `tick > C`.
     cursor: u64,
     /// Entries resident in lane 0 / lane 1, tombstones included.
@@ -234,8 +278,8 @@ impl<E> EventQueue<E> {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             front: VecDeque::new(),
-            lane0: (0..LANE0_BUCKETS).map(|_| Vec::new()).collect(),
-            lane1: (0..LANE1_BUCKETS).map(|_| Vec::new()).collect(),
+            lane0: vec![NIL; LANE0_BUCKETS as usize],
+            lane1: vec![NIL; LANE1_BUCKETS as usize],
             lane0_occ: Occupancy::EMPTY,
             lane1_occ: Occupancy::EMPTY,
             overflow: BinaryHeap::new(),
@@ -264,9 +308,13 @@ impl<E> EventQueue<E> {
                 (slot, s.generation)
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("< 2^32 slots");
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("< 2^32 - 1 slots");
                 self.slots.push(Slot {
                     generation: 0,
+                    next: NIL,
                     time,
                     seq,
                     event: Some(event),
@@ -278,12 +326,7 @@ impl<E> EventQueue<E> {
         if self.live > self.high_water {
             self.high_water = self.live;
         }
-        self.place(EntryRef {
-            time,
-            seq,
-            slot,
-            generation,
-        });
+        self.place(EntryRef { time, seq, slot });
         if self.front.is_empty() {
             // Only possible when the queue was empty: the invariant says a
             // nonempty front whenever anything was already live.
@@ -306,7 +349,6 @@ impl<E> EventQueue<E> {
         s.event = None;
         s.generation = s.generation.wrapping_add(1);
         let (time, seq) = (s.time, s.seq);
-        self.free.push(key.slot());
         self.live -= 1;
         if tick_of(time) <= self.cursor {
             // Live entries at or behind the cursor are in the front, which
@@ -314,10 +356,14 @@ impl<E> EventQueue<E> {
             let i = self.front.partition_point(|e| e.order_key() < (time, seq));
             debug_assert!(self.front[i].seq == seq, "front entry out of place");
             self.front.remove(i);
+            self.free.push(key.slot());
             if self.front.is_empty() && self.live > 0 {
                 self.refill_front();
             }
         }
+        // Otherwise the slot is linked in a lane bucket or referenced
+        // from the overflow heap: it stays there as a tombstone and is
+        // freed when the drain, cascade or heap pop reaches it.
         true
     }
 
@@ -325,7 +371,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = self.front.pop_front()?;
         let s = &mut self.slots[e.slot as usize];
-        debug_assert_eq!(s.generation, e.generation, "front tombstone");
         let event = s.event.take().expect("front entries are live");
         s.generation = s.generation.wrapping_add(1);
         self.free.push(e.slot);
@@ -369,7 +414,7 @@ impl<E> EventQueue<E> {
         self.stats
     }
 
-    /// Files an entry into the store matching its distance from the
+    /// Files a live entry into the store matching its distance from the
     /// cursor. Entries at or behind the cursor join the sorted front.
     fn place(&mut self, e: EntryRef) {
         let tick = tick_of(e.time);
@@ -382,31 +427,32 @@ impl<E> EventQueue<E> {
                 self.stats.front_high_water = self.front.len();
             }
         } else if tick - self.cursor <= LANE0_BUCKETS {
-            self.push_lane0(tick, e);
+            self.push_lane0(tick, e.slot);
             if self.lane0_len > self.stats.lane0_high_water {
                 self.stats.lane0_high_water = self.lane0_len;
             }
         } else if (tick >> COARSE_SHIFT) - (self.cursor >> COARSE_SHIFT) <= LANE1_BUCKETS {
             let b = ((tick >> COARSE_SHIFT) & (LANE1_BUCKETS - 1)) as usize;
-            self.lane1[b].push(e);
+            self.slots[e.slot as usize].next = self.lane1[b];
+            self.lane1[b] = e.slot;
             self.lane1_occ.set(b);
             self.lane1_len += 1;
             if self.lane1_len > self.stats.lane1_high_water {
                 self.stats.lane1_high_water = self.lane1_len;
             }
         } else {
-            self.overflow
-                .push(Reverse((e.time, e.seq, e.slot, e.generation)));
+            self.overflow.push(Reverse((e.time, e.seq, e.slot)));
             if self.overflow.len() > self.stats.overflow_high_water {
                 self.stats.overflow_high_water = self.overflow.len();
             }
         }
     }
 
-    /// Files `e`, whose tick is `tick`, into its lane-0 bucket.
-    fn push_lane0(&mut self, tick: u64, e: EntryRef) {
+    /// Links `slot`, whose tick is `tick`, into its lane-0 bucket.
+    fn push_lane0(&mut self, tick: u64, slot: u32) {
         let b = (tick & (LANE0_BUCKETS - 1)) as usize;
-        self.lane0[b].push(e);
+        self.slots[slot as usize].next = self.lane0[b];
+        self.lane0[b] = slot;
         self.lane0_occ.set(b);
         self.lane0_len += 1;
     }
@@ -425,58 +471,85 @@ impl<E> EventQueue<E> {
         self.lane1_occ.distance_to_next(from).map(|d| ct + d)
     }
 
-    fn is_live(slots: &[Slot<E>], e: &EntryRef) -> bool {
-        let s = &slots[e.slot as usize];
-        s.generation == e.generation && s.event.is_some()
-    }
-
     /// Moves overflow entries whose coarse tick now fits lane 1 into the
-    /// wheel, dropping tombstones encountered at the top of the heap.
+    /// wheel, freeing tombstones that surface at the top of the heap.
     fn promote_overflow(&mut self) {
         let coarse_cursor = self.cursor >> COARSE_SHIFT;
-        while let Some(&Reverse((time, seq, slot, generation))) = self.overflow.peek() {
-            let e = EntryRef {
-                time,
-                seq,
-                slot,
-                generation,
-            };
-            if !Self::is_live(&self.slots, &e) {
+        while let Some(&Reverse((time, seq, slot))) = self.overflow.peek() {
+            if self.slots[slot as usize].event.is_none() {
                 self.overflow.pop();
+                self.free.push(slot);
                 continue;
             }
             if (tick_of(time) >> COARSE_SHIFT) - coarse_cursor > LANE1_BUCKETS {
                 break;
             }
             self.overflow.pop();
-            self.place(e);
+            self.place(EntryRef { time, seq, slot });
             self.stats.overflow_promotions += 1;
         }
     }
 
     /// Cascades one lane-1 bucket's live entries straight into lane 0,
-    /// dropping its tombstones.
+    /// freeing its tombstones.
     ///
     /// Cascaded entries can land up to 255 ticks past the lane-0 span
-    /// (when the cursor is near the span's far edge), so lane-0 buckets
-    /// may transiently hold two rounds; the scan in
+    /// (when the cursor is near the span's far edge), so a lane-0 bucket
+    /// may transiently hold two rounds; the drain in
     /// [`refill_front`](Self::refill_front) partitions by tick to cope.
     fn cascade_lane1(&mut self, ct: u64) {
         let b = (ct & (LANE1_BUCKETS - 1)) as usize;
-        let mut bucket = std::mem::take(&mut self.lane1[b]);
+        let mut i = std::mem::replace(&mut self.lane1[b], NIL);
         self.lane1_occ.clear(b);
-        self.lane1_len -= bucket.len();
-        for e in bucket.drain(..) {
-            if Self::is_live(&self.slots, &e) {
-                let tick = tick_of(e.time);
+        while i != NIL {
+            let s = &self.slots[i as usize];
+            let next = s.next;
+            self.lane1_len -= 1;
+            if s.event.is_some() {
+                let tick = tick_of(s.time);
                 debug_assert_eq!(tick >> COARSE_SHIFT, ct, "lane-1 bucket mixed coarse ticks");
-                self.push_lane0(tick, e);
+                self.push_lane0(tick, i);
+            } else {
+                self.free.push(i);
             }
+            i = next;
         }
         if self.lane0_len > self.stats.lane0_high_water {
             self.stats.lane0_high_water = self.lane0_len;
         }
-        self.lane1[b] = bucket; // keep the allocation
+    }
+
+    /// Moves the live entries of tick `t` from its lane-0 bucket to the
+    /// back of the front (unsorted) and frees its tombstones; entries of
+    /// a later round sharing the bucket (tick ≡ t mod 2048) stay linked.
+    fn drain_lane0(&mut self, t: u64) {
+        let b = (t & (LANE0_BUCKETS - 1)) as usize;
+        let mut i = std::mem::replace(&mut self.lane0[b], NIL);
+        let mut kept = NIL;
+        while i != NIL {
+            let s = &mut self.slots[i as usize];
+            let next = s.next;
+            if tick_of(s.time) != t {
+                s.next = kept;
+                kept = i;
+            } else {
+                self.lane0_len -= 1;
+                if s.event.is_some() {
+                    self.front.push_back(EntryRef {
+                        time: s.time,
+                        seq: s.seq,
+                        slot: i,
+                    });
+                } else {
+                    self.free.push(i);
+                }
+            }
+            i = next;
+        }
+        self.lane0[b] = kept;
+        if kept == NIL {
+            self.lane0_occ.clear(b);
+        }
     }
 
     /// Advances the cursor to the next tick holding live events and fills
@@ -518,27 +591,7 @@ impl<E> EventQueue<E> {
                         }
                         (Some(x), None) => x,
                     };
-                    // Move this tick's entries to the front; a later round
-                    // sharing the bucket (tick ≡ t mod 2048) stays behind.
-                    let b = (t & (LANE0_BUCKETS - 1)) as usize;
-                    let mut bucket = std::mem::take(&mut self.lane0[b]);
-                    self.lane0_len -= bucket.len();
-                    let front = &mut self.front;
-                    let slots = &self.slots;
-                    bucket.retain(|e| {
-                        if tick_of(e.time) != t {
-                            return true;
-                        }
-                        if Self::is_live(slots, e) {
-                            front.push_back(*e);
-                        }
-                        false
-                    });
-                    self.lane0_len += bucket.len();
-                    if bucket.is_empty() {
-                        self.lane0_occ.clear(b);
-                    }
-                    self.lane0[b] = bucket;
+                    self.drain_lane0(t);
                     self.cursor = t;
                     if self.front.is_empty() {
                         continue 'scan; // only tombstones or a later round
@@ -570,20 +623,15 @@ impl<E> EventQueue<E> {
                 continue 'scan;
             }
             // Both lanes empty: jump to the earliest live overflow entry.
-            while let Some(Reverse((time, seq, slot, generation))) = self.overflow.pop() {
-                let e = EntryRef {
-                    time,
-                    seq,
-                    slot,
-                    generation,
-                };
-                if !Self::is_live(&self.slots, &e) {
+            while let Some(Reverse((time, seq, slot))) = self.overflow.pop() {
+                if self.slots[slot as usize].event.is_none() {
+                    self.free.push(slot);
                     continue;
                 }
                 // Overflow entries sit far beyond the wheel span, so the
                 // tick is always large enough for the -1 park position.
                 self.cursor = tick_of(time) - 1;
-                self.place(e);
+                self.place(EntryRef { time, seq, slot });
                 self.stats.overflow_promotions += 1;
                 continue 'scan;
             }
@@ -828,5 +876,168 @@ mod tests {
         let mut expected: Vec<(u64, u64)> = (0..50).map(|i| (1000 + (i % 7) * 100, i)).collect();
         expected.sort();
         assert_eq!(out, expected);
+    }
+
+    /// Entries resident in the lanes and the overflow heap whose events
+    /// were cancelled: every slot is free, live, or one of these.
+    fn resident_tombstones<E>(q: &EventQueue<E>) -> usize {
+        let queued = q.lane0_len + q.lane1_len + q.overflow.len();
+        let tombstones = queued - (q.live - q.front.len());
+        assert_eq!(q.slots.len(), q.free.len() + q.live + tombstones);
+        tombstones
+    }
+
+    #[test]
+    fn a_slot_cancelled_in_lane1_is_reused_only_after_its_cascade() {
+        let mut q = EventQueue::new();
+        q.schedule(t(0.0001), "now");
+        let a = q.schedule(t(60.0), "a"); // lane 1
+        assert!(q.cancel(a));
+        let b = q.schedule(t(100.0), "b"); // lane 1, a later bucket
+        assert_ne!(
+            b.slot(),
+            a.slot(),
+            "a linked tombstone's slot is not reused"
+        );
+        assert_eq!((q.lane1_len, resident_tombstones(&q)), (2, 1));
+        assert_eq!(q.pop(), Some((t(0.0001), "now")));
+        // The refill cascaded a's bucket on its way to b's.
+        assert_eq!((q.lane1_len, resident_tombstones(&q)), (0, 0));
+        let c = q.schedule(t(100.5), "c");
+        assert_eq!(c.slot(), a.slot(), "freed by the cascade, then reused");
+        assert!(!q.cancel(a), "the stale key cancels nothing");
+        assert_eq!(q.pop(), Some((t(100.0), "b")));
+        assert_eq!(q.pop(), Some((t(100.5), "c")));
+    }
+
+    #[test]
+    fn a_slot_cancelled_in_the_overflow_heap_is_reused_only_after_it_surfaces() {
+        let mut q = EventQueue::new();
+        q.schedule(t(0.0001), "now");
+        let a = q.schedule(t(500.0), "a"); // overflow
+        assert!(q.cancel(a));
+        let b = q.schedule(t(1.0), "b");
+        assert_ne!(b.slot(), a.slot(), "a tombstone in the heap keeps its slot");
+        assert_eq!((q.overflow.len(), resident_tombstones(&q)), (1, 1));
+        assert_eq!(q.pop(), Some((t(0.0001), "now")));
+        // The refill's promotion pass popped the tombstone off the heap.
+        assert_eq!((q.overflow.len(), resident_tombstones(&q)), (0, 0));
+        let c = q.schedule(t(2.0), "c");
+        assert_eq!(c.slot(), a.slot(), "freed when it surfaced, then reused");
+        assert!(!q.cancel(a), "the stale key cancels nothing");
+        assert_eq!(q.pop(), Some((t(1.0), "b")));
+        assert_eq!(q.pop(), Some((t(2.0), "c")));
+    }
+
+    #[test]
+    fn a_stale_key_to_a_reclaimed_slot_cancels_nothing() {
+        let mut q = EventQueue::new();
+        q.schedule(t(0.0001), "now");
+        let a = q.schedule(t(1.0), "a"); // lane 0
+        assert!(q.cancel(a));
+        q.schedule(t(1.5), "b");
+        assert_eq!(q.pop(), Some((t(0.0001), "now")));
+        // The drain of a's tick freed its slot; "c" takes it over.
+        let c = q.schedule(t(1.6), "c");
+        assert_eq!(c.slot(), a.slot());
+        assert!(!q.cancel(a), "a stale key must not cancel the new tenant");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t(1.5), "b")));
+        assert_eq!(q.pop(), Some((t(1.6), "c")));
+        assert!(!q.cancel(c) && q.is_empty());
+    }
+
+    #[test]
+    fn far_future_schedule_and_cancel_keeps_the_slab_bounded() {
+        // A heartbeat pops every simulated second; in between, events
+        // 60 s and 120 s (lane 1) and 500 s (overflow) ahead are
+        // scheduled and cancelled at once. Tombstones are freed as the
+        // cursor reaches their buckets, so the slab stops growing.
+        let mut q = EventQueue::new();
+        q.schedule(t(1.0), "heartbeat");
+        let mut peak_tombstones = 0;
+        for i in 0..20_000 {
+            let now = q.peek_time().unwrap().as_secs_f64() - 1.0;
+            let far = [60.0, 120.0, 500.0][i % 3];
+            let key = q.schedule(t(now + far), "far");
+            assert!(q.cancel(key));
+            if i % 4 == 3 {
+                let (at, _) = q.pop().unwrap();
+                q.schedule(t(at.as_secs_f64() + 1.0), "heartbeat");
+            }
+            peak_tombstones = peak_tombstones.max(resident_tombstones(&q));
+            assert!(q.slots.len() <= q.high_water() + peak_tombstones);
+        }
+        assert_eq!(q.high_water(), 2);
+        // 4/3 tombstones a second wait ~60 s in lane 1, as many ~120 s:
+        // about 240 resident, never the 20,000 a leak would show.
+        assert!(
+            peak_tombstones < 400,
+            "{peak_tombstones} tombstones resident"
+        );
+        assert!(q.slots.len() < 400, "slab grew to {}", q.slots.len());
+    }
+
+    #[test]
+    fn two_rounds_in_one_lane0_bucket_pop_in_order() {
+        // A cascade can link an entry up to 255 ticks past the lane-0
+        // span, into the bucket of a tick inside the span. A refill
+        // drains the earlier round of a bucket before it crosses the
+        // boundary that cascades a later one, so the state is built
+        // here directly: "later" is cascaded while the cursor is 2100
+        // ticks behind it, then "earlier" joins its bucket.
+        let tick = |n: u64, ns: u64| SimTime::from_nanos((n << TICK_SHIFT) + ns);
+        let mut q = EventQueue::new();
+        q.schedule(tick(100, 0), "start");
+        assert_eq!(q.cursor, 100, "the first schedule moves the cursor to it");
+        q.schedule(tick(2200, 7), "later"); // lane 1, coarse tick 8
+        q.cascade_lane1(2200 >> COARSE_SHIFT);
+        q.schedule(tick(152, 3), "earlier"); // lane 0
+        assert_eq!((q.lane0_len, q.lane1_len), (2, 0));
+        let first = q.lane0[152];
+        let second = q.slots[first as usize].next;
+        assert_ne!(second, NIL, "both rounds share bucket 152");
+        assert_eq!(q.slots[second as usize].next, NIL);
+        assert_eq!(q.pop(), Some((tick(100, 0), "start")));
+        // The refill drained tick 152 into the front and left tick 2200.
+        assert_eq!((q.cursor, q.lane0_len), (152, 1));
+        assert_eq!(q.lane0[152], second, "the later round stayed linked");
+        assert_eq!(q.pop(), Some((tick(152, 3), "earlier")));
+        assert_eq!((q.cursor, q.lane0_len, q.lane0[152]), (2200, 0, NIL));
+        assert_eq!(q.pop(), Some((tick(2200, 7), "later")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn occupancy_finds_the_next_bucket_like_a_linear_scan() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..200 {
+            let mut occ = Occupancy::<8>::EMPTY;
+            let mut set = [false; 512];
+            // Sparse to dense, with some buckets set and then cleared.
+            for _ in 0..(round % 40) {
+                let b = (next() % 512) as usize;
+                occ.set(b);
+                set[b] = true;
+                if next() % 3 == 0 {
+                    occ.clear(b);
+                    set[b] = false;
+                }
+            }
+            for from in 0..512 {
+                let linear = (0..512u64).find(|&d| set[(from + d as usize) % 512]);
+                assert_eq!(
+                    occ.distance_to_next(from),
+                    linear,
+                    "round {round}, from {from}"
+                );
+            }
+        }
     }
 }

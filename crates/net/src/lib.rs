@@ -27,6 +27,6 @@ pub mod packet;
 mod routing;
 pub mod trace;
 
-pub use neighbor::{NeighborEntry, NeighborTable};
+pub use neighbor::{NeighborEntry, NeighborTable, SlotRefresh};
 pub use packet::{GeoHeader, RouteMode};
 pub use routing::{route, route_with, DropReason, RouteDecision, RouteScratch};

@@ -55,6 +55,18 @@ pub struct NeighborTable {
     data: Vec<NeighborEntry>,
 }
 
+/// What [`NeighborTable::refresh_slot`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotRefresh {
+    /// A present, unwatched slot was refreshed: nothing else to do.
+    Refreshed,
+    /// A present slot of a watched node (the owner's guardian or a
+    /// guardee) was refreshed; the owner's watch timers still need it.
+    Watched,
+    /// The slot is absent and was left unchanged.
+    Absent,
+}
+
 /// One slot: 32 bytes, aligned so a refresh reads and writes exactly
 /// one cache line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,20 +131,24 @@ impl NeighborTable {
     }
 
     /// Refreshes slot `slot` (the rank of its node among the slot ids)
-    /// with `loc` heard at `now`, if it is present and unwatched.
-    /// Returns `false`, changing nothing, otherwise: the caller then
-    /// takes the general path ([`NeighborTable::update`] plus whatever
-    /// watching the node involves).
-    pub fn refresh_slot(&mut self, slot: usize, loc: Point, now: SimTime) -> bool {
+    /// with `loc` heard at `now`, if it is present, and says whether the
+    /// owner watches its node. An absent slot is left unchanged: the
+    /// caller then takes the general path ([`NeighborTable::update`]
+    /// plus whatever watching the node involves).
+    pub fn refresh_slot(&mut self, slot: usize, loc: Point, now: SimTime) -> SlotRefresh {
         let s = &mut self.slots[slot];
-        if !s.present || s.watched {
-            return false;
+        if !s.present {
+            return SlotRefresh::Absent;
         }
         s.entry = NeighborEntry {
             loc,
             last_heard: now,
         };
-        true
+        if s.watched {
+            SlotRefresh::Watched
+        } else {
+            SlotRefresh::Refreshed
+        }
     }
 
     /// Marks whether the owner watches `node`; a node without a slot
@@ -376,8 +392,15 @@ mod tests {
         nt.update(NodeId::new(5), p(1.0, 0.0), t(1.0));
         nt.update(NodeId::new(9), p(2.0, 0.0), t(1.0));
         nt.init_slots([3, 5, 7].map(NodeId::new));
-        assert!(nt.refresh_slot(1, p(1.5, 0.0), t(2.0)));
-        assert!(!nt.refresh_slot(0, p(0.0, 3.0), t(2.0)), "3 is absent");
+        assert_eq!(
+            nt.refresh_slot(1, p(1.5, 0.0), t(2.0)),
+            SlotRefresh::Refreshed
+        );
+        assert_eq!(
+            nt.refresh_slot(0, p(0.0, 3.0), t(2.0)),
+            SlotRefresh::Absent,
+            "3 is absent"
+        );
         assert_eq!(nt.len(), 2);
         let ids: Vec<u32> = nt.iter().map(|(id, _)| id.as_u32()).collect();
         assert_eq!(ids, vec![5, 9]);
@@ -385,12 +408,18 @@ mod tests {
         // And the other way round: a slot sensor heard through `update`
         // after the slots exist lands in its slot.
         nt.update(NodeId::new(7), p(3.0, 0.0), t(3.0));
-        assert!(nt.refresh_slot(2, p(3.0, 1.0), t(4.0)));
+        assert_eq!(
+            nt.refresh_slot(2, p(3.0, 1.0), t(4.0)),
+            SlotRefresh::Refreshed
+        );
         let ids: Vec<u32> = nt.iter().map(|(id, _)| id.as_u32()).collect();
         assert_eq!(ids, vec![5, 7, 9]);
         nt.set_watched(NodeId::new(7), true);
-        assert!(!nt.refresh_slot(2, p(9.0, 9.0), t(5.0)), "watched");
-        assert_eq!(nt.get(NodeId::new(7)).unwrap().loc, p(3.0, 1.0));
+        assert_eq!(
+            nt.refresh_slot(2, p(9.0, 9.0), t(5.0)),
+            SlotRefresh::Watched
+        );
+        assert_eq!(nt.get(NodeId::new(7)).unwrap().loc, p(9.0, 9.0));
     }
 
     #[test]
@@ -438,18 +467,22 @@ mod tests {
                     };
                     match kind {
                         // A beacon over a link: the slot refresh, or the
-                        // general path when it declines.
+                        // general path when the slot is absent.
                         0..=2 => {
                             let rank = slot_ids.iter().position(|&s| s == node);
                             let refreshed = match rank {
                                 Some(k) if nt.has_slots() => nt.refresh_slot(k, loc, now),
-                                _ => false,
+                                _ => SlotRefresh::Absent,
                             };
-                            if refreshed {
-                                assert!(model.contains_key(&node), "refreshed an absent slot");
-                                assert!(!watched[id as usize], "refreshed a watched slot");
-                            } else {
+                            if refreshed == SlotRefresh::Absent {
                                 nt.update(node, loc, now);
+                            } else {
+                                assert!(model.contains_key(&node), "refreshed an absent slot");
+                                assert_eq!(
+                                    refreshed == SlotRefresh::Watched,
+                                    watched[id as usize],
+                                    "watch mark of {id}"
+                                );
                             }
                             model.insert(node, entry);
                         }

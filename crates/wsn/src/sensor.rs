@@ -9,7 +9,7 @@
 use robonet_des::{NodeId, SimDuration, SimTime};
 use robonet_geom::Point;
 use robonet_net::flood::DedupTable;
-use robonet_net::NeighborTable;
+use robonet_net::{NeighborTable, SlotRefresh};
 
 /// What re-evaluating guardian health produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +124,27 @@ impl SensorState {
     /// guardee, and the guardian timer if `from` is the guardian.
     pub fn hear(&mut self, from: NodeId, loc: Point, now: SimTime) {
         self.neighbors.update(from, loc, now);
+        self.heard_watched(from, now);
+    }
+
+    /// [`SensorState::hear`] for a beacon from in-range sensor `from`,
+    /// whose neighbour-table slot is `slot` (see
+    /// [`NeighborTable::init_slots`]): a present slot is refreshed by
+    /// its index, with the watch timers updated only if `from` is
+    /// watched; an absent one takes the general path. Same effect as
+    /// `hear`.
+    pub fn hear_slot(&mut self, slot: usize, from: NodeId, loc: Point, now: SimTime) {
+        match self.neighbors.refresh_slot(slot, loc, now) {
+            SlotRefresh::Refreshed => {}
+            SlotRefresh::Watched => self.heard_watched(from, now),
+            SlotRefresh::Absent => self.hear(from, loc, now),
+        }
+    }
+
+    /// The watch-timer part of hearing `from` at `now`: a guardee's
+    /// last-heard time (clearing its report backoff and attempt count)
+    /// and the guardian's.
+    fn heard_watched(&mut self, from: NodeId, now: SimTime) {
         if let Ok(i) = self.guardees.binary_search_by_key(&from, |&(id, _)| id) {
             self.guardees[i].1 = now;
             if let Ok(j) = self
@@ -580,9 +601,9 @@ mod tests {
     #[test]
     fn prop_slot_refresh_is_hear_for_unwatched_neighbors() {
         // Two copies of one sensor see the same protocol steps; beacons
-        // from in-range sensors reach the first through the slot refresh
-        // (falling back to `hear` when it declines) and the second
-        // through `hear` alone. Watch marks must keep them identical.
+        // from in-range sensors reach the first through `hear_slot` and
+        // the second through `hear` alone. Watch marks must keep them
+        // identical.
         use robonet_des::check::{self, Outcome};
         let op = check::triple(check::u32s(0..10), check::u32s(1..9), check::u32s(0..50));
         check::forall_cases(
@@ -604,15 +625,11 @@ mod tests {
                     let loc = p(f64::from(id), f64::from(tick % 7));
                     match kind {
                         0..=2 => {
-                            let slot = in_range.iter().position(|&x| x == node);
-                            let refreshed = match slot {
+                            match in_range.iter().position(|&x| x == node) {
                                 Some(k) if fast.neighbors.has_slots() => {
-                                    fast.neighbors.refresh_slot(k, loc, now)
+                                    fast.hear_slot(k, node, loc, now)
                                 }
-                                _ => false,
-                            };
-                            if !refreshed {
-                                fast.hear(node, loc, now);
+                                _ => fast.hear(node, loc, now),
                             }
                             slow.hear(node, loc, now);
                         }
@@ -659,6 +676,85 @@ mod tests {
                 Outcome::Pass
             },
         );
+    }
+
+    #[test]
+    fn prop_hear_slot_equals_hear() {
+        // A random sensor — which in-range sensors 1..=8 its table holds,
+        // which it watches as guardees, its guardian, report backoffs and
+        // attempt counts on any of them, slots allocated before or after
+        // the watching started — hears one beacon from an in-range
+        // sensor through `hear_slot` and, on a copy, through `hear`.
+        use robonet_des::check::{self, Outcome};
+        let masks = check::quad(
+            check::u32s(0..256),
+            check::u32s(0..256),
+            check::u32s(0..256),
+            check::u32s(0..256),
+        );
+        let beacon = check::quad(
+            check::u32s(0..10),
+            check::u32s(1..9),
+            check::u32s(0..60),
+            check::bools(),
+        );
+        check::forall(
+            "hear_slot_equals_hear",
+            &check::pair(masks, beacon),
+            |&((present, guardees, reported, attempts), (guardian, from, tick, slots_first))| {
+                let bit = |mask: u32, id: u32| mask & (1 << (id - 1)) != 0;
+                let in_range = || (1..=8).map(n);
+                let mut s = SensorState::new(n(0), p(0.0, 0.0));
+                if slots_first {
+                    s.init_slots(in_range());
+                }
+                for id in (1..=8).filter(|&id| bit(present, id)) {
+                    s.hear(n(id), p(f64::from(id), 1.0), t(1.0));
+                }
+                s.hear(n(20), p(3.0, 3.0), t(1.0)); // a robot: never slotted
+                for id in (1..=8).filter(|&id| bit(guardees, id)) {
+                    s.add_guardee(n(id), t(2.0));
+                }
+                s.pick_guardian(t(2.5), |x| x == n(guardian));
+                for id in (1..=8).filter(|&id| bit(reported, id)) {
+                    s.mark_reported(n(id), t(3.0), d(5.0));
+                }
+                for id in (1..=8).filter(|&id| bit(attempts, id)) {
+                    s.note_report_attempt(n(id));
+                }
+                if !slots_first {
+                    s.init_slots(in_range());
+                }
+                let (loc, now) = (p(f64::from(tick), 2.0), t(10.0 + f64::from(tick)));
+                let mut fast = s.clone();
+                fast.hear_slot(from as usize - 1, n(from), loc, now);
+                s.hear(n(from), loc, now);
+                assert_eq!(format!("{fast:?}"), format!("{s:?}"));
+                Outcome::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn hear_slot_runs_a_watched_neighbors_timers() {
+        let mut s = SensorState::new(n(0), p(0.0, 0.0));
+        s.init_slots([1, 2, 3].map(n));
+        s.hear(n(2), p(5.0, 0.0), t(0.0));
+        s.hear(n(3), p(9.0, 0.0), t(0.0));
+        s.add_guardee(n(2), t(0.0));
+        s.pick_guardian(t(0.0), |x| x == n(3));
+        s.mark_reported(n(2), t(1.0), d(100.0));
+        s.note_report_attempt(n(2));
+        s.hear_slot(1, n(2), p(5.5, 0.0), t(7.0));
+        assert_eq!(s.guardees(), &[(n(2), t(7.0))]);
+        assert!(s.should_report(n(2), t(8.0)), "backoff cleared");
+        assert_eq!(s.note_report_attempt(n(2)), 1, "attempts cleared");
+        assert_eq!(s.neighbors.get(n(2)).unwrap().loc, p(5.5, 0.0));
+        s.hear_slot(2, n(3), p(9.0, 1.0), t(8.0));
+        assert_eq!(s.guardian_last_heard, Some(t(8.0)));
+        // Absent slot: the general path inserts it.
+        s.hear_slot(0, n(1), p(1.0, 0.0), t(9.0));
+        assert_eq!(s.neighbors.get(n(1)).unwrap().last_heard, t(9.0));
     }
 
     #[test]

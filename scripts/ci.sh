@@ -123,7 +123,10 @@ stage_deep_props() {
     # engine's grid nearest-robot query against nearest_site and its
     # cell lists against each box's span, the t = 0 arming cutoff
     # against the exact lifetime, the floor-free cell lookups against
-    # floor, and the MAC's outcomes against explicit arriving sets.
+    # floor, the MAC's outcomes against explicit arriving sets, and the
+    # timer wheel (lists through the event slab, deferred reclamation of
+    # cancelled slots) against an ordered-map model, across every store
+    # and under cancellation.
     local cases=20000
     ROBONET_CHECK_CASES=$cases cargo test -q --release --offline -p robonet-core --lib -- \
         fastsim::tests::pruned_nearest_matches_the_full_scan \
@@ -137,6 +140,10 @@ stage_deep_props() {
         partition::tests::prop_subarea_lookups_equal_floor
     ROBONET_CHECK_CASES=$cases cargo test -q --release --offline -p robonet-radio --lib -- \
         engine::tests::prop_mac_outcomes_match_explicit_incoming_sets
+    ROBONET_CHECK_CASES=$cases cargo test -q --release --offline -p robonet-des --test prop_queue -- \
+        queue_matches_ordered_map_model \
+        wheel_lanes_preserve_order \
+        cancellation_is_exact
 }
 
 # Absolute, because the experiments stage runs the figure binaries
