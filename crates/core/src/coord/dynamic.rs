@@ -49,7 +49,9 @@ impl Coordinator for Dynamic {
         ctx: &CoordCtx<'_>,
     ) {
         // The init flood gives every sensor all robots' starting
-        // positions; `myrobot` becomes the closest (§3.3).
+        // positions; `myrobot` becomes the closest (§3.3). The table is
+        // sized for the whole fleet once rather than grown robot by robot.
+        sensor.robot_locs.reserve(robot_pos.len());
         for (r, &loc) in robot_pos.iter().enumerate() {
             sensor.consider_robot(NodeId::new((ctx.n_sensors + r) as u32), loc);
         }

@@ -120,7 +120,10 @@ struct StaticHearers {
 
 impl StaticHearers {
     /// Builds the adjacency, or `None` when the robot ids are not one
-    /// contiguous block (the tail-of-bucket merge relies on that).
+    /// contiguous block (the tail-of-bucket merge relies on that) or a
+    /// bucket's group overflows its `u16` count. The in-range test
+    /// passes about a third of the candidates, so rather than branch on
+    /// it, every id is written and the length advances by the test.
     fn build(
         index: &GridIndex,
         classes: &[NodeClass],
@@ -149,6 +152,8 @@ impl StaticHearers {
             ids_start: Vec::with_capacity(classes.len() + 1),
             ids: Vec::new(),
         };
+        let robots = robot_hi - robot_lo;
+        let mut fits = true;
         for (i, &class) in classes.iter().enumerate() {
             cache.counts_start.push(cache.counts.len() as u32);
             cache.ids_start.push(cache.ids.len() as u32);
@@ -159,16 +164,24 @@ impl StaticHearers {
             let r = ranges.range(class);
             let r_sq = r * r;
             index.for_each_bucket_within(pos, r, |residents, _movers| {
-                let mut n = 0u16;
+                let lo = cache.ids.len();
+                cache.ids.resize(lo + residents.len(), 0);
+                let out = &mut cache.ids[lo..];
+                let mut n = 0;
                 for &(j, p) in residents {
-                    let j = j as usize;
-                    if j != i && !(robot_lo..robot_hi).contains(&j) && p.distance_sq(pos) <= r_sq {
-                        cache.ids.push(j as u32);
-                        n += 1;
-                    }
+                    out[n] = j;
+                    // Outside the robot block iff the wrapped offset is past it.
+                    let ju = j as usize;
+                    let hears = (ju != i) & (ju.wrapping_sub(robot_lo) >= robots);
+                    n += usize::from(hears & (p.distance_sq(pos) <= r_sq));
                 }
-                cache.counts.push(n);
+                cache.ids.truncate(lo + n);
+                fits &= n <= usize::from(u16::MAX);
+                cache.counts.push(n as u16);
             });
+            if !fits {
+                return None;
+            }
         }
         cache.counts_start.push(cache.counts.len() as u32);
         cache.ids_start.push(cache.ids.len() as u32);
@@ -650,6 +663,200 @@ mod tests {
         assert!(m.static_hearers.is_some(), "no-op move keeps the cache");
         m.set_position(mgr, Point::new(at.x + 1.0, at.y));
         assert!(m.static_hearers.is_none(), "real move drops it");
+    }
+
+    /// The build loop before it went branch-free: push each hearer as
+    /// the in-range test passes it. The property below holds the
+    /// branch-free build to this layout exactly.
+    fn reference_build(
+        index: &GridIndex,
+        classes: &[NodeClass],
+        ranges: &RangeTable,
+        positions: &[Point],
+    ) -> StaticHearers {
+        let robot_lo = classes
+            .iter()
+            .position(|&c| c == NodeClass::Robot)
+            .unwrap_or(classes.len());
+        let robot_hi = classes
+            .iter()
+            .rposition(|&c| c == NodeClass::Robot)
+            .map_or(robot_lo, |i| i + 1);
+        let mut cache = StaticHearers {
+            robot_lo,
+            robot_hi,
+            counts_start: Vec::new(),
+            counts: Vec::new(),
+            ids_start: Vec::new(),
+            ids: Vec::new(),
+        };
+        for (i, &class) in classes.iter().enumerate() {
+            cache.counts_start.push(cache.counts.len() as u32);
+            cache.ids_start.push(cache.ids.len() as u32);
+            if class == NodeClass::Robot {
+                continue;
+            }
+            let pos = positions[i];
+            let r = ranges.range(class);
+            let r_sq = r * r;
+            index.for_each_bucket_within(pos, r, |residents, _movers| {
+                let mut n = 0u16;
+                for &(j, p) in residents {
+                    let j = j as usize;
+                    if j != i && !(robot_lo..robot_hi).contains(&j) && p.distance_sq(pos) <= r_sq {
+                        cache.ids.push(j as u32);
+                        n += 1;
+                    }
+                }
+                cache.counts.push(n);
+            });
+        }
+        cache.counts_start.push(cache.counts.len() as u32);
+        cache.ids_start.push(cache.ids.len() as u32);
+        cache
+    }
+
+    /// One generated node: a placement mode, a bucket face index and two
+    /// unit draws (see `place`).
+    type NodeDraw = (u32, u32, f64, f64);
+
+    /// Places node `k` of a `w`×`h` field with buckets of side `r`:
+    /// uniform, on a vertical or horizontal bucket face, on a face
+    /// offset by ± the range, on top of an earlier node, or exactly
+    /// one range from an earlier node along an axis.
+    fn place(k: usize, draw: NodeDraw, pts: &[Point], w: f64, h: f64, r: f64) -> Point {
+        let (mode, face, u, v) = draw;
+        let bounds = Bounds::new(Point::new(0.0, 0.0), Point::new(w, h));
+        let face = f64::from(face) * r;
+        let shift = if v < 0.5 { -r } else { r };
+        let earlier = (k > 0).then(|| pts[(u * k as f64) as usize]);
+        let p = match (mode, earlier) {
+            (1, _) => Point::new(face, v * h),
+            (2, _) => Point::new(u * w, face),
+            (3, _) => Point::new(face + shift, v * h),
+            (4, Some(e)) => e,
+            (5, Some(e)) => {
+                let steps = [(shift, 0.0), (-shift, 0.0), (0.0, shift), (0.0, -shift)];
+                let at = steps
+                    .iter()
+                    .map(|&(dx, dy)| Point::new(e.x + dx, e.y + dy))
+                    .find(|&p| bounds.contains(p));
+                at.unwrap_or(e)
+            }
+            _ => Point::new(u * w, v * h),
+        };
+        bounds.clamp(p)
+    }
+
+    #[test]
+    fn prop_static_hearers_match_the_grid_query() {
+        use robonet_des::check::{self, Outcome};
+        // Field: buckets across and down, the sensor range (whole metres
+        // or not) and the robot and manager ranges as multiples of it.
+        let shape = check::quad(
+            check::u32s(1..13),
+            check::u32s(1..13),
+            check::pair(check::u32s(1..101), check::bools()),
+            check::pair(check::u32s(1..5), check::u32s(1..5)),
+        );
+        let node = check::quad(
+            check::u32s(0..6),
+            check::u32s(0..14),
+            check::f64s(0.0..1.0),
+            check::f64s(0.0..1.0),
+        );
+        // Ids: an optional manager last, and a robot block of up to
+        // four ids (possibly empty) starting anywhere before it.
+        let ids = check::triple(check::bools(), check::u32s(0..5), check::u32s(0..601));
+        let field = check::triple(shape, check::vec_of(node, 0..601), ids);
+        check::forall(
+            "static_hearers_match_the_grid_query",
+            &field,
+            |((cols, rows, (r_int, r_frac), (robot_x, mgr_x)), draws, (mgr, robots, lo))| {
+                let r = f64::from(*r_int) + if *r_frac { 0.37 } else { 0.0 };
+                let (w, h) = (f64::from(*cols) * r, f64::from(*rows) * r);
+                let mut pts = Vec::with_capacity(draws.len());
+                for (k, &d) in draws.iter().enumerate() {
+                    let p = place(k, d, &pts, w, h, r);
+                    pts.push(p);
+                }
+                let n = pts.len();
+                let mut classes = vec![NodeClass::Sensor; n];
+                let statics = if *mgr && n > 0 {
+                    classes[n - 1] = NodeClass::Manager;
+                    n - 1
+                } else {
+                    n
+                };
+                let lo = *lo as usize % (statics + 1);
+                let hi = (lo + *robots as usize).min(statics);
+                classes[lo..hi].fill(NodeClass::Robot);
+                let ranges = RangeTable {
+                    sensor: r,
+                    robot: r * f64::from(*robot_x),
+                    manager: r * f64::from(*mgr_x),
+                };
+                let bounds = Bounds::new(Point::new(0.0, 0.0), Point::new(w, h));
+                let m = Medium::new(bounds, ranges, &pts, &classes);
+                let want = reference_build(&m.index, &classes, &ranges, &pts);
+                let got = m.static_hearers.as_ref().expect("contiguous robot block");
+                assert_eq!((got.robot_lo, got.robot_hi), (want.robot_lo, want.robot_hi));
+                assert_eq!(got.counts_start, want.counts_start, "counts_start");
+                assert_eq!(got.ids_start, want.ids_start, "ids_start");
+                for i in 0..n {
+                    let (c0, c1) = (
+                        want.counts_start[i] as usize,
+                        want.counts_start[i + 1] as usize,
+                    );
+                    let (g0, g1) = (want.ids_start[i] as usize, want.ids_start[i + 1] as usize);
+                    assert_eq!(got.counts[c0..c1], want.counts[c0..c1], "counts of {i}");
+                    assert_eq!(got.ids[g0..g1], want.ids[g0..g1], "ids of {i}");
+                }
+                assert_eq!(got.ids.len(), want.ids.len());
+                let mut plain = m.clone();
+                plain.static_hearers = None;
+                for i in 0..n {
+                    let src = NodeId::new(i as u32);
+                    assert_eq!(m.hearers(src), plain.hearers(src), "hearers of {i}");
+                    check_links(&m, src);
+                    check_links(&plain, src);
+                }
+                Outcome::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn a_bucket_group_past_u16_falls_back_to_the_grid_query() {
+        // 65,537 sensors packed into one 1 m bucket, a manager (id 0)
+        // at its centre. The manager's group in that bucket holds all
+        // of them, one more than a `u16` count can. The sensors' 1 mm
+        // range is below their spacing, so they hear no one: were the
+        // fallback lost, the build would still finish in bounded memory
+        // and this test would fail, not exhaust the host.
+        let n = 65_537;
+        let mut positions = vec![Point::new(0.5, 0.5)];
+        let mut classes = vec![NodeClass::Manager];
+        for k in 0..n {
+            let (a, b) = ((k % 256) as f64, (k / 256) as f64);
+            positions.push(Point::new((a + 0.5) / 260.0, (b + 0.5) / 260.0));
+            classes.push(NodeClass::Sensor);
+        }
+        let ranges = RangeTable {
+            sensor: 0.001,
+            robot: 1.0,
+            manager: 10.0,
+        };
+        let m = Medium::new(Bounds::square(1.0), ranges, &positions, &classes);
+        assert!(m.static_hearers.is_none(), "the build falls back");
+        assert_eq!(m.link_count(), 0);
+        let plain = uncached(m.clone());
+        for (i, heard) in [(0, n), (1, 0), (40_000, 0), (n, 0)] {
+            let src = NodeId::new(i as u32);
+            assert_eq!(m.hearers(src).len(), heard, "src {i}");
+            assert_eq!(m.hearers(src), plain.hearers(src), "src {i}");
+            check_links(&m, src);
+        }
     }
 
     #[test]

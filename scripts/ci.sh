@@ -123,7 +123,9 @@ stage_deep_props() {
     # engine's grid nearest-robot query against nearest_site and its
     # cell lists against each box's span, the t = 0 arming cutoff
     # against the exact lifetime, the floor-free cell lookups against
-    # floor, the MAC's outcomes against explicit arriving sets, and the
+    # floor, the MAC's outcomes against explicit arriving sets, the
+    # branch-free static-hearer build against the branchy loop and the
+    # grid query (prop_static_hearers_match_the_grid_query), and the
     # timer wheel (lists through the event slab, deferred reclamation of
     # cancelled slots) against an ordered-map model, across every store
     # and under cancellation.
@@ -139,7 +141,8 @@ stage_deep_props() {
         spatial::tests::prop_cell_lookups_equal_floor \
         partition::tests::prop_subarea_lookups_equal_floor
     ROBONET_CHECK_CASES=$cases cargo test -q --release --offline -p robonet-radio --lib -- \
-        engine::tests::prop_mac_outcomes_match_explicit_incoming_sets
+        engine::tests::prop_mac_outcomes_match_explicit_incoming_sets \
+        medium::tests::prop_static_hearers_match_the_grid_query
     ROBONET_CHECK_CASES=$cases cargo test -q --release --offline -p robonet-des --test prop_queue -- \
         queue_matches_ordered_map_model \
         wheel_lanes_preserve_order \
