@@ -68,11 +68,6 @@ impl MobileSensorField {
         MobileSensorField { working, spares }
     }
 
-    /// Remaining spare count.
-    pub fn spares_left(&self) -> usize {
-        self.spares.len()
-    }
-
     /// Working sensor positions.
     pub fn working(&self) -> &[Point] {
         &self.working
@@ -181,7 +176,7 @@ mod tests {
         assert_eq!(plan.movers(), 1);
         assert_eq!(plan.total_distance(), 120.0);
         assert_eq!(plan.max_single_move(), 120.0);
-        assert_eq!(f.spares_left(), 0);
+        assert!(f.spares.is_empty());
     }
 
     #[test]

@@ -195,8 +195,9 @@ pub fn run_with_spans(cfg: &ScenarioConfig) -> (FastSummary, SpanReport) {
 /// With [`ScenarioConfig::sample_every`] set, the run samples
 /// telemetry by the packet simulator's rule, sink or no sink: each
 /// sample is a `TelemetrySample` event followed by one
-/// `InvariantViolated` per failed health check (span balance
-/// included). Sampling never changes the summary or the other events.
+/// `InvariantViolated` per failed health check (repair conservation
+/// and fleet liveness). Sampling never changes the summary or the
+/// other events.
 ///
 /// Fault support is deliberately minimal at flow level: an active
 /// [`crate::fault::FaultPlan`] applies its report/dispatch loss
@@ -980,8 +981,7 @@ mod tests {
 
         // Sampling is inert too: with a blackout on a sample time, the
         // sampled trace minus its telemetry lines is the unsampled trace
-        // byte for byte, and every health check passes, span balance
-        // included.
+        // byte for byte, and every health check passes.
         use robonet_des::SimDuration;
         let mut cfg = with_timeline_event(|side| TimedFault::Blackout {
             at: SimDuration::from_secs(2_000.0),

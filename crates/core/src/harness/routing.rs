@@ -99,9 +99,7 @@ impl Simulation {
         if cached > 0 {
             return cached as usize - 1;
         }
-        let in_range = medium
-            .static_hearers_of(to)
-            .expect("a link implies the static adjacency");
+        let in_range = medium.static_hearers_of(to);
         let rank = in_range.iter().filter(|&&id| id < from.as_u32()).count();
         if !self.sensors[to.index()].neighbors.has_slots() {
             let n_sensors = self.sensors.len();

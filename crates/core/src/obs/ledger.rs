@@ -2,10 +2,11 @@
 //!
 //! A repair runs failure → detection → report → dispatch → replacement,
 //! and each of those trace events belongs to one open failure. Span
-//! assembly, trace replay and the live health monitor each hold a
-//! [`RepairLedger`] fed the same events, so open repairs by milestone
-//! mean one thing in `robonet spans`, `robonet replay` and the
-//! telemetry `open_*` gauges. Per sensor, over a FIFO of
+//! assembly and trace replay each hold a [`RepairLedger`] fed the same
+//! events; a live run's telemetry `open_*` gauges and health check read
+//! its span assembler's. So open repairs by milestone mean one thing in
+//! `robonet spans`, `robonet replay` and the live run. Per sensor, over
+//! a FIFO of
 //! [`OpenRepair`]s:
 //!
 //! - `failure` opens a repair at the back of the queue;

@@ -19,9 +19,11 @@
 //!   [`QuantileSketch`].
 //! - **Repair ledger** — a [`RepairLedger`] matches each lifecycle
 //!   event to the open failure it belongs to and tracks how far every
-//!   open repair got ([`Milestone`]). Span assembly, [`ReplayState`]
-//!   and the live [`HealthMonitor`] each hold one, so open repairs by
-//!   milestone mean one thing in every view.
+//!   open repair got ([`Milestone`]). Span assembly and [`ReplayState`]
+//!   each hold one, so open repairs by milestone mean one thing in
+//!   every view. A live run holds exactly one, its span assembler's:
+//!   the telemetry samples' open-repair gauges and the
+//!   [`HealthMonitor`]'s conservation check both read it.
 //! - **Profiling** — wall-clock phase numbers from
 //!   [`robonet_des::SchedulerProfile`], surfaced by the CLI.
 //!

@@ -6,12 +6,14 @@
 //! owns the telemetry sampler's step, so both engines observe a run
 //! by one rule:
 //!
-//! - sampling turns observation on: the health monitor is built from
-//!   the event stream, so it needs events even when no sink listens;
-//! - spans are assembled when the run returns them (the packet
+//! - sampling turns observation on and assembles spans: the span
+//!   assembler's [`RepairLedger`](super::RepairLedger) is the one
+//!   ledger of open repairs, read by the samples' `open_*` gauges and
+//!   by the health monitor's conservation check, which also needs the
+//!   stream's robot deaths and repairs even when no sink listens;
+//! - spans are also assembled when the run returns them (the packet
 //!   engine's `Outcome::spans` whenever it is observed, the flow
-//!   engine's `run_with_spans`, `--progress`) or when sampling, so
-//!   every sampled run checks span balance;
+//!   engine's `run_with_spans`, `--progress`);
 //! - an unobserved run builds no event at all: [`Observer::emit`]
 //!   takes a closure and calls it only when something listens.
 
@@ -28,7 +30,9 @@ pub(crate) struct Observer<'s> {
     sink: Box<dyn EventSink + 's>,
     /// Cached `sink.is_enabled()`.
     sink_enabled: bool,
-    /// Assembles repair-lifecycle spans from the live event stream.
+    /// Assembles repair-lifecycle spans from the live event stream;
+    /// its ledger is the run's one ledger of open repairs. Present
+    /// whenever sampling.
     spans: Option<SpanAssembler>,
     /// Event-ledger health monitor, present exactly when sampling.
     health: Option<HealthMonitor>,
@@ -39,8 +43,8 @@ pub(crate) struct Observer<'s> {
 
 impl<'s> Observer<'s> {
     /// An observer feeding `sink`. `sampling` builds the health monitor
-    /// and the span assembler its span-balance check reads; `spans`
-    /// builds the assembler for [`Observer::finish`] to return.
+    /// and the span assembler whose ledger it checks; `spans` builds
+    /// the assembler for [`Observer::finish`] to return.
     pub fn new(sink: Box<dyn EventSink + 's>, sampling: bool, spans: bool) -> Self {
         let mut observer = Observer {
             sink_enabled: sink.is_enabled(),
@@ -93,22 +97,27 @@ impl<'s> Observer<'s> {
     }
 
     /// The sampler's step at sim time `t`: snapshot the live gauges,
-    /// check the health monitor's invariants against them, and emit
-    /// the sample followed by one event per violation, each also into
-    /// the timeline.
+    /// check the health monitor's invariants against them and the span
+    /// assembler's ledger, and emit the sample followed by one event
+    /// per violation, each also into the timeline.
     ///
     /// # Panics
     ///
     /// Panics unless the observer was built with sampling on.
     pub fn sample(&mut self, world: &mut World, t: f64, gauges: &Gauges) {
         let health = self.health.as_ref().expect("sampling implies a monitor");
-        let sample = world.telemetry(health.ledger(), gauges);
+        let ledger = self
+            .spans
+            .as_ref()
+            .expect("sampling implies spans")
+            .ledger();
+        let sample = world.telemetry(ledger, gauges);
         let violations = health.check(
             t,
+            ledger,
             &Checkpoint {
                 failures: world.failures,
                 replacements: world.replacements,
-                open_spans: self.open_spans() as u64,
                 robots_down: gauges.robots_down,
             },
         );

@@ -59,15 +59,6 @@ impl Log2Histogram {
         }
     }
 
-    /// Lower bound of bucket `i`.
-    pub fn bucket_floor(i: usize) -> f64 {
-        if i == 0 {
-            0.0
-        } else {
-            2f64.powi(i as i32 - 1)
-        }
-    }
-
     /// Records one observation.
     pub fn observe(&mut self, value: f64) {
         self.buckets[Self::bucket_of(value)] += 1;
@@ -139,11 +130,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Increments the counter `subsystem.name` by one.
-    pub fn incr(&mut self, subsystem: &'static str, name: &'static str) {
-        self.add(subsystem, name, 1);
     }
 
     /// Adds `delta` to the counter `subsystem.name`.
@@ -254,29 +240,6 @@ impl MetricsRegistry {
         }
         w.finish()
     }
-
-    /// Renders a human-readable snapshot (counters, then gauges, then
-    /// histogram means), used by the CLI's verbose output.
-    pub fn text_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (subsystem, name, value) in self.counters() {
-            let _ = writeln!(out, "{subsystem}.{name} = {value}");
-        }
-        for (subsystem, name, value) in self.gauges() {
-            let _ = writeln!(out, "{subsystem}.{name} = {value:.3}");
-        }
-        for (subsystem, name, h) in self.histograms() {
-            let _ = writeln!(
-                out,
-                "{subsystem}.{name}: count={} mean={:.2} max={:.1}",
-                h.count(),
-                h.mean().unwrap_or(0.0),
-                h.max()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -286,9 +249,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_sort() {
         let mut r = MetricsRegistry::new();
-        r.incr("net.routing", "drops.ttl_expired");
+        r.add("net.routing", "drops.ttl_expired", 1);
         r.add("net.routing", "drops.ttl_expired", 2);
-        r.incr("des.scheduler", "events_dispatched");
+        r.add("des.scheduler", "events_dispatched", 1);
         assert_eq!(r.counter("net.routing", "drops.ttl_expired"), 3);
         assert_eq!(r.counter("net.routing", "missing"), 0);
         let names: Vec<_> = r.counters().map(|(s, n, _)| format!("{s}.{n}")).collect();
@@ -314,9 +277,6 @@ mod tests {
         assert_eq!(Log2Histogram::bucket_of(-5.0), 0);
         assert_eq!(Log2Histogram::bucket_of(f64::NAN), 0);
         assert_eq!(Log2Histogram::bucket_of(1e300), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(Log2Histogram::bucket_floor(0), 0.0);
-        assert_eq!(Log2Histogram::bucket_floor(1), 1.0);
-        assert_eq!(Log2Histogram::bucket_floor(4), 8.0);
     }
 
     #[test]
@@ -347,7 +307,6 @@ mod tests {
         assert_eq!(r.gauge("span.travel", "missing"), None);
         let names: Vec<_> = r.gauges().map(|(s, n, _)| format!("{s}.{n}")).collect();
         assert_eq!(names, vec!["span.travel.p50_s", "span.travel.p95_s"]);
-        assert!(r.text_report().contains("span.travel.p95_s = 61.250"));
         let v = crate::obs::json::parse(&r.counters_json()).unwrap();
         assert_eq!(v.get("span.travel.p95_s").unwrap().as_f64(), Some(61.25));
     }
@@ -356,7 +315,7 @@ mod tests {
     fn counters_json_is_sorted_and_parseable() {
         let mut r = MetricsRegistry::new();
         r.set("radio.mac", "data_tx", 41);
-        r.incr("coord.dynamic", "reports_delivered");
+        r.add("coord.dynamic", "reports_delivered", 1);
         r.observe("net.routing", "report_hops", 3.0);
         let json = r.counters_json();
         let v = crate::obs::json::parse(&json).unwrap();
@@ -369,15 +328,5 @@ mod tests {
             v.get("net.routing.report_hops.count").unwrap().as_u64(),
             Some(1)
         );
-    }
-
-    #[test]
-    fn text_report_lists_everything() {
-        let mut r = MetricsRegistry::new();
-        r.incr("a", "b");
-        r.observe("c", "d", 2.0);
-        let text = r.text_report();
-        assert!(text.contains("a.b = 1"));
-        assert!(text.contains("c.d: count=1 mean=2.00 max=2.0"));
     }
 }

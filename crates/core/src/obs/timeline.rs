@@ -6,12 +6,12 @@
 //! machinery that records protocol events records the health series,
 //! and offline tools reconstruct bit-exact values from the artifact.
 //!
-//! Alongside the sampler runs a [`HealthMonitor`]: an event-ledger
-//! shadow of the simulation (a [`RepairLedger`], as span assembly and
-//! replay hold) whose conservation invariants are checked at every
-//! sample. A simulation whose counters drift from its own event stream
-//! emits a typed [`TraceEvent::InvariantViolated`] instead of silently
-//! diverging.
+//! Alongside the sampler runs a [`HealthMonitor`], which checks the
+//! simulation's counters against its own event stream at every sample:
+//! against the live span assembler's [`RepairLedger`] for repairs, and
+//! against its own robot death and repair counts for the fleet. A
+//! simulation whose counters drift from its event stream emits a typed
+//! [`TraceEvent::InvariantViolated`] instead of silently diverging.
 //!
 //! [`Timeline`] is the offline half: it rebuilds the sample series from
 //! a JSONL artifact and renders it as CSV, with float fields written
@@ -30,9 +30,6 @@ pub enum Invariant {
     /// Every failure is replaced, orphaned, or still open:
     /// `failures == replacements + open ledger entries`.
     RepairConservation,
-    /// The span assembler and the event ledger agree on how many
-    /// repairs are in flight.
-    SpanBalance,
     /// The fleet's down-robot count matches the `RobotDied` /
     /// `RobotRepaired` event ledger.
     FleetLiveness,
@@ -43,7 +40,6 @@ impl Invariant {
     pub fn label(self) -> &'static str {
         match self {
             Invariant::RepairConservation => "repair_conservation",
-            Invariant::SpanBalance => "span_balance",
             Invariant::FleetLiveness => "fleet_liveness",
         }
     }
@@ -52,7 +48,6 @@ impl Invariant {
     pub fn from_label(label: &str) -> Option<Self> {
         match label {
             "repair_conservation" => Some(Invariant::RepairConservation),
-            "span_balance" => Some(Invariant::SpanBalance),
             "fleet_liveness" => Some(Invariant::FleetLiveness),
             _ => None,
         }
@@ -293,41 +288,38 @@ impl Timeline {
 }
 
 /// Sim-side counter values handed to [`HealthMonitor::check`] — the
-/// ground truth the event ledger is compared against.
+/// ground truth the event stream is compared against.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Checkpoint {
     /// Failures the simulation has counted.
     pub failures: u64,
     /// Replacements the simulation has counted.
     pub replacements: u64,
-    /// Open spans in the live span assembler.
-    pub open_spans: u64,
     /// Robots the simulation currently holds down.
     pub robots_down: u64,
 }
 
-/// An event-ledger shadow of the repair pipeline, used to check
-/// conservation invariants online.
+/// Checks conservation invariants online.
 ///
-/// The monitor ingests the same event stream the sink sees into its
-/// own [`RepairLedger`], so "open repairs by furthest milestone" means
-/// the same thing live, in `robonet spans` and in `robonet replay`.
+/// The monitor counts the robot deaths and repairs in the event
+/// stream; open repairs come from the [`RepairLedger`] the caller
+/// passes to [`HealthMonitor::check`] (the live span assembler's), so
+/// "open repairs by furthest milestone" means the same thing live, in
+/// `robonet spans` and in `robonet replay`.
 #[derive(Debug, Default)]
 pub struct HealthMonitor {
-    ledger: RepairLedger,
     robot_deaths: u64,
     robot_repairs: u64,
 }
 
 impl HealthMonitor {
-    /// A fresh monitor with an empty ledger.
+    /// A fresh monitor with zero counts.
     pub fn new() -> Self {
         HealthMonitor::default()
     }
 
-    /// Consumes one event into the ledger.
+    /// Counts one event if it is a robot death or repair.
     pub fn ingest(&mut self, event: &TraceEvent) {
-        self.ledger.apply(event);
         match event {
             TraceEvent::RobotDied { .. } => self.robot_deaths += 1,
             TraceEvent::RobotRepaired { .. } => self.robot_repairs += 1,
@@ -335,16 +327,12 @@ impl HealthMonitor {
         }
     }
 
-    /// The open-repair ledger (orphaned failures stay open forever —
-    /// they were never replaced).
-    pub fn ledger(&self) -> &RepairLedger {
-        &self.ledger
-    }
-
-    /// Checks every invariant against the sim-side `checkpoint`,
-    /// returning one [`TraceEvent::InvariantViolated`] per imbalance
-    /// (empty when all ledgers agree).
-    pub fn check(&self, t: f64, checkpoint: &Checkpoint) -> Vec<TraceEvent> {
+    /// Checks every invariant against the sim-side `checkpoint`, with
+    /// `ledger` holding the stream's open repairs (orphaned failures
+    /// stay open forever — they were never replaced). Returns one
+    /// [`TraceEvent::InvariantViolated`] per imbalance (empty when the
+    /// counters and the stream agree).
+    pub fn check(&self, t: f64, ledger: &RepairLedger, checkpoint: &Checkpoint) -> Vec<TraceEvent> {
         let mut out = Vec::new();
         let mut verify = |invariant, expected: u64, actual: u64| {
             if expected != actual {
@@ -359,13 +347,11 @@ impl HealthMonitor {
         // Every counted failure is either replaced or still in the
         // ledger (open or orphaned); a mismatch means the simulation's
         // counters and its own event stream tell different stories.
-        let open = self.ledger.open_count() as u64;
         verify(
             Invariant::RepairConservation,
-            checkpoint.replacements + open,
+            checkpoint.replacements + ledger.open_count() as u64,
             checkpoint.failures,
         );
-        verify(Invariant::SpanBalance, open, checkpoint.open_spans);
         verify(
             Invariant::FleetLiveness,
             self.robot_deaths.saturating_sub(self.robot_repairs),
@@ -400,11 +386,7 @@ mod tests {
 
     #[test]
     fn invariant_labels_round_trip() {
-        for inv in [
-            Invariant::RepairConservation,
-            Invariant::SpanBalance,
-            Invariant::FleetLiveness,
-        ] {
+        for inv in [Invariant::RepairConservation, Invariant::FleetLiveness] {
             assert_eq!(Invariant::from_label(inv.label()), Some(inv));
         }
         assert_eq!(Invariant::from_label("entropy"), None);
@@ -453,69 +435,41 @@ mod tests {
     }
 
     #[test]
-    fn monitor_tracks_stages_like_replay() {
-        let mut m = HealthMonitor::new();
-        let s = NodeId::new(4);
-        m.ingest(&TraceEvent::Failure { t: 1.0, sensor: s });
-        assert_eq!(m.ledger().stage_counts(), [1, 0, 0, 0]);
-        m.ingest(&TraceEvent::Detected {
-            t: 2.0,
-            guardian: NodeId::new(1),
-            failed: s,
-        });
-        assert_eq!(m.ledger().stage_counts(), [0, 1, 0, 0]);
-        m.ingest(&TraceEvent::ReportDelivered {
-            t: 3.0,
-            manager: NodeId::new(99),
-            failed: s,
-            hops: 2,
-        });
-        m.ingest(&TraceEvent::Dispatched {
-            t: 4.0,
-            robot: NodeId::new(100),
-            failed: s,
-            departed: true,
-        });
-        assert_eq!(m.ledger().stage_counts(), [0, 0, 0, 1]);
-        assert_eq!(m.ledger().open_count(), 1);
-        m.ingest(&TraceEvent::Replaced {
-            t: 9.0,
-            robot: NodeId::new(100),
-            sensor: s,
-            travel: 12.0,
-            loc: robonet_geom::Point::new(1.0, 2.0),
-        });
-        assert_eq!(m.ledger().open_count(), 0);
-    }
-
-    #[test]
     fn check_flags_each_imbalance() {
         let mut m = HealthMonitor::new();
-        m.ingest(&TraceEvent::Failure {
-            t: 1.0,
-            sensor: NodeId::new(4),
-        });
-        // Balanced: 1 failure, 0 replaced, 1 open; spans agree; fleet
-        // healthy.
+        let mut ledger = RepairLedger::new();
+        let robot = NodeId::new(9);
+        for event in [
+            TraceEvent::Failure {
+                t: 1.0,
+                sensor: NodeId::new(4),
+            },
+            TraceEvent::RobotDied { t: 2.0, robot },
+            TraceEvent::RobotRepaired { t: 3.0, robot },
+        ] {
+            m.ingest(&event);
+            ledger.apply(&event);
+        }
+        // Balanced: 1 failure, 0 replaced, 1 open; fleet healthy again.
         let ok = m.check(
             10.0,
+            &ledger,
             &Checkpoint {
                 failures: 1,
                 replacements: 0,
-                open_spans: 1,
                 robots_down: 0,
             },
         );
         assert!(ok.is_empty(), "got: {ok:?}");
 
-        // A sim that lost a failure, a drifted span assembler, and a
-        // down robot the ledger never saw — three distinct violations.
+        // A sim that lost a failure and a down robot the stream never
+        // saw die — two distinct violations.
         let bad = m.check(
             10.0,
+            &ledger,
             &Checkpoint {
                 failures: 2,
                 replacements: 0,
-                open_spans: 0,
                 robots_down: 1,
             },
         );
@@ -528,11 +482,7 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            vec![
-                Invariant::RepairConservation,
-                Invariant::SpanBalance,
-                Invariant::FleetLiveness,
-            ]
+            vec![Invariant::RepairConservation, Invariant::FleetLiveness]
         );
     }
 
@@ -545,7 +495,7 @@ mod tests {
         });
         tl.ingest(&TraceEvent::InvariantViolated {
             t: 200.0,
-            invariant: Invariant::SpanBalance,
+            invariant: Invariant::FleetLiveness,
             expected: 1,
             actual: 2,
         });
@@ -554,7 +504,7 @@ mod tests {
             sensor: NodeId::new(0),
         });
         assert_eq!(tl.len(), 1);
-        assert_eq!(tl.violations, vec![(200.0, Invariant::SpanBalance, 1, 2)]);
+        assert_eq!(tl.violations, vec![(200.0, Invariant::FleetLiveness, 1, 2)]);
         let cov = tl.series("coverage").unwrap();
         assert_eq!(cov, vec![(100.0, 0.875)]);
         assert!(tl.series("nope").is_none());

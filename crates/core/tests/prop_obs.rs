@@ -2,8 +2,8 @@
 //! sketch against exact order statistics, the quickselect percentile
 //! against a sort-based reference, the span assembler's accounting
 //! invariants over randomized well-formed repair workloads, the one
-//! repair ledger behind span assembly, replay and the health monitor
-//! over duplicate-ridden lifecycles, and the trace-line decoder against
+//! repair ledger behind span assembly and replay over duplicate-ridden
+//! lifecycles, and the trace-line decoder against
 //! the event writer and `json::parse`: adversarial values, reordered,
 //! duplicated, padded and unknown keys, every proper prefix of a line,
 //! and a trace whose last line is cut.
@@ -13,9 +13,8 @@ use std::collections::BTreeMap;
 use robonet_core::metrics::percentile;
 use robonet_core::obs::json::{self, JsonValue};
 use robonet_core::obs::{
-    event_from_jsonl, event_to_jsonl, for_each_event_line, trace_header, HealthMonitor, Milestone,
-    QuantileSketch, RepairLedger, ReplayState, SpanAssembler, TruncatedTail, RELATIVE_ERROR,
-    ZERO_THRESHOLD,
+    event_from_jsonl, event_to_jsonl, for_each_event_line, trace_header, Milestone, QuantileSketch,
+    RepairLedger, ReplayState, SpanAssembler, TruncatedTail, RELATIVE_ERROR, ZERO_THRESHOLD,
 };
 use robonet_core::trace::TraceEvent;
 use robonet_des::check::{self, Outcome};
@@ -241,23 +240,21 @@ fn milestones(ledger: &RepairLedger) -> BTreeMap<u32, Vec<Milestone>> {
     out
 }
 
-/// Feeds `events` to the health monitor, replay and span assembly,
-/// asserting after every event that the three agree on the open
-/// repairs per milestone and that no open repair moved backwards.
+/// Feeds `events` to replay and span assembly, asserting after every
+/// event that the two agree on the open repairs per milestone and that
+/// no open repair moved backwards.
 fn assert_ledgers_agree_and_advance(events: &[TraceEvent]) {
-    let mut monitor = HealthMonitor::new();
     let mut replay = ReplayState::discovering();
     let mut spans = SpanAssembler::new();
-    let mut before: [BTreeMap<u32, Vec<Milestone>>; 3] = Default::default();
+    let mut before: [BTreeMap<u32, Vec<Milestone>>; 2] = Default::default();
     for (i, ev) in events.iter().enumerate() {
-        monitor.ingest(ev);
         replay.apply(ev);
         spans.ingest(ev);
-        let ledgers = [monitor.ledger(), replay.ledger(), spans.ledger()];
+        let ledgers = [replay.ledger(), spans.ledger()];
         let counts = ledgers.map(RepairLedger::stage_counts);
         assert!(
-            counts[1] == counts[0] && counts[2] == counts[0],
-            "monitor/replay/spans disagree after event {i} ({ev:?}): {counts:?}"
+            counts[1] == counts[0],
+            "replay/spans disagree after event {i} ({ev:?}): {counts:?}"
         );
         for (ledger, was) in ledgers.iter().zip(before.iter_mut()) {
             if let TraceEvent::Replaced { sensor, .. } = ev {
@@ -284,7 +281,7 @@ fn assert_ledgers_agree_and_advance(events: &[TraceEvent]) {
     }
 }
 
-/// The three holders of the repair ledger never disagree on open
+/// The two holders of the repair ledger never disagree on open
 /// repairs per milestone, and no repair's milestone ever decreases,
 /// however many duplicates and re-dispatches the stream carries.
 #[test]
@@ -304,8 +301,8 @@ fn ledgers_agree_and_never_move_backwards() {
     );
 }
 
-/// The shrunk counterexample from when replay and the health monitor
-/// kept their own stage ledgers: a duplicate report after the dispatch
+/// The shrunk counterexample from when replay and the live health
+/// check kept their own stage ledgers: a duplicate report after the dispatch
 /// moved the repair back to `report_delivered` (`[0, 0, 1, 0]`).
 #[test]
 fn a_duplicate_report_after_dispatch_keeps_the_repair_dispatched() {
@@ -316,11 +313,11 @@ fn a_duplicate_report_after_dispatch_keeps_the_repair_dispatched() {
         .map(|(i, step)| ledger_event(i, step))
         .collect();
     assert_ledgers_agree_and_advance(&events);
-    let mut monitor = HealthMonitor::new();
+    let mut spans = SpanAssembler::new();
     for ev in &events {
-        monitor.ingest(ev);
+        spans.ingest(ev);
     }
-    assert_eq!(monitor.ledger().stage_counts(), [0, 0, 0, 1]);
+    assert_eq!(spans.ledger().stage_counts(), [0, 0, 0, 1]);
 }
 
 /// Splitting any observation stream across any number of per-cell
@@ -629,11 +626,8 @@ fn event_of(kind: usize, words: &[u64]) -> TraceEvent {
         }
         _ => TraceEvent::InvariantViolated {
             t,
-            invariant: [
-                Invariant::RepairConservation,
-                Invariant::SpanBalance,
-                Invariant::FleetLiveness,
-            ][(w(1) % 3) as usize],
+            invariant: [Invariant::RepairConservation, Invariant::FleetLiveness]
+                [(w(1) % 2) as usize],
             expected: w(2),
             actual: w(3),
         },

@@ -492,11 +492,6 @@ impl<E> EventQueue<E> {
 
     /// Cascades one lane-1 bucket's live entries straight into lane 0,
     /// freeing its tombstones.
-    ///
-    /// Cascaded entries can land up to 255 ticks past the lane-0 span
-    /// (when the cursor is near the span's far edge), so a lane-0 bucket
-    /// may transiently hold two rounds; the drain in
-    /// [`refill_front`](Self::refill_front) partitions by tick to cope.
     fn cascade_lane1(&mut self, ct: u64) {
         let b = (ct & (LANE1_BUCKETS - 1)) as usize;
         let mut i = std::mem::replace(&mut self.lane1[b], NIL);
@@ -519,36 +514,45 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves the live entries of tick `t` from its lane-0 bucket to the
-    /// back of the front (unsorted) and frees its tombstones; entries of
-    /// a later round sharing the bucket (tick ≡ t mod 2048) stay linked.
+    /// Moves the whole lane-0 bucket of tick `t` to the back of the
+    /// front (unsorted), freeing its tombstones.
+    ///
+    /// Every entry in the bucket has tick `t`. Outside a refill, lane 0
+    /// holds only ticks in the span `(C, C + 2048]`, one tick per
+    /// bucket: [`place`](Self::place) files nothing else there, and
+    /// every refill ends with the cursor on a drained tick. Inside one
+    /// pass of the refill's scan, a cascade at boundary `b <= C + 2048`
+    /// can link ticks up to `b + 255` past the span. Such a tick `T`
+    /// lands in the bucket of `T - 2048`, in `(C, b)`: a stretch the
+    /// scan has already passed as empty, since it visits ticks and
+    /// boundaries in order and a cascade's entries all lie at or past
+    /// its boundary. Ticks past the span all lie in `(C + 2048, C +
+    /// 2303]`, so no two of them share a bucket either. The scan looks
+    /// only forward from `b` and no further than `C + 2048`, so it does
+    /// not come back to that stretch before the pass drains a tick
+    /// `t >= b` and moves the cursor there, when `T <= b + 255 < t +
+    /// 2048` is back inside the span; a pass that drains nothing
+    /// advances the cursor a whole span past `C`, below every such `T`.
+    /// So the bucket the scan drains never holds a second round.
     fn drain_lane0(&mut self, t: u64) {
         let b = (t & (LANE0_BUCKETS - 1)) as usize;
         let mut i = std::mem::replace(&mut self.lane0[b], NIL);
-        let mut kept = NIL;
+        self.lane0_occ.clear(b);
         while i != NIL {
-            let s = &mut self.slots[i as usize];
+            let s = &self.slots[i as usize];
+            debug_assert_eq!(tick_of(s.time), t, "lane-0 bucket mixed ticks");
             let next = s.next;
-            if tick_of(s.time) != t {
-                s.next = kept;
-                kept = i;
+            self.lane0_len -= 1;
+            if s.event.is_some() {
+                self.front.push_back(EntryRef {
+                    time: s.time,
+                    seq: s.seq,
+                    slot: i,
+                });
             } else {
-                self.lane0_len -= 1;
-                if s.event.is_some() {
-                    self.front.push_back(EntryRef {
-                        time: s.time,
-                        seq: s.seq,
-                        slot: i,
-                    });
-                } else {
-                    self.free.push(i);
-                }
+                self.free.push(i);
             }
             i = next;
-        }
-        self.lane0[b] = kept;
-        if kept == NIL {
-            self.lane0_occ.clear(b);
         }
     }
 
@@ -594,7 +598,7 @@ impl<E> EventQueue<E> {
                     self.drain_lane0(t);
                     self.cursor = t;
                     if self.front.is_empty() {
-                        continue 'scan; // only tombstones or a later round
+                        continue 'scan; // only tombstones
                     }
                     self.front
                         .make_contiguous()
@@ -605,8 +609,8 @@ impl<E> EventQueue<E> {
                     return;
                 }
                 if self.lane0_len > 0 {
-                    // Everything resident in lane 0 is a later round
-                    // beyond the span; advance a full span and rescan.
+                    // Everything resident in lane 0 was cascaded past
+                    // the span; advance a full span and rescan.
                     self.cursor += LANE0_BUCKETS;
                     continue 'scan;
                 }
@@ -976,36 +980,6 @@ mod tests {
             "{peak_tombstones} tombstones resident"
         );
         assert!(q.slots.len() < 400, "slab grew to {}", q.slots.len());
-    }
-
-    #[test]
-    fn two_rounds_in_one_lane0_bucket_pop_in_order() {
-        // A cascade can link an entry up to 255 ticks past the lane-0
-        // span, into the bucket of a tick inside the span. A refill
-        // drains the earlier round of a bucket before it crosses the
-        // boundary that cascades a later one, so the state is built
-        // here directly: "later" is cascaded while the cursor is 2100
-        // ticks behind it, then "earlier" joins its bucket.
-        let tick = |n: u64, ns: u64| SimTime::from_nanos((n << TICK_SHIFT) + ns);
-        let mut q = EventQueue::new();
-        q.schedule(tick(100, 0), "start");
-        assert_eq!(q.cursor, 100, "the first schedule moves the cursor to it");
-        q.schedule(tick(2200, 7), "later"); // lane 1, coarse tick 8
-        q.cascade_lane1(2200 >> COARSE_SHIFT);
-        q.schedule(tick(152, 3), "earlier"); // lane 0
-        assert_eq!((q.lane0_len, q.lane1_len), (2, 0));
-        let first = q.lane0[152];
-        let second = q.slots[first as usize].next;
-        assert_ne!(second, NIL, "both rounds share bucket 152");
-        assert_eq!(q.slots[second as usize].next, NIL);
-        assert_eq!(q.pop(), Some((tick(100, 0), "start")));
-        // The refill drained tick 152 into the front and left tick 2200.
-        assert_eq!((q.cursor, q.lane0_len), (152, 1));
-        assert_eq!(q.lane0[152], second, "the later round stayed linked");
-        assert_eq!(q.pop(), Some((tick(152, 3), "earlier")));
-        assert_eq!((q.cursor, q.lane0_len, q.lane0[152]), (2200, 0, NIL));
-        assert_eq!(q.pop(), Some((tick(2200, 7), "later")));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -101,16 +101,6 @@ impl SchedulerProfile {
             0.0
         }
     }
-
-    /// Event throughput: events dispatched per wall-clock second.
-    /// Returns 0.0 when no wall time has been observed.
-    pub fn events_per_wall_second(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events_dispatched as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
 }
 
 impl std::fmt::Display for SchedulerProfile {
@@ -328,13 +318,12 @@ mod tests {
         assert_eq!(p.queue_high_water, 2);
         assert_eq!(p.sim_seconds, 1.0);
         assert!(p.wall_seconds >= 0.0);
-        // Zero-wall-time guard paths never divide by zero.
+        // The zero-wall-time guard path never divides by zero.
         let frozen = SchedulerProfile {
             wall_seconds: 0.0,
             ..p
         };
         assert_eq!(frozen.sim_seconds_per_wall_second(), 0.0);
-        assert_eq!(frozen.events_per_wall_second(), 0.0);
     }
 
     #[test]

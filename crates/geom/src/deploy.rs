@@ -29,32 +29,6 @@ pub fn uniform_point<R: Rng + ?Sized>(rng: &mut R, bounds: &Bounds) -> Point {
     )
 }
 
-/// Samples `n` points on a jittered grid: near-uniform coverage without
-/// the clumps and voids of pure uniform sampling. Useful for experiments
-/// that need guaranteed initial coverage.
-pub fn jittered_grid<R: Rng + ?Sized>(rng: &mut R, bounds: &Bounds, n: usize) -> Vec<Point> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let cols = (n as f64).sqrt().ceil() as usize;
-    let rows = n.div_ceil(cols);
-    let w = bounds.width() / cols as f64;
-    let h = bounds.height() / rows as f64;
-    let mut out = Vec::with_capacity(n);
-    'outer: for r in 0..rows {
-        for c in 0..cols {
-            if out.len() == n {
-                break 'outer;
-            }
-            out.push(Point::new(
-                bounds.min().x + c as f64 * w + rng.gen_range(0.0..w.max(f64::MIN_POSITIVE)),
-                bounds.min().y + r as f64 * h + rng.gen_range(0.0..h.max(f64::MIN_POSITIVE)),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,31 +71,6 @@ mod tests {
                 (q as f64 - 1000.0).abs() < 120.0,
                 "quadrant count {q} far from 1000"
             );
-        }
-    }
-
-    #[test]
-    fn jittered_grid_count_and_bounds() {
-        let b = Bounds::square(50.0);
-        for n in [0, 1, 7, 16, 50] {
-            let pts = jittered_grid(&mut rng(2), &b, n);
-            assert_eq!(pts.len(), n);
-            assert!(pts.iter().all(|p| b.contains(*p)));
-        }
-    }
-
-    #[test]
-    fn jittered_grid_spreads_points() {
-        // Max nearest-neighbour distance should be bounded: no giant void.
-        let b = Bounds::square(100.0);
-        let pts = jittered_grid(&mut rng(3), &b, 100);
-        for p in &pts {
-            let nn = pts
-                .iter()
-                .filter(|q| *q != p)
-                .map(|q| q.distance(*p))
-                .fold(f64::INFINITY, f64::min);
-            assert!(nn < 30.0, "point {p} isolated by {nn} m");
         }
     }
 }

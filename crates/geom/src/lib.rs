@@ -32,7 +32,6 @@
 
 pub mod deploy;
 pub mod graph;
-pub mod hull;
 pub mod partition;
 pub mod planar;
 mod point;

@@ -35,20 +35,9 @@ pub fn rng_edge_survives(u: Point, v: Point, witness: Point) -> bool {
 /// edge `(self, n)` is kept iff no *other* neighbour lies inside the
 /// diametral disk.
 ///
-/// `neighbors` yields `(id, position)` pairs; the returned vector
-/// preserves input order.
-pub fn gabriel_filter<I>(self_pos: Point, neighbors: &[(I, Point)]) -> Vec<(I, Point)>
-where
-    I: Copy + PartialEq,
-{
-    let mut out = Vec::new();
-    gabriel_filter_into(self_pos, neighbors, &mut out);
-    out
-}
-
-/// Like [`gabriel_filter`], but writes the surviving neighbours into
-/// `out` (cleared first) so a caller on a hot path can reuse one buffer
-/// across filter invocations.
+/// `neighbors` holds `(id, position)` pairs; the survivors are written
+/// into `out` (cleared first) in input order, so a caller on a hot path
+/// can reuse one buffer across filter invocations.
 pub fn gabriel_filter_into<I>(self_pos: Point, neighbors: &[(I, Point)], out: &mut Vec<(I, Point)>)
 where
     I: Copy + PartialEq,
@@ -311,7 +300,8 @@ mod tests {
                 .iter()
                 .map(|&v| (v, g.position(v as usize)))
                 .collect();
-            let filtered = gabriel_filter(g.position(u), &nbrs);
+            let mut filtered = Vec::new();
+            gabriel_filter_into(g.position(u), &nbrs, &mut filtered);
             // The local filter uses *all* neighbours as witnesses, the
             // global build only common neighbours; the local result must
             // therefore be a subset.

@@ -105,11 +105,6 @@ impl Vec2 {
         }
     }
 
-    /// The vector rotated 90° counter-clockwise.
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
     /// The angle of the vector in radians, in `(-π, π]`, measured
     /// counter-clockwise from the positive x-axis.
     pub fn angle(self) -> f64 {
@@ -315,7 +310,6 @@ mod tests {
         assert_eq!(v.length(), 5.0);
         assert_eq!(v.dot(Vec2::new(1.0, 0.0)), 3.0);
         assert_eq!(Vec2::new(1.0, 0.0).cross(Vec2::new(0.0, 1.0)), 1.0);
-        assert_eq!(v.perp(), Vec2::new(-4.0, 3.0));
         assert_eq!(v * 2.0, Vec2::new(6.0, 8.0));
         assert_eq!(v / 2.0, Vec2::new(1.5, 2.0));
         assert_eq!(-v, Vec2::new(-3.0, -4.0));

@@ -90,11 +90,6 @@ impl Segment {
         Some((self.a + r * t, t))
     }
 
-    /// Distance from `p` to the closest point of the segment.
-    pub fn distance_to_point(&self, p: Point) -> f64 {
-        p.distance(self.closest_point(p))
-    }
-
     /// The point of the segment closest to `p`.
     pub fn closest_point(&self, p: Point) -> Point {
         let ab = self.b - self.a;
@@ -193,9 +188,10 @@ mod tests {
     #[test]
     fn point_distance_regions() {
         let s = Segment::new(p(0.0, 0.0), p(10.0, 0.0));
-        assert_eq!(s.distance_to_point(p(5.0, 3.0)), 3.0, "interior projection");
-        assert_eq!(s.distance_to_point(p(-3.0, 4.0)), 5.0, "before start");
-        assert_eq!(s.distance_to_point(p(13.0, 4.0)), 5.0, "past end");
+        let distance = |q: Point| q.distance(s.closest_point(q));
+        assert_eq!(distance(p(5.0, 3.0)), 3.0, "interior projection");
+        assert_eq!(distance(p(-3.0, 4.0)), 5.0, "before start");
+        assert_eq!(distance(p(13.0, 4.0)), 5.0, "past end");
         assert_eq!(s.closest_point(p(5.0, 3.0)), p(5.0, 0.0));
     }
 

@@ -4,7 +4,6 @@
 use robonet_des::check::{self, Gen, Outcome};
 
 use robonet_geom::graph::UnitDiskGraph;
-use robonet_geom::hull::convex_hull;
 use robonet_geom::partition::{HexPartition, Partition, SquarePartition};
 use robonet_geom::planar::{PlanarGraph, PlanarRule};
 use robonet_geom::voronoi::{nearest_site, voronoi_cells};
@@ -61,21 +60,6 @@ fn voronoi_membership_matches_nearest() {
             Outcome::Pass
         },
     );
-}
-
-/// The convex hull contains every input point.
-#[test]
-fn hull_contains_inputs() {
-    check::forall("hull_contains_inputs", &points_in(100.0, 3..40), |pts| {
-        let h = convex_hull(pts);
-        if h.len() >= 3 {
-            let poly = ConvexPolygon::new(h).expect("hull is CCW convex");
-            for &p in pts {
-                assert!(poly.contains(p));
-            }
-        }
-        Outcome::Pass
-    });
 }
 
 /// Gabriel planarization preserves connectivity of connected UDGs

@@ -278,18 +278,6 @@ impl NeighborTable {
         })
     }
 
-    /// The neighbour whose advertised location is closest to `target`,
-    /// with deterministic tie-breaking by node id.
-    pub fn closest_to(&self, target: Point) -> Option<(NodeId, &NeighborEntry)> {
-        self.iter().min_by(|(a_id, a), (b_id, b)| {
-            a.loc
-                .distance_sq(target)
-                .partial_cmp(&b.loc.distance_sq(target))
-                .expect("non-finite neighbour location")
-                .then(a_id.cmp(b_id))
-        })
-    }
-
     /// The neighbour closest to `target` among those *strictly* closer
     /// than `threshold_sq` (squared distance) — the greedy-forwarding
     /// candidate set.
@@ -525,9 +513,11 @@ mod tests {
     #[test]
     fn closest_to_target() {
         let nt = table();
-        let (id, _) = nt.closest_to(p(25.0, 0.0)).unwrap();
+        let (id, _) = nt.closest_to_within(p(25.0, 0.0), f64::INFINITY).unwrap();
         assert_eq!(id, NodeId::new(2));
-        assert!(NeighborTable::new().closest_to(p(0.0, 0.0)).is_none());
+        assert!(NeighborTable::new()
+            .closest_to_within(p(0.0, 0.0), f64::INFINITY)
+            .is_none());
     }
 
     #[test]

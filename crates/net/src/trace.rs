@@ -26,16 +26,6 @@ impl RouteTrace {
     pub fn hops(&self) -> u32 {
         self.path.len().saturating_sub(1) as u32
     }
-
-    /// Path stretch relative to a reference hop count (e.g. BFS):
-    /// `hops / reference`. `None` if the packet was not delivered or the
-    /// reference is zero.
-    pub fn stretch(&self, reference_hops: u32) -> Option<f64> {
-        if !self.delivered || reference_hops == 0 {
-            return None;
-        }
-        Some(f64::from(self.hops()) / f64::from(reference_hops))
-    }
 }
 
 /// Traces a packet from `src` to `dst` through static `tables`.
@@ -130,7 +120,6 @@ mod tests {
         assert!(t.delivered);
         assert_eq!(t.hops(), 3);
         assert_eq!(t.perimeter_hops, 0);
-        assert_eq!(t.stretch(3), Some(1.0));
         assert_eq!(
             t.path,
             vec![
@@ -153,11 +142,10 @@ mod tests {
             NodeId::new(1),
         );
         assert!(!t.delivered);
-        assert_eq!(t.stretch(1), None);
     }
 
     #[test]
-    fn stretch_handles_zero_reference() {
+    fn a_trace_to_itself_is_delivered_in_zero_hops() {
         let positions = vec![p(0.0, 0.0)];
         let tables = tables_from_positions(&positions, 63.0);
         let t = trace_route(
@@ -168,6 +156,5 @@ mod tests {
         );
         assert!(t.delivered);
         assert_eq!(t.hops(), 0);
-        assert_eq!(t.stretch(0), None);
     }
 }

@@ -63,32 +63,10 @@ pub enum RadioEvent {
     },
 }
 
-/// What the radio layer reports up to the application.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Upcall<P> {
-    /// A frame arrived intact at `to` (for broadcast: one upcall per
-    /// receiver).
-    Delivered {
-        /// Receiving node.
-        to: NodeId,
-        /// The received frame.
-        frame: Frame<P>,
-    },
-    /// The sender finished with a frame: `ok` is `true` on success
-    /// (broadcast frames always complete "ok" once sent).
-    TxComplete {
-        /// The sending node.
-        src: NodeId,
-        /// The frame that completed.
-        frame: Frame<P>,
-        /// Whether the frame was delivered (unicast) or sent (broadcast).
-        ok: bool,
-    },
-}
-
-/// One buffered upcall. The frame payload lives in the owning
-/// [`UpcallBuf`] and is referenced by index, so a broadcast heard by N
-/// nodes buffers its frame once instead of N clones.
+/// What the radio layer reports up to the application: one buffered
+/// upcall. The frame payload lives in the owning [`UpcallBuf`] and is
+/// referenced by index, so a broadcast heard by N nodes buffers its
+/// frame once instead of N clones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpcallEntry {
     /// A frame arrived intact (one entry per receiver).
@@ -102,7 +80,8 @@ pub enum UpcallEntry {
         /// [`NO_LINK`](crate::medium::NO_LINK).
         link: u32,
     },
-    /// The sender finished with a frame (see [`Upcall::TxComplete`]).
+    /// The sender finished with a frame: `ok` is `true` on success
+    /// (broadcast frames always complete "ok" once sent).
     TxComplete {
         /// The sending node.
         src: NodeId,
@@ -115,10 +94,8 @@ pub enum UpcallEntry {
 
 /// Reusable output buffer for [`RadioEngine::handle`].
 ///
-/// Hot consumers iterate [`UpcallBuf::entries`] (16-byte copies) and
-/// resolve frames by reference through [`UpcallBuf::frame`];
-/// [`UpcallBuf::take_owned`] materialises classic owned [`Upcall`]s for
-/// tests and tools that prefer them.
+/// Consumers iterate [`UpcallBuf::entries`] (16-byte copies) and
+/// resolve frames by reference through [`UpcallBuf::frame`].
 #[derive(Debug)]
 pub struct UpcallBuf<P> {
     entries: Vec<UpcallEntry>,
@@ -165,29 +142,6 @@ impl<P> UpcallBuf<P> {
         let i = self.frames.len() as u32;
         self.frames.push(frame);
         i
-    }
-}
-
-impl<P: Clone> UpcallBuf<P> {
-    /// Drains the buffer into owned [`Upcall`]s, cloning shared frames.
-    pub fn take_owned(&mut self) -> Vec<Upcall<P>> {
-        let ups = self
-            .entries
-            .iter()
-            .map(|&e| match e {
-                UpcallEntry::Delivered { to, frame, .. } => Upcall::Delivered {
-                    to,
-                    frame: self.frames[frame as usize].clone(),
-                },
-                UpcallEntry::TxComplete { src, frame, ok } => Upcall::TxComplete {
-                    src,
-                    frame: self.frames[frame as usize].clone(),
-                    ok,
-                },
-            })
-            .collect();
-        self.clear();
-        ups
     }
 }
 
@@ -792,11 +746,12 @@ mod tests {
     use robonet_des::Scheduler;
     use robonet_geom::{Bounds, Point};
 
-    /// Drives the engine until its event queue drains, collecting upcalls.
+    /// Drives the engine until its event queue drains, collecting each
+    /// upcall with its frame's payload.
     fn run(
         engine: &mut RadioEngine<&'static str>,
         sends: Vec<(f64, Frame<&'static str>)>,
-    ) -> Vec<(SimTime, Upcall<&'static str>)> {
+    ) -> Vec<(UpcallEntry, &'static str)> {
         #[derive(Debug)]
         enum Ev {
             Send(Frame<&'static str>),
@@ -821,9 +776,12 @@ mod tests {
             for (at, e) in pending {
                 sched.schedule_at(at, Ev::Radio(e));
             }
-            for u in buffer.take_owned() {
-                upcalls.push((now, u));
+            for &u in buffer.entries() {
+                let (UpcallEntry::Delivered { frame, .. } | UpcallEntry::TxComplete { frame, .. }) =
+                    u;
+                upcalls.push((u, buffer.frame(frame).payload));
             }
+            buffer.clear();
         }
         upcalls
     }
@@ -889,8 +847,8 @@ mod tests {
         let ups = run(&mut e, vec![(0.0, frame(0, None, TrafficClass::Beacon))]);
         let delivered: Vec<u32> = ups
             .iter()
-            .filter_map(|(_, u)| match u {
-                Upcall::Delivered { to, .. } => Some(to.as_u32()),
+            .filter_map(|(u, _)| match u {
+                UpcallEntry::Delivered { to, .. } => Some(to.as_u32()),
                 _ => None,
             })
             .collect();
@@ -901,7 +859,7 @@ mod tests {
         );
         assert!(ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::TxComplete { ok: true, .. })));
+            .any(|(u, _)| matches!(u, UpcallEntry::TxComplete { ok: true, .. })));
         assert_eq!(e.stats().data_tx(TrafficClass::Beacon), 1);
         assert_eq!(
             e.stats().class(TrafficClass::Beacon).ack_tx,
@@ -917,13 +875,13 @@ mod tests {
             &mut e,
             vec![(0.0, frame(0, Some(1), TrafficClass::FailureReport))],
         );
-        assert!(ups.iter().any(|(_, u)| matches!(
+        assert!(ups.iter().any(|(u, _)| matches!(
             u,
-            Upcall::Delivered { to, .. } if to.as_u32() == 1
+            UpcallEntry::Delivered { to, .. } if to.as_u32() == 1
         )));
         assert!(ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::TxComplete { ok: true, .. })));
+            .any(|(u, _)| matches!(u, UpcallEntry::TxComplete { ok: true, .. })));
         let s = e.stats().class(TrafficClass::FailureReport);
         assert_eq!(s.data_tx, 1);
         assert_eq!(s.ack_tx, 1);
@@ -940,7 +898,7 @@ mod tests {
         );
         assert!(ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::TxComplete { ok: false, .. })));
+            .any(|(u, _)| matches!(u, UpcallEntry::TxComplete { ok: false, .. })));
         let s = e.stats().class(TrafficClass::FailureReport);
         assert_eq!(s.data_tx, u64::from(MacParams::default().max_attempts));
         assert_eq!(s.dropped, 1);
@@ -959,13 +917,13 @@ mod tests {
             &mut e,
             vec![(0.0, frame(0, Some(1), TrafficClass::RepairRequest))],
         );
-        assert!(ups.iter().any(|(_, u)| matches!(
+        assert!(ups.iter().any(|(u, _)| matches!(
             u,
-            Upcall::Delivered { to, .. } if to.as_u32() == 1
+            UpcallEntry::Delivered { to, .. } if to.as_u32() == 1
         )));
         assert!(ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::TxComplete { ok: true, .. })));
+            .any(|(u, _)| matches!(u, UpcallEntry::TxComplete { ok: true, .. })));
     }
 
     #[test]
@@ -978,8 +936,8 @@ mod tests {
         let ups = run(&mut e, vec![(0.0, f1), (0.0, f2)]);
         let delivered: Vec<&str> = ups
             .iter()
-            .filter_map(|(_, u)| match u {
-                Upcall::Delivered { frame, .. } => Some(frame.payload),
+            .filter_map(|&(u, payload)| match u {
+                UpcallEntry::Delivered { .. } => Some(payload),
                 _ => None,
             })
             .collect();
@@ -1004,7 +962,7 @@ mod tests {
         );
         let delivered_to_2 = ups
             .iter()
-            .filter(|(_, u)| matches!(u, Upcall::Delivered { to, .. } if to.as_u32() == 2))
+            .filter(|(u, _)| matches!(u, UpcallEntry::Delivered { to, .. } if to.as_u32() == 2))
             .count();
         // Node 2 hears both beacons (senders deferred to each other, with
         // high probability under different backoff draws).
@@ -1031,7 +989,7 @@ mod tests {
         );
         let delivered_to_2 = ups
             .iter()
-            .filter(|(_, u)| matches!(u, Upcall::Delivered { to, .. } if to.as_u32() == 2))
+            .filter(|(u, _)| matches!(u, UpcallEntry::Delivered { to, .. } if to.as_u32() == 2))
             .count();
         // Both senders draw their backoff independently; the frames can
         // only avoid collision if their airtimes do not overlap at all.
@@ -1068,7 +1026,7 @@ mod tests {
         );
         let ok = ups
             .iter()
-            .filter(|(_, u)| matches!(u, Upcall::TxComplete { ok: true, .. }))
+            .filter(|(u, _)| matches!(u, UpcallEntry::TxComplete { ok: true, .. }))
             .count();
         assert_eq!(ok, 2, "both unicasts eventually delivered");
         let s = e.stats().class(TrafficClass::FailureReport);
@@ -1083,10 +1041,10 @@ mod tests {
         let ups = run(&mut e, vec![(0.0, frame(0, Some(1), TrafficClass::Beacon))]);
         assert!(!ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::Delivered { .. })));
+            .any(|(u, _)| matches!(u, UpcallEntry::Delivered { .. })));
         assert!(ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::TxComplete { ok: false, .. })));
+            .any(|(u, _)| matches!(u, UpcallEntry::TxComplete { ok: false, .. })));
     }
 
     #[test]
@@ -1107,7 +1065,7 @@ mod tests {
         let ups = run(&mut e, vec![(0.0, frame(0, Some(1), TrafficClass::Beacon))]);
         assert!(ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::Delivered { .. })));
+            .any(|(u, _)| matches!(u, UpcallEntry::Delivered { .. })));
     }
 
     /// One step of a differential MAC run: a frame handed to the
@@ -1532,7 +1490,7 @@ mod tests {
         let ups = run(&mut e, sends);
         let completes = ups
             .iter()
-            .filter(|(_, u)| matches!(u, Upcall::TxComplete { .. }))
+            .filter(|(u, _)| matches!(u, UpcallEntry::TxComplete { .. }))
             .count();
         assert_eq!(completes, 100);
         assert_eq!(e.stats().data_tx(TrafficClass::Beacon), 100);

@@ -30,7 +30,7 @@ pub mod medium;
 pub mod params;
 pub mod stats;
 
-pub use engine::{RadioEngine, RadioEvent, Upcall, UpcallBuf, UpcallEntry};
+pub use engine::{RadioEngine, RadioEvent, UpcallBuf, UpcallEntry};
 pub use frame::{Frame, TrafficClass};
 pub use medium::{Fading, Medium, NodeClass};
 pub use params::MacParams;

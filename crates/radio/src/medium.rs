@@ -110,7 +110,7 @@ struct StaticHearers {
     /// Per-source start into `counts` (`len + 1` entries).
     counts_start: Vec<u32>,
     /// Static in-range hearers per visited bucket, in bucket scan order.
-    counts: Vec<u16>,
+    counts: Vec<u32>,
     /// Per-source start into `ids` (`len + 1` entries).
     ids_start: Vec<u32>,
     /// Static in-range hearer ids, grouped by bucket, ascending within
@@ -119,17 +119,20 @@ struct StaticHearers {
 }
 
 impl StaticHearers {
-    /// Builds the adjacency, or `None` when the robot ids are not one
-    /// contiguous block (the tail-of-bucket merge relies on that) or a
-    /// bucket's group overflows its `u16` count. The in-range test
-    /// passes about a third of the candidates, so rather than branch on
-    /// it, every id is written and the length advances by the test.
+    /// Builds the adjacency. The in-range test passes about a third of
+    /// the candidates, so rather than branch on it, every id is written
+    /// and the length advances by the test.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the robot ids form one contiguous block (the
+    /// tail-of-bucket merge in [`Medium::for_each_hearer`] relies on it).
     fn build(
         index: &GridIndex,
         classes: &[NodeClass],
         ranges: &RangeTable,
         positions: &[Point],
-    ) -> Option<StaticHearers> {
+    ) -> StaticHearers {
         let robot_lo = classes
             .iter()
             .position(|&c| c == NodeClass::Robot)
@@ -138,12 +141,12 @@ impl StaticHearers {
             .iter()
             .rposition(|&c| c == NodeClass::Robot)
             .map_or(robot_lo, |i| i + 1);
-        if classes[robot_lo..robot_hi]
-            .iter()
-            .any(|&c| c != NodeClass::Robot)
-        {
-            return None;
-        }
+        assert!(
+            classes[robot_lo..robot_hi]
+                .iter()
+                .all(|&c| c == NodeClass::Robot),
+            "robot ids must form one contiguous block"
+        );
         let mut cache = StaticHearers {
             robot_lo,
             robot_hi,
@@ -153,7 +156,6 @@ impl StaticHearers {
             ids: Vec::new(),
         };
         let robots = robot_hi - robot_lo;
-        let mut fits = true;
         for (i, &class) in classes.iter().enumerate() {
             cache.counts_start.push(cache.counts.len() as u32);
             cache.ids_start.push(cache.ids.len() as u32);
@@ -176,16 +178,12 @@ impl StaticHearers {
                     n += usize::from(hears & (p.distance_sq(pos) <= r_sq));
                 }
                 cache.ids.truncate(lo + n);
-                fits &= n <= usize::from(u16::MAX);
-                cache.counts.push(n as u16);
+                cache.counts.push(n as u32);
             });
-            if !fits {
-                return None;
-            }
         }
         cache.counts_start.push(cache.counts.len() as u32);
         cache.ids_start.push(cache.ids.len() as u32);
-        Some(cache)
+        cache
     }
 }
 
@@ -204,9 +202,8 @@ pub struct Medium {
     alive: Vec<bool>,
     ranges: RangeTable,
     fading: Fading,
-    /// Fast path for static transmitters; dropped (fall back to plain
-    /// grid queries) if a non-robot node is ever actually moved.
-    static_hearers: Option<StaticHearers>,
+    /// Hearer lists of the static transmitters, fixed for the run.
+    static_hearers: StaticHearers,
     /// How many robots currently occupy each grid bucket. Most buckets
     /// of a transmission's scan window hold no robot, and a zero lets
     /// `for_each_hearer` emit the bucket's precomputed static group
@@ -219,8 +216,10 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics if the two slices differ in length or any point lies
-    /// outside `bounds`.
+    /// Panics if the two slices differ in length, any point lies
+    /// outside `bounds`, or the robot ids do not form one contiguous
+    /// block (the harness numbers sensors, then robots, then the
+    /// manager).
     pub fn new(
         bounds: Bounds,
         ranges: RangeTable,
@@ -287,19 +286,28 @@ impl Medium {
         self.index.position(node.index())
     }
 
-    /// Moves `node` (robots move while maintaining the network).
+    /// Moves `node` (robots move while maintaining the network). A
+    /// static node may only be "moved" to where it already is: the
+    /// manager re-announces its position in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is a sensor or the manager and `pos` is a new
+    /// position: static hearer lists are fixed when the medium is built.
     pub fn set_position(&mut self, node: NodeId, pos: Point) {
-        if self.classes[node.index()] == NodeClass::Robot {
-            let from = self.index.bucket_index(self.index.position(node.index()));
-            let to = self.index.bucket_index(pos);
-            if from != to {
-                self.robot_buckets[from] -= 1;
-                self.robot_buckets[to] += 1;
-            }
-        } else if self.static_hearers.is_some() && self.index.position(node.index()) != pos {
-            // A supposedly static node moved: the precomputed adjacency
-            // no longer describes the topology, so drop it for good.
-            self.static_hearers = None;
+        let at = self.index.position(node.index());
+        if self.classes[node.index()] != NodeClass::Robot {
+            assert!(
+                at == pos,
+                "static node {node} cannot move from {at} to {pos}"
+            );
+            return;
+        }
+        let from = self.index.bucket_index(at);
+        let to = self.index.bucket_index(pos);
+        if from != to {
+            self.robot_buckets[from] -= 1;
+            self.robot_buckets[to] += 1;
         }
         self.index.update_position(node.index(), pos);
     }
@@ -335,55 +343,53 @@ impl Medium {
     /// the hearer's link index: for a static transmitter's static
     /// hearers, the hearer's position in the precomputed adjacency
     /// (below [`Medium::link_count`], one index per ordered static pair,
-    /// fixed for the run); [`NO_LINK`] for robots, for robot
-    /// transmitters and once the adjacency is dropped.
+    /// fixed for the run); [`NO_LINK`] for robots and for robot
+    /// transmitters.
     ///
-    /// Static transmitters take the precomputed-adjacency fast path in
-    /// one walk over the scan window's buckets: a bucket holding no
-    /// robot emits its precomputed static group as is (distance-filtered
-    /// at build time) without reading the grid; a bucket holding a robot
+    /// A robot transmitter takes the plain grid query. A static one
+    /// walks its scan window's buckets once: a bucket holding no robot
+    /// emits its precomputed static group as is (distance-filtered at
+    /// build time) without reading the grid; a bucket holding a robot
     /// merges its robots back in at their true scan positions. The visit
     /// order is the plain grid query's exactly.
     pub fn for_each_hearer(&self, src: NodeId, mut visit: impl FnMut(NodeId, u32)) {
         let pos = self.position(src);
         let range = self.tx_range(src);
         let si = src.index();
-        if let Some(c) = &self.static_hearers {
-            if self.classes[si] != NodeClass::Robot {
-                let r_sq = range * range;
-                let mut ci = c.counts_start[si] as usize;
-                let mut gi = c.ids_start[si] as usize;
-                self.index.for_each_bucket_index_within(pos, range, |b| {
-                    let lo = gi;
-                    gi += c.counts[ci] as usize;
-                    ci += 1;
-                    if self.robot_buckets[b] == 0 {
-                        self.emit_static(&c.ids, lo..gi, &mut visit);
-                        return;
-                    }
-                    // Bucket residents are sorted ascending by id, so the
-                    // true scan order is: static nodes below the robot
-                    // block, robot residents, static nodes above it (the
-                    // manager), then moved robots in arrival order.
-                    let split =
-                        lo + c.ids[lo..gi].partition_point(|&id| (id as usize) < c.robot_lo);
-                    self.emit_static(&c.ids, lo..split, &mut visit);
-                    let (residents, movers) = self.index.bucket_entries(b);
-                    let p0 = residents.partition_point(|&(j, _)| (j as usize) < c.robot_lo);
-                    let robots = residents[p0..]
-                        .iter()
-                        .take_while(|&&(j, _)| (j as usize) < c.robot_hi);
-                    self.emit_robots(robots, pos, r_sq, &mut visit);
-                    self.emit_static(&c.ids, split..gi, &mut visit);
-                    self.emit_robots(movers.iter(), pos, r_sq, &mut visit);
-                });
+        if self.classes[si] == NodeClass::Robot {
+            self.index.for_each_within(pos, range, |i| {
+                if i != si && self.alive[i] {
+                    visit(NodeId::new(i as u32), NO_LINK);
+                }
+            });
+            return;
+        }
+        let c = &self.static_hearers;
+        let r_sq = range * range;
+        let mut ci = c.counts_start[si] as usize;
+        let mut gi = c.ids_start[si] as usize;
+        self.index.for_each_bucket_index_within(pos, range, |b| {
+            let lo = gi;
+            gi += c.counts[ci] as usize;
+            ci += 1;
+            if self.robot_buckets[b] == 0 {
+                self.emit_static(&c.ids, lo..gi, &mut visit);
                 return;
             }
-        }
-        self.index.for_each_within(pos, range, |i| {
-            if i != si && self.alive[i] {
-                visit(NodeId::new(i as u32), NO_LINK);
-            }
+            // Bucket residents are sorted ascending by id, so the true
+            // scan order is: static nodes below the robot block, robot
+            // residents, static nodes above it (the manager), then moved
+            // robots in arrival order.
+            let split = lo + c.ids[lo..gi].partition_point(|&id| (id as usize) < c.robot_lo);
+            self.emit_static(&c.ids, lo..split, &mut visit);
+            let (residents, movers) = self.index.bucket_entries(b);
+            let p0 = residents.partition_point(|&(j, _)| (j as usize) < c.robot_lo);
+            let robots = residents[p0..]
+                .iter()
+                .take_while(|&&(j, _)| (j as usize) < c.robot_hi);
+            self.emit_robots(robots, pos, r_sq, &mut visit);
+            self.emit_static(&c.ids, split..gi, &mut visit);
+            self.emit_robots(movers.iter(), pos, r_sq, &mut visit);
         });
     }
 
@@ -419,21 +425,20 @@ impl Medium {
         }
     }
 
-    /// Number of link indices [`Medium::for_each_hearer`] can
-    /// report (0 without the static adjacency).
+    /// Number of link indices [`Medium::for_each_hearer`] can report.
     pub fn link_count(&self) -> usize {
-        self.static_hearers.as_ref().map_or(0, |c| c.ids.len())
+        self.static_hearers.ids.len()
     }
 
     /// The static (non-robot) nodes within `node`'s transmission range,
-    /// in its scan order, or `None` without the static adjacency. Empty
-    /// for a robot. Nodes of one class share a range, so between two
-    /// sensors the relation is symmetric: `b` is in `a`'s list exactly
-    /// when `a` is in `b`'s (both lists test the same squared distance).
-    pub fn static_hearers_of(&self, node: NodeId) -> Option<&[u32]> {
-        let c = self.static_hearers.as_ref()?;
+    /// in its scan order; empty for a robot. Nodes of one class share a
+    /// range, so between two sensors the relation is symmetric: `b` is
+    /// in `a`'s list exactly when `a` is in `b`'s (both lists test the
+    /// same squared distance).
+    pub fn static_hearers_of(&self, node: NodeId) -> &[u32] {
+        let c = &self.static_hearers;
         let i = node.index();
-        Some(&c.ids[c.ids_start[i] as usize..c.ids_start[i + 1] as usize])
+        &c.ids[c.ids_start[i] as usize..c.ids_start[i + 1] as usize]
     }
 
     /// Collects the alive hearers of `src` (see [`Medium::for_each_hearer`]).
@@ -560,32 +565,31 @@ mod tests {
         )
     }
 
-    /// Drops the static-hearer cache by nudging a static node and
-    /// moving it straight back: topology is unchanged, but every query
-    /// now takes the generic grid path.
-    fn uncached(mut m: Medium) -> Medium {
-        let s0 = NodeId::new(0);
-        let p = m.position(s0);
-        m.set_position(s0, Point::new(p.x + 0.25, p.y));
-        m.set_position(s0, p);
-        assert!(m.static_hearers.is_none(), "cache should be dropped");
-        m
+    /// The alive hearers of `src` by the plain grid query, the way a
+    /// robot transmitter finds them: the visit order static senders
+    /// must reproduce.
+    fn grid_hearers(m: &Medium, src: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        m.index
+            .for_each_within(m.position(src), m.tx_range(src), |i| {
+                if i != src.index() && m.alive[i] {
+                    out.push(NodeId::new(i as u32));
+                }
+            });
+        out
     }
 
     /// Checks the link index of every hearer of `src`: a static hearer
     /// of a static sender carries its position in the sender's
     /// adjacency slice; everyone else carries none.
     fn check_links(m: &Medium, src: NodeId) {
-        let linked = m.static_hearers.is_some() && m.class(src) != NodeClass::Robot;
+        let linked = m.class(src) != NodeClass::Robot;
         let adjacency = m.static_hearers_of(src);
-        let lo = m
-            .static_hearers
-            .as_ref()
-            .map_or(0, |c| c.ids_start[src.index()] as usize);
+        let lo = m.static_hearers.ids_start[src.index()] as usize;
         m.for_each_hearer(src, |h, link| {
             if linked && m.class(h) != NodeClass::Robot {
                 let at = link as usize - lo;
-                assert_eq!(adjacency.unwrap()[at], h.as_u32(), "link of {h} from {src}");
+                assert_eq!(adjacency[at], h.as_u32(), "link of {h} from {src}");
             } else {
                 assert_eq!(link, NO_LINK, "{h} from {src} has no link");
             }
@@ -595,20 +599,16 @@ mod tests {
     #[test]
     fn static_hearer_cache_matches_grid_queries() {
         let m = field(400, 3, 800.0);
-        assert!(m.static_hearers.is_some(), "contiguous robots cache");
-        let plain = uncached(m.clone());
-        assert_eq!(plain.link_count(), 0);
         for i in 0..m.len() {
             let src = NodeId::new(i as u32);
-            assert_eq!(m.hearers(src), plain.hearers(src), "src {i}");
+            assert_eq!(m.hearers(src), grid_hearers(&m, src), "src {i}");
             check_links(&m, src);
-            check_links(&plain, src);
         }
         // Between sensors the adjacency is symmetric.
         for a in 0..400u32 {
-            for &b in m.static_hearers_of(NodeId::new(a)).unwrap() {
+            for &b in m.static_hearers_of(NodeId::new(a)) {
                 if b < 400 {
-                    let back = m.static_hearers_of(NodeId::new(b)).unwrap();
+                    let back = m.static_hearers_of(NodeId::new(b));
                     assert!(back.contains(&a), "{a} hears {b} but not back");
                 }
             }
@@ -618,13 +618,15 @@ mod tests {
     #[test]
     fn static_hearer_cache_tracks_robot_motion_and_death() {
         let mut m = field(300, 2, 600.0);
-        let mut plain = uncached(m.clone());
         let n = m.len();
         let robots: Vec<NodeId> = (300..n - 1).map(|i| NodeId::new(i as u32)).collect();
         // March the robots across bucket boundaries (and one off a
         // sensor's window entirely), killing and reviving nodes along
-        // the way; the cached and generic paths must agree at every
-        // step, in content *and* visit order.
+        // the way, while the manager re-announces in place (a no-op, as
+        // the centralized manager does every tick); the adjacency and
+        // the grid query must agree at every step, in content *and*
+        // visit order.
+        let mgr = NodeId::new(n as u32 - 1);
         let mut state = 1u64;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
@@ -634,35 +636,42 @@ mod tests {
             let r = robots[step % robots.len()];
             let to = Point::new(next() * 600.0, next() * 600.0);
             m.set_position(r, to);
-            plain.set_position(r, to);
+            m.set_position(mgr, m.position(mgr));
             let victim = NodeId::new((step * 37 % 300) as u32);
-            let alive = step % 3 != 0;
-            m.set_alive(victim, alive);
-            plain.set_alive(victim, alive);
+            m.set_alive(victim, step % 3 != 0);
             for i in (0..m.len()).step_by(17) {
                 let src = NodeId::new(i as u32);
-                assert_eq!(m.hearers(src), plain.hearers(src), "step {step} src {i}");
+                assert_eq!(m.hearers(src), grid_hearers(&m, src), "step {step} src {i}");
                 check_links(&m, src);
             }
         }
-        assert!(
-            m.static_hearers.is_some(),
-            "robot motion must not drop the cache"
-        );
     }
 
     #[test]
-    fn moving_a_static_node_drops_the_cache_for_good() {
+    #[should_panic(expected = "cannot move")]
+    fn moving_a_static_node_panics() {
         let mut m = field(50, 2, 400.0);
-        assert!(m.static_hearers.is_some());
-        // A same-position "move" (the centralized manager re-announces
-        // in place every tick) must keep the cache.
         let mgr = NodeId::new(m.len() as u32 - 1);
         let at = m.position(mgr);
-        m.set_position(mgr, at);
-        assert!(m.static_hearers.is_some(), "no-op move keeps the cache");
         m.set_position(mgr, Point::new(at.x + 1.0, at.y));
-        assert!(m.static_hearers.is_none(), "real move drops it");
+    }
+
+    #[test]
+    #[should_panic(expected = "one contiguous block")]
+    fn a_split_robot_block_panics() {
+        let positions = [Point::new(0.0, 0.0); 4];
+        let classes = [
+            NodeClass::Robot,
+            NodeClass::Sensor,
+            NodeClass::Robot,
+            NodeClass::Manager,
+        ];
+        Medium::new(
+            Bounds::square(100.0),
+            RangeTable::default(),
+            &positions,
+            &classes,
+        );
     }
 
     /// The build loop before it went branch-free: push each hearer as
@@ -700,7 +709,7 @@ mod tests {
             let r = ranges.range(class);
             let r_sq = r * r;
             index.for_each_bucket_within(pos, r, |residents, _movers| {
-                let mut n = 0u16;
+                let mut n = 0u32;
                 for &(j, p) in residents {
                     let j = j as usize;
                     if j != i && !(robot_lo..robot_hi).contains(&j) && p.distance_sq(pos) <= r_sq {
@@ -799,7 +808,7 @@ mod tests {
                 let bounds = Bounds::new(Point::new(0.0, 0.0), Point::new(w, h));
                 let m = Medium::new(bounds, ranges, &pts, &classes);
                 let want = reference_build(&m.index, &classes, &ranges, &pts);
-                let got = m.static_hearers.as_ref().expect("contiguous robot block");
+                let got = &m.static_hearers;
                 assert_eq!((got.robot_lo, got.robot_hi), (want.robot_lo, want.robot_hi));
                 assert_eq!(got.counts_start, want.counts_start, "counts_start");
                 assert_eq!(got.ids_start, want.ids_start, "ids_start");
@@ -813,13 +822,10 @@ mod tests {
                     assert_eq!(got.ids[g0..g1], want.ids[g0..g1], "ids of {i}");
                 }
                 assert_eq!(got.ids.len(), want.ids.len());
-                let mut plain = m.clone();
-                plain.static_hearers = None;
                 for i in 0..n {
                     let src = NodeId::new(i as u32);
-                    assert_eq!(m.hearers(src), plain.hearers(src), "hearers of {i}");
+                    assert_eq!(m.hearers(src), grid_hearers(&m, src), "hearers of {i}");
                     check_links(&m, src);
-                    check_links(&plain, src);
                 }
                 Outcome::Pass
             },
@@ -827,13 +833,12 @@ mod tests {
     }
 
     #[test]
-    fn a_bucket_group_past_u16_falls_back_to_the_grid_query() {
+    fn a_bucket_group_past_u16_builds_and_matches_the_reference() {
         // 65,537 sensors packed into one 1 m bucket, a manager (id 0)
         // at its centre. The manager's group in that bucket holds all
         // of them, one more than a `u16` count can. The sensors' 1 mm
-        // range is below their spacing, so they hear no one: were the
-        // fallback lost, the build would still finish in bounded memory
-        // and this test would fail, not exhaust the host.
+        // range is below their spacing, so they hear no one and the
+        // build stays small.
         let n = 65_537;
         let mut positions = vec![Point::new(0.5, 0.5)];
         let mut classes = vec![NodeClass::Manager];
@@ -848,13 +853,17 @@ mod tests {
             manager: 10.0,
         };
         let m = Medium::new(Bounds::square(1.0), ranges, &positions, &classes);
-        assert!(m.static_hearers.is_none(), "the build falls back");
-        assert_eq!(m.link_count(), 0);
-        let plain = uncached(m.clone());
+        assert_eq!(m.link_count(), n);
+        let want = reference_build(&m.index, &classes, &ranges, &positions);
+        let got = &m.static_hearers;
+        assert_eq!(got.counts_start, want.counts_start, "counts_start");
+        assert_eq!(got.counts, want.counts, "counts");
+        assert_eq!(got.ids_start, want.ids_start, "ids_start");
+        assert_eq!(got.ids, want.ids, "ids");
         for (i, heard) in [(0, n), (1, 0), (40_000, 0), (n, 0)] {
             let src = NodeId::new(i as u32);
             assert_eq!(m.hearers(src).len(), heard, "src {i}");
-            assert_eq!(m.hearers(src), plain.hearers(src), "src {i}");
+            assert_eq!(m.hearers(src), grid_hearers(&m, src), "src {i}");
             check_links(&m, src);
         }
     }

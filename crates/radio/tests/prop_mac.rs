@@ -6,7 +6,7 @@ use robonet_des::rng::Xoshiro256;
 
 use robonet_des::{NodeId, Scheduler, SimTime};
 use robonet_geom::{Bounds, Point};
-use robonet_radio::engine::{RadioEvent, Upcall, UpcallBuf};
+use robonet_radio::engine::{RadioEvent, UpcallBuf, UpcallEntry};
 use robonet_radio::medium::{Medium, NodeClass, RangeTable};
 use robonet_radio::{Frame, MacParams, RadioEngine, TrafficClass};
 
@@ -70,20 +70,23 @@ fn run(
         for (at, e) in pend {
             sched.schedule_at(at, Ev::Radio(e));
         }
-        for up in out.take_owned() {
+        for &up in out.entries() {
             match up {
-                Upcall::TxComplete { ok, .. } => {
+                UpcallEntry::TxComplete { ok, .. } => {
                     if ok {
                         result.completes_ok += 1;
                     } else {
                         result.completes_fail += 1;
                     }
                 }
-                Upcall::Delivered { to, frame } => {
-                    result.delivered.push((frame.src.as_u32(), to.as_u32()));
+                UpcallEntry::Delivered { to, frame, .. } => {
+                    result
+                        .delivered
+                        .push((out.frame(frame).src.as_u32(), to.as_u32()));
                 }
             }
         }
+        out.clear();
     }
     result
 }

@@ -9,8 +9,6 @@
 //! sonar, microcontroller) plus a motion load that grows roughly
 //! linearly with speed.
 
-use robonet_des::SimDuration;
-
 /// Power model `P(v) = idle_w + k_motion * v` for a wheeled robot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
@@ -49,11 +47,6 @@ impl EnergyModel {
         assert!(distance >= 0.0, "distance cannot be negative");
         self.power_at(v) * (distance / v)
     }
-
-    /// Energy spent idling for `dt`, in joules.
-    pub fn idle_energy(&self, dt: SimDuration) -> f64 {
-        self.idle_w * dt.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -87,13 +80,6 @@ mod tests {
         let slow = m.travel_energy(100.0, 0.5);
         let fast = m.travel_energy(100.0, 2.0);
         assert!(fast < slow, "hotel load dominates at low speed");
-    }
-
-    #[test]
-    fn idle_energy_scales_with_time() {
-        let m = EnergyModel::default();
-        assert_eq!(m.idle_energy(SimDuration::from_secs(10.0)), 130.0);
-        assert_eq!(m.idle_energy(SimDuration::ZERO), 0.0);
     }
 
     #[test]

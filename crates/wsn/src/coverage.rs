@@ -182,55 +182,6 @@ impl CoverageGauge {
     }
 }
 
-/// The sample points of the coverage lattice that are *not* covered —
-/// the holes, for visualisation.
-pub fn coverage_holes(
-    bounds: &Bounds,
-    sensors: &[Point],
-    alive: &[bool],
-    sensing_range: f64,
-    resolution: usize,
-) -> Vec<Point> {
-    assert_eq!(
-        sensors.len(),
-        alive.len(),
-        "sensors and alive flags must pair up"
-    );
-    let alive_points: Vec<Point> = sensors
-        .iter()
-        .zip(alive)
-        .filter(|(_, &a)| a)
-        .map(|(&p, _)| p)
-        .collect();
-    let index = if alive_points.is_empty() {
-        None
-    } else {
-        Some(GridIndex::build(
-            *bounds,
-            sensing_range.max(1.0),
-            &alive_points,
-        ))
-    };
-    let mut holes = Vec::new();
-    for iy in 0..resolution {
-        for ix in 0..resolution {
-            let sample = Point::new(
-                bounds.min().x + (ix as f64 + 0.5) * bounds.width() / resolution as f64,
-                bounds.min().y + (iy as f64 + 0.5) * bounds.height() / resolution as f64,
-            );
-            let hit = index.as_ref().is_some_and(|idx| {
-                let mut h = false;
-                idx.for_each_within(sample, sensing_range, |_| h = true);
-                h
-            });
-            if !hit {
-                holes.push(sample);
-            }
-        }
-    }
-    holes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,14 +196,12 @@ mod tests {
         let alive = vec![true; 25];
         let f = coverage_fraction(&b, &sensors, &alive, 20.0, 50);
         assert!(f > 0.99, "coverage {f}");
-        assert!(coverage_holes(&b, &sensors, &alive, 20.0, 50).is_empty());
     }
 
     #[test]
     fn no_sensors_no_coverage() {
         let b = Bounds::square(100.0);
         assert_eq!(coverage_fraction(&b, &[], &[], 10.0, 10), 0.0);
-        assert_eq!(coverage_holes(&b, &[], &[], 10.0, 10).len(), 100);
     }
 
     #[test]
@@ -266,11 +215,6 @@ mod tests {
         alive[12] = false; // kill the centre sensor
         let holed = coverage_fraction(&b, &sensors, &alive, 15.0, 60);
         assert!(holed < full, "killing a sensor must reduce coverage");
-        let holes = coverage_holes(&b, &sensors, &alive, 15.0, 60);
-        assert!(!holes.is_empty());
-        // The hole is near the dead sensor (50, 50).
-        let centre = Point::new(50.0, 50.0);
-        assert!(holes.iter().any(|h| h.distance(centre) < 20.0));
     }
 
     #[test]

@@ -400,12 +400,6 @@ impl SensorState {
             .copied();
     }
 
-    /// Forgets everything known about robot locations (testing/failover).
-    pub fn clear_robot_knowledge(&mut self) {
-        self.robot_locs.clear();
-        self.myrobot = None;
-    }
-
     /// Resets protocol state for a replacement node installed at the
     /// same location ("replacement nodes are at the same locations as
     /// the corresponding failed nodes", §2(d)). Identity and location
@@ -545,15 +539,6 @@ mod tests {
         // A refresh from the current myrobot is relevant even when
         // nothing changes.
         assert!(s.consider_robot(n(100), p(101.0, 0.0)));
-    }
-
-    #[test]
-    fn robot_knowledge_can_be_cleared() {
-        let mut s = SensorState::new(n(0), p(0.0, 0.0));
-        s.consider_robot(n(100), p(10.0, 0.0));
-        s.clear_robot_knowledge();
-        assert!(s.myrobot.is_none());
-        assert!(s.robot_locs.is_empty());
     }
 
     #[test]

@@ -124,11 +124,12 @@ stage_deep_props() {
     # cell lists against each box's span, the t = 0 arming cutoff
     # against the exact lifetime, the floor-free cell lookups against
     # floor, the MAC's outcomes against explicit arriving sets, the
-    # branch-free static-hearer build against the branchy loop and the
-    # grid query (prop_static_hearers_match_the_grid_query), and the
-    # timer wheel (lists through the event slab, deferred reclamation of
-    # cancelled slots) against an ordered-map model, across every store
-    # and under cancellation.
+    # branch-free static-hearer build (the one hearer path of a static
+    # sender) against the branchy loop and the grid query
+    # (prop_static_hearers_match_the_grid_query), and the timer wheel
+    # (lists through the event slab, whole-bucket lane-0 drains,
+    # deferred reclamation of cancelled slots) against an ordered-map
+    # model, across every store and under cancellation.
     local cases=20000
     ROBONET_CHECK_CASES=$cases cargo test -q --release --offline -p robonet-core --lib -- \
         fastsim::tests::pruned_nearest_matches_the_full_scan \
